@@ -83,19 +83,36 @@ def cheb_moment_quadratic_form(A, g, N, ledger=None):
     N operator applications.  The caller guarantees ||A||_2 <= 1 and
     ||g||_2 = 1.
     """
+    g = np.asarray(g, dtype=float)
+    return _quadratic_forms(A, g[None, :], N, ledger)[0]
+
+
+def _quadratic_forms(A, G, N, ledger):
+    """Row j holds g_j^T Tbar_i(A) g_j, i = 0..N, for the rows g_j of G.
+
+    All rows advance through the recurrence together, one block product per
+    degree, so the block costs N * rows applications.
+    """
     if N < 0:
         raise ValueError("number of moments must be nonnegative")
-    g = np.asarray(g, dtype=float)
-    out = np.empty(N + 1)
-    out[0] = TBAR0 * (g @ g)
+
+    def rowdot(X, Y):
+        # One dot product per row, the same arithmetic as a single vector.
+        return np.array([x @ y for x, y in zip(X, Y)])
+
+    def step(U):
+        return np.ascontiguousarray(A.apply_block(U.T, ledger, stage="moments").T)
+
+    out = np.empty((G.shape[0], N + 1))
+    out[:, 0] = TBAR0 * rowdot(G, G)
     if N == 0:
         return out
-    u_prev = g
-    u = A.apply(g, ledger, stage="moments")
-    out[1] = TBAR_SCALE * (g @ u)
+    U_prev = G
+    U = step(G)
+    out[:, 1] = TBAR_SCALE * rowdot(G, U)
     for k in range(2, N + 1):
-        u_prev, u = u, 2.0 * A.apply(u, ledger, stage="moments") - u_prev
-        out[k] = TBAR_SCALE * (g @ u)
+        U_prev, U = U, 2.0 * step(U) - U_prev
+        out[:, k] = TBAR_SCALE * rowdot(G, U)
     return out
 
 
@@ -103,15 +120,14 @@ def estimate_moments(A, N, b, stream, ledger=None):
     """Hutchinson estimate of the spectral-density moments of A.
 
     tau_i ~= (1/b) sum_j g_j^T Tbar_i(A) g_j with g_j uniform on the unit
-    sphere; consumes exactly N * b operator applications.
+    sphere; the b probes run in lockstep and consume exactly N * b operator
+    applications.
     """
     if b < 1:
         raise ValueError("need at least one Hutchinson vector")
     n = A.dimension
-    acc = np.zeros(N + 1)
-    for j in range(b):
-        g = unit_sphere_vector(n, stream.substream(j))
-        acc += cheb_moment_quadratic_form(A, g, N, ledger)
+    G = np.stack([unit_sphere_vector(n, stream.substream(j)) for j in range(b)])
+    acc = _quadratic_forms(A, G, N, ledger).sum(axis=0)
     acc /= b
     return MomentVector(values=acc[1:], b=b)
 

@@ -5,6 +5,10 @@ of (A, g) together with the tridiagonal T = Q^T A Q.  Full
 reorthogonalization (two Gram-Schmidt passes against all previous columns)
 is on by default; without it the computed basis loses orthogonality long
 before m = n.
+
+``lanczos_lockstep`` runs k independent recurrences side by side so that
+each step costs one block product ``A.apply_block`` instead of k single
+products; ``lanczos`` is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -49,17 +53,39 @@ class TridiagonalFactorization:
 
 
 @dataclass
+class LockstepFactorization:
+    """k Lanczos runs stored trial-major: ``basis[t, i]`` is q_i of trial t.
+
+    Row t of ``alpha`` and ``eta`` is valid up to ``m_effective[t]`` entries
+    (one fewer for eta); ``trial(t)`` returns views, not copies.
+    """
+
+    alpha: np.ndarray
+    eta: np.ndarray
+    basis: np.ndarray
+    m_effective: np.ndarray
+    m_requested: int
+
+    def trial(self, t):
+        m = int(self.m_effective[t])
+        return TridiagonalFactorization(
+            alpha=self.alpha[t, :m],
+            eta=self.eta[t, : m - 1],
+            Q=self.basis[t, :m].T,
+            m_requested=self.m_requested,
+        )
+
+
+@dataclass
 class RitzDecomposition:
     """Eigendecomposition of T, sorted by descending eigenvalue magnitude.
 
-    ``weights`` are the squared first components (v_j^T e_1)^2 and sum to 1;
-    ``index_map`` gives each entry's position in ascending-eigenvalue order.
+    ``weights`` are the squared first components (v_j^T e_1)^2 and sum to 1.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
-    index_map: np.ndarray
 
 
 def magnitude_order(values):
@@ -75,43 +101,75 @@ def lanczos(A, g, m, reorth=True, ledger=None):
     non-unit start or m > dimension.
     """
     g = np.asarray(g, dtype=float)
+    return lanczos_lockstep(A, g[:, None], m, reorth, [ledger]).trial(0)
+
+
+def lanczos_lockstep(A, G, m, reorth=True, ledgers=None):
+    """Run m Lanczos iterations from each unit column of the n x k block G.
+
+    The k recurrences are independent: each step applies A once to the
+    current vectors of every trial that has not broken down, and trial t's
+    applications are charged to ``ledgers[t]`` (m each, fewer on
+    breakdown).  Outside the block product, every reduction is a dot or
+    matrix-vector product on one trial's contiguous rows, as in a
+    single-vector run.
+    """
+    G = np.asarray(G, dtype=float)
     n = A.dimension
-    if abs(np.linalg.norm(g) - 1.0) > 1e-10:
+    if G.ndim != 2 or G.shape[0] != n:
+        raise LanczosError(f"start block has shape {G.shape}, dimension is {n}")
+    k = G.shape[1]
+    if np.any(np.abs(np.linalg.norm(G, axis=0) - 1.0) > 1e-10):
         raise LanczosError("starting vector must have unit norm")
     if not 1 <= m <= n:
         raise LanczosError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if ledgers is None:
+        ledgers = [None] * k
+    if len(ledgers) != k:
+        raise LanczosError(f"got {len(ledgers)} ledgers for {k} starting vectors")
 
-    Q = np.empty((n, m))
-    alpha = np.empty(m)
-    eta = np.empty(max(m - 1, 0))
-    Q[:, 0] = g
-    w = A.apply(g, ledger, stage="lanczos")
-    alpha[0] = g @ w
-    tilde = w - alpha[0] * g
-    scale = max(abs(alpha[0]), 1e-300)
-    m_eff = 1
-    for i in range(1, m):
-        if reorth:
-            basis = Q[:, :i]
-            tilde -= basis @ (basis.T @ tilde)
-            tilde -= basis @ (basis.T @ tilde)
-        eta_i = np.linalg.norm(tilde)
-        if eta_i < BREAKDOWN_RTOL * scale:
-            break
-        q = tilde / eta_i
-        Q[:, i] = q
-        eta[i - 1] = eta_i
-        w = A.apply(q, ledger, stage="lanczos")
-        alpha[i] = q @ w
-        tilde = w - alpha[i] * q - eta_i * Q[:, i - 1]
-        scale = max(scale, abs(alpha[i]), eta_i)
-        m_eff = i + 1
-    return TridiagonalFactorization(
-        alpha=alpha[:m_eff].copy(),
-        eta=eta[: max(m_eff - 1, 0)].copy(),
-        Q=Q[:, :m_eff].copy(),
-        m_requested=m,
-    )
+    Q = np.empty((k, m, n))
+    alpha = np.empty((k, m))
+    eta = np.empty((k, max(m - 1, 0)))
+    m_eff = np.zeros(k, dtype=int)
+    scale = np.full(k, 1e-300)
+    tilde = np.empty((k, n))
+    Q[:, 0] = G.T
+    active = list(range(k))
+    for i in range(m):
+        if i > 0:
+            survivors = []
+            for t in active:
+                r = tilde[t]
+                if reorth:
+                    basis = Q[t, :i]
+                    r -= basis.T @ (basis @ r)
+                    r -= basis.T @ (basis @ r)
+                eta_i = np.linalg.norm(r)
+                if eta_i < BREAKDOWN_RTOL * scale[t]:
+                    continue
+                Q[t, i] = r / eta_i
+                eta[t, i - 1] = eta_i
+                survivors.append(t)
+            active = survivors
+            if not active:
+                break
+        # Row-major products keep every trial's vector contiguous.
+        W = np.ascontiguousarray(A.apply_block(Q[active, i].T).T)
+        for w, t in zip(W, active):
+            if ledgers[t] is not None:
+                ledgers[t].charge("lanczos")
+            q = Q[t, i]
+            a = q @ w
+            alpha[t, i] = a
+            if i == 0:
+                tilde[t] = w - a * q
+            else:
+                tilde[t] = w - a * q - eta[t, i - 1] * Q[t, i - 1]
+                scale[t] = max(scale[t], eta[t, i - 1])
+            scale[t] = max(scale[t], abs(a))
+            m_eff[t] = i + 1
+    return LockstepFactorization(alpha, eta, Q, m_eff, m)
 
 
 def tridiag_eig(fact):
@@ -130,30 +188,5 @@ def tridiag_eig(fact):
         values=values,
         vectors=vectors,
         weights=first_row**2,
-        index_map=order,
     )
 
-
-def polynomial_identity_check(A, g, m, coeffs, ledger=None):
-    """Residual ||p(A) g - Q p(T) Q^T g|| for a polynomial of degree < m.
-
-    Test utility for the Krylov polynomial identity; coefficients are in the
-    power basis, lowest degree first.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    degree = coeffs.size - 1
-    if degree >= m:
-        raise LanczosError(f"polynomial degree {degree} must be < m = {m}")
-    fact = lanczos(A, np.asarray(g, dtype=float), m, reorth=True, ledger=ledger)
-
-    # Horner on the operator side: r = c_d g; r = A r + c_k g going down.
-    g = np.asarray(g, dtype=float)
-    r = coeffs[-1] * g
-    for c in coeffs[-2::-1]:
-        r = A.apply(r, ledger, stage="identity_check") + c * g
-    T = fact.tridiagonal()
-    x = fact.Q.T @ g
-    y = coeffs[-1] * x
-    for c in coeffs[-2::-1]:
-        y = T @ y + c * x
-    return float(np.linalg.norm(r - fact.Q @ y))

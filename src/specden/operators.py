@@ -1,8 +1,9 @@
 """Matrix-free symmetric linear operators with exact matvec accounting.
 
 Every algorithm in this package touches its input matrix only through
-``SymmetricOperator.apply``, and every application is charged to a
-``BudgetLedger``.  Projections and other vector arithmetic are free; only
+``SymmetricOperator.apply`` and ``apply_block``, and every application is
+charged to a ``BudgetLedger``: one unit per vector, however many vectors
+share one product.  Projections and other vector arithmetic are free; only
 products with the underlying matrix count.
 """
 
@@ -62,8 +63,9 @@ class BudgetLedger:
 class SymmetricOperator:
     """Abstract n x n symmetric linear map.
 
-    Subclasses implement ``_matvec``.  ``apply`` never mutates its input and
-    charges exactly one ledger unit per call.
+    Subclasses implement ``_matmat``, one product with an n x k block.
+    ``apply`` and ``apply_block`` never mutate their input and charge exactly
+    one ledger unit per column.
     """
 
     def __init__(self, n):
@@ -75,7 +77,7 @@ class SymmetricOperator:
     def dimension(self):
         return self._n
 
-    def _matvec(self, v):
+    def _matmat(self, V):
         raise NotImplementedError
 
     def apply(self, v, ledger=None, stage="apply"):
@@ -84,19 +86,19 @@ class SymmetricOperator:
             raise OperatorError(
                 f"vector has shape {v.shape}, operator dimension is {self._n}"
             )
-        out = self._matvec(v)
+        out = self._matmat(v[:, None])[:, 0]
         if ledger is not None:
             ledger.charge(stage)
         return out
 
     def apply_block(self, V, ledger=None, stage="apply"):
-        """Apply to each column of an n x k block; charges k ledger units."""
+        """Apply to every column of an n x k block in one product; charges k units."""
         V = np.asarray(V, dtype=float)
         if V.ndim != 2 or V.shape[0] != self._n:
             raise OperatorError(
                 f"block has shape {V.shape}, operator dimension is {self._n}"
             )
-        out = np.column_stack([self._matvec(V[:, j]) for j in range(V.shape[1])])
+        out = self._matmat(V)
         if ledger is not None:
             ledger.charge(stage, V.shape[1])
         return out
@@ -117,10 +119,13 @@ class DenseOperator(SymmetricOperator):
         if not np.allclose(matrix, matrix.T, atol=1e-10 * max(scale, 1.0)):
             raise OperatorError("matrix is not symmetric")
         super().__init__(matrix.shape[0])
+        # Bitwise symmetric, since a + b == b + a in floating point.
         self.matrix = 0.5 * (matrix + matrix.T)
 
-    def _matvec(self, v):
-        return self.matrix @ v
+    def _matmat(self, V):
+        # Callers hold their vectors as contiguous rows, so V^T M is one GEMM
+        # on them without a copy; it equals M V because M is exactly symmetric.
+        return (V.T @ self.matrix).T
 
     def to_dense(self):
         return self.matrix.copy()
@@ -134,8 +139,8 @@ class DiagonalOperator(SymmetricOperator):
         super().__init__(diagonal.shape[0])
         self.diagonal = diagonal.copy()
 
-    def _matvec(self, v):
-        return self.diagonal * v
+    def _matmat(self, V):
+        return self.diagonal[:, None] * V
 
     def to_dense(self):
         return np.diag(self.diagonal)
@@ -153,8 +158,8 @@ class SparseOperator(SymmetricOperator):
         super().__init__(matrix.shape[0])
         self.matrix = matrix
 
-    def _matvec(self, v):
-        return self.matrix @ v
+    def _matmat(self, V):
+        return self.matrix @ V
 
     def to_dense(self):
         return self.matrix.toarray()
@@ -168,8 +173,8 @@ class ScaledOperator(SymmetricOperator):
         self.base = base
         self.alpha = float(alpha)
 
-    def _matvec(self, v):
-        return self.alpha * self.base._matvec(v)
+    def _matmat(self, V):
+        return self.alpha * self.base._matmat(V)
 
 
 class DeflatedOperator(SymmetricOperator):
@@ -192,11 +197,11 @@ class DeflatedOperator(SymmetricOperator):
         self.base = base
         self.Z = Z.copy()
 
-    def _project(self, v):
-        return v - self.Z @ (self.Z.T @ v)
+    def _project(self, V):
+        return V - self.Z @ (self.Z.T @ V)
 
-    def _matvec(self, v):
-        return self._project(self.base._matvec(self._project(v)))
+    def _matmat(self, V):
+        return self._project(self.base._matmat(self._project(V)))
 
 
 def dense_from_eigendecomposition(eigs, V):

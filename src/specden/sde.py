@@ -17,7 +17,7 @@ import numpy as np
 
 from .block_krylov import DEFAULT_BETA, block_krylov_deflation
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
-from .lanczos import lanczos, tridiag_eig
+from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
 from .metrics import DiscreteDistribution, average_densities
 from .moment_matching import kpm_density, rescale_density, solve_moment_matching
 from .operators import (
@@ -42,6 +42,14 @@ MOMENT_SHARE = 0.25
 VR_C = 5.0
 VR_DELTA = 0.01
 VR_L_CAP = 100
+
+# Most memory the Lanczos bases of one lockstep group of trials may take;
+# more trials run as further, equal-sized groups, each still sharing one
+# block product per step.  This bounds the peak footprint, and it keeps
+# reorthogonalization's working set small: on a 2-core Xeon, 15 bases at
+# n = 3000, m = 400 (144 MB) in one group raised peak memory by 8% and ran
+# slower than two groups.
+LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -105,9 +113,12 @@ def slq(A, m, stream, ledger=None, uniform_weights=False):
     With ``uniform_weights`` every Ritz atom gets mass 1/m_effective instead
     (diagnostic mode for exact-recovery checks).
     """
-    n = A.dimension
-    g = unit_sphere_vector(n, stream)
+    g = unit_sphere_vector(A.dimension, stream)
     fact = lanczos(A, g, m, reorth=True, ledger=ledger)
+    return _slq_density(fact, uniform_weights)
+
+
+def _slq_density(fact, uniform_weights=False):
     ritz = tridiag_eig(fact)
     if uniform_weights:
         weights = np.full(ritz.values.size, 1.0 / ritz.values.size)
@@ -135,13 +146,23 @@ def vr_slq(
     keep their SLQ weights rescaled so total mass is 1.  Consumes m
     applications for Lanczos plus one per residual test.
     """
-    n = A.dimension
     if stream is None:
         stream = SeededStream(0)
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
-    g = unit_sphere_vector(n, stream)
+    g = unit_sphere_vector(A.dimension, stream)
     fact = lanczos(A, g, m, reorth=True, ledger=ledger)
+    density, _ = _vr_density(A, fact, l, beta, C, delta, ledger)
+    return density
+
+
+def _vr_density(A, fact, l, beta, C, delta, ledger):
+    """vr_slq's density from one Lanczos run, and the size of its set S.
+
+    The top min(l, m_effective) Ritz vectors are tested in one block
+    product, charging one ``residual_test`` unit each.
+    """
+    n = A.dimension
     ritz = tridiag_eig(fact)
     values, weights = ritz.values, ritz.weights
     k = values.size
@@ -153,18 +174,15 @@ def vr_slq(
     weight_cap = C * math.sqrt(math.log(l / delta)) / n
 
     tested = min(l, k)
+    Y = fact.Q @ ritz.vectors[:, :tested]
+    AY = A.apply_block(Y, ledger, stage="residual_test")
+    resid = np.linalg.norm(AY - Y * values[:tested], axis=0)
     in_S = np.zeros(k, dtype=bool)
-    for j in range(tested):
-        y = fact.Q @ ritz.vectors[:, j]
-        resid = np.linalg.norm(
-            A.apply(y, ledger, stage="residual_test") - values[j] * y
-        )
-        if resid <= threshold and weights[j] <= weight_cap:
-            in_S[j] = True
+    in_S[:tested] = (resid <= threshold) & (weights[:tested] <= weight_cap)
 
     s = int(in_S.sum())
     if s == 0:
-        return DiscreteDistribution(values.copy(), weights.copy())
+        return DiscreteDistribution(values.copy(), weights.copy()), s
     out_weights = np.empty(k)
     out_weights[in_S] = 1.0 / n
     rest = ~in_S
@@ -175,15 +193,15 @@ def vr_slq(
         if rest_mass > 1e-15:
             return DiscreteDistribution(
                 np.append(values, 0.0), np.append(out_weights, rest_mass)
-            )
-        return DiscreteDistribution(values.copy(), out_weights / out_weights.sum())
+            ), s
+        return DiscreteDistribution(values.copy(), out_weights / out_weights.sum()), s
     if rest_total == 0.0:
         # Degenerate rescue: no quadrature mass left outside S, spread the
         # remainder uniformly over the unconverged Ritz values.
         out_weights[rest] = rest_mass / rest.sum()
     else:
         out_weights[rest] = weights[rest] * (rest_mass / rest_total)
-    return DiscreteDistribution(values.copy(), out_weights)
+    return DiscreteDistribution(values.copy(), out_weights), s
 
 
 def _moment_stage(A, n, s, budget, b, d, method, stream, ledger):
@@ -312,59 +330,102 @@ def _vr_sizing(budget, n):
     return 1, 0
 
 
+def _lanczos_trials(A, config, root, ledgers, diagnostics):
+    """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
+
+    Trial t starts from the same vector a single-trial run draws from
+    ``root.substream(t)`` and charges ``ledgers[t]``.  Returns the densities
+    and the per-trial diagnostics.
+    """
+    n = A.dimension
+    if config.algorithm == "slq":
+        m, l = min(config.budget, n), 0
+        diagnostics["m"] = m
+    else:
+        m, l = _vr_sizing(config.budget, n)
+        diagnostics.update(m=m, l=l)
+    trials = len(ledgers)
+    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n))
+    densities, per_trial = [], []
+    for group in np.array_split(np.arange(trials), math.ceil(trials / per_group)):
+        # One group's basis at a time: it is freed when the call returns.
+        group_densities, group_facts = _lanczos_group(
+            A, config, m, l, root, group, ledgers
+        )
+        densities += group_densities
+        per_trial += group_facts
+    return densities, per_trial
+
+
+def _lanczos_group(A, config, m, l, root, group, ledgers):
+    """Densities and diagnostics of the trials in ``group``, run in lockstep."""
+    n = A.dimension
+    starts = np.column_stack(
+        [unit_sphere_vector(n, root.substream(int(t))) for t in group]
+    )
+    group_ledgers = [ledgers[t] for t in group]
+    block = lanczos_lockstep(A, starts, m, reorth=True, ledgers=group_ledgers)
+    densities, per_trial = [], []
+    for j, ledger in enumerate(group_ledgers):
+        fact = block.trial(j)
+        facts = {"m_effective": fact.m_effective}
+        if config.algorithm == "slq":
+            density = _slq_density(fact)
+        elif l == 0:
+            density, facts["converged"] = _slq_density(fact), 0
+        else:
+            density, facts["converged"] = _vr_density(
+                A, fact, l, config.beta, VR_C, VR_DELTA, ledger
+            )
+        densities.append(density)
+        per_trial.append(facts)
+    return densities, per_trial
+
+
 def run(A, config):
     """Dispatch one algorithm with trial averaging; returns an SdeEstimate.
 
     Each trial receives the full budget (enforced per trial); the returned
-    ledger is the merge across trials.
+    ledger is the merge across trials.  ``diagnostics["per_trial"]`` holds
+    one dict per trial: Lanczos ``m_effective`` (and vr_slq's converged-set
+    size ``converged``) or the moment stage's ``L`` and ``N`` (and, with
+    deflation, ``l`` and ``s``).
     """
     n = A.dimension
     budget = config.budget
     trials = config.resolved_trials()
     root = SeededStream(config.seed)
-    merged = BudgetLedger()
-    densities = []
+    ledgers = [BudgetLedger() for _ in range(trials)]
     diagnostics = {"trials": trials, "per_trial_budget": budget}
 
-    for t in range(trials):
-        stream = root.substream(t)
-        trial_ledger = BudgetLedger()
-        if config.algorithm == "slq":
-            m = min(budget, n)
-            densities.append(slq(A, m, stream, trial_ledger))
-            diagnostics["m"] = m
-        elif config.algorithm == "vr_slq":
-            m, l = _vr_sizing(budget, n)
-            diagnostics.update(m=m, l=l)
-            if l == 0:
-                densities.append(slq(A, m, stream, trial_ledger))
+    if config.algorithm in ("slq", "vr_slq"):
+        densities, per_trial = _lanczos_trials(A, config, root, ledgers, diagnostics)
+    else:
+        densities, per_trial = [], []
+        for t, ledger in enumerate(ledgers):
+            stream = root.substream(t)
+            if config.algorithm in ("cmm", "kpm"):
+                density, L, N = _moment_stage(
+                    A, n, 0, budget, config.hutchinson_b, config.grid_d,
+                    config.algorithm, stream, ledger,
+                )
+                per_trial.append({"L": L, "N": N})
             else:
-                densities.append(
-                    vr_slq(A, m, l, beta=config.beta, stream=stream, ledger=trial_ledger)
-                )
-        elif config.algorithm in ("cmm", "kpm"):
-            fn = cmm if config.algorithm == "cmm" else kpm
-            densities.append(
-                fn(
-                    A,
-                    budget,
-                    stream,
-                    trial_ledger,
-                    b=config.hutchinson_b,
-                    d=config.grid_d,
-                )
-            )
-        else:
-            est = sde_with_deflation(A, config, trial_ledger, stream)
-            densities.append(est.density)
-            diagnostics.update(est.diagnostics)
-        if trial_ledger.total > budget:
+                est = sde_with_deflation(A, config, ledger, stream)
+                density = est.density
+                diagnostics.update(est.diagnostics)
+                per_trial.append({k: est.diagnostics[k] for k in ("l", "s", "N", "L")})
+            densities.append(density)
+
+    merged = BudgetLedger()
+    for t, ledger in enumerate(ledgers):
+        if ledger.total > budget:
             raise RuntimeError(
-                f"trial {t} consumed {trial_ledger.total} applications, "
+                f"trial {t} consumed {ledger.total} applications, "
                 f"budget is {budget}"
             )
-        merged.merge(trial_ledger)
-
+        merged.merge(ledger)
+    diagnostics["per_trial"] = per_trial
     return SdeEstimate(average_densities(densities), merged, diagnostics)
 
 

@@ -82,6 +82,33 @@ def vertex_enumeration_l1(T, z):
     return best
 
 
+def polynomial_identity_check(A, g, m, coeffs, ledger=None):
+    """Residual ||p(A) g - Q p(T) Q^T g|| for a polynomial of degree < m.
+
+    Checks the Krylov polynomial identity; coefficients are in the power
+    basis, lowest degree first.
+    """
+    from specden.lanczos import LanczosError, lanczos
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    degree = coeffs.size - 1
+    if degree >= m:
+        raise LanczosError(f"polynomial degree {degree} must be < m = {m}")
+    fact = lanczos(A, np.asarray(g, dtype=float), m, reorth=True, ledger=ledger)
+
+    # Horner on the operator side: r = c_d g; r = A r + c_k g going down.
+    g = np.asarray(g, dtype=float)
+    r = coeffs[-1] * g
+    for c in coeffs[-2::-1]:
+        r = A.apply(r, ledger, stage="identity_check") + c * g
+    T = fact.tridiagonal()
+    x = fact.Q.T @ g
+    y = coeffs[-1] * x
+    for c in coeffs[-2::-1]:
+        y = T @ y + c * x
+    return float(np.linalg.norm(r - fact.Q @ y))
+
+
 def dense_cheb_quadratic_form(matrix, g, N):
     """g^T Tbar_i(A) g for i = 0..N via eigendecomposition (oracle route)."""
     from specden.chebyshev import cheb_normalized

@@ -105,6 +105,22 @@ def test_estimate_moments_identity_and_b1():
     np.testing.assert_allclose(single.values, direct[1:], atol=1e-14)
 
 
+def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
+    A, _ = random_symmetric(20, seed=5)
+    N, b = 8, 6
+    stream = SeededStream(3)
+    ledger = BudgetLedger()
+    ours = estimate_moments(A, N, b, stream, ledger)
+    assert ledger.counts == {"moments": N * b}
+    probes = [unit_sphere_vector(20, stream.substream(j)) for j in range(b)]
+    loop = np.mean([cheb_moment_quadratic_form(A, g, N) for g in probes], axis=0)
+    oracle = np.mean(
+        [dense_cheb_quadratic_form(A.to_dense(), g, N) for g in probes], axis=0
+    )
+    np.testing.assert_allclose(ours.values, loop[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ours.values, oracle[1:], rtol=0, atol=1e-10)
+
+
 def test_estimate_moments_budget_and_validation():
     A = DiagonalOperator(np.linspace(-1, 1, 10))
     ledger = BudgetLedger()

@@ -6,12 +6,12 @@ from specden.chebyshev import TBAR_SCALE, cheb_normalized
 from specden.lanczos import (
     LanczosError,
     TridiagonalFactorization,
+    lanczos_lockstep,
     magnitude_order,
-    polynomial_identity_check,
 )
 from specden.randgen import unit_sphere_vector
 
-from conftest import random_symmetric
+from conftest import polynomial_identity_check, random_symmetric
 
 
 def test_hand_two_by_two_recurrence():
@@ -59,6 +59,50 @@ def test_input_validation():
         lanczos(A, np.ones(4), 2)
     with pytest.raises(LanczosError):
         lanczos(A, np.eye(4)[0], 5)
+
+
+def test_lockstep_matches_separate_runs_with_staggered_breakdown():
+    # Five distinct eigenvalues, each three times: a generic start breaks
+    # down after 5 steps, one in the span of two eigenvectors after 2.
+    A = DiagonalOperator(np.repeat([1.0, 0.6, -0.2, -0.7, 0.9], 3))
+    n, m = 15, 8
+    rng = np.random.default_rng(3)
+    two = np.zeros(n)
+    two[[0, 4]] = rng.standard_normal(2)
+    starts = [rng.standard_normal(n), two, rng.standard_normal(n)]
+    G = np.column_stack([g / np.linalg.norm(g) for g in starts])
+    ledgers = [BudgetLedger() for _ in starts]
+    block = lanczos_lockstep(A, G, m, ledgers=ledgers)
+    np.testing.assert_array_equal(block.m_effective, [5, 2, 5])
+    for t in range(3):
+        single_ledger = BudgetLedger()
+        single = lanczos(A, G[:, t], m, ledger=single_ledger)
+        fact = block.trial(t)
+        assert fact.m_effective == single.m_effective
+        np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
+        np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
+        assert ledgers[t].counts == {"lanczos": fact.m_effective}
+        assert single_ledger.counts == ledgers[t].counts
+        assert np.shares_memory(fact.Q, block.basis)
+
+
+def test_lockstep_matches_separate_runs_on_dense():
+    A, _ = random_symmetric(40, seed=9)
+    G = np.column_stack(
+        [unit_sphere_vector(40, SeededStream(9).substream(t)) for t in range(4)]
+    )
+    block = lanczos_lockstep(A, G, 20)
+    for t in range(4):
+        single = lanczos(A, G[:, t], 20)
+        fact = block.trial(t)
+        assert fact.m_effective == single.m_effective == 20
+        np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
+        np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
+        np.testing.assert_allclose(fact.Q.T @ fact.Q, np.eye(20), atol=1e-8)
+    with pytest.raises(LanczosError):
+        lanczos_lockstep(A, G, 20, ledgers=[BudgetLedger()])
+    with pytest.raises(LanczosError):
+        lanczos_lockstep(A, 2.0 * G, 20)
 
 
 def test_budget_is_exactly_m():

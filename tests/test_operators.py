@@ -55,6 +55,21 @@ def test_randomized_symmetry(A):
 
 
 @pytest.mark.parametrize("A", backends())
+def test_apply_block_matches_column_loop_and_charges_per_column(A):
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((5, A.dimension))
+    before = rows.copy()
+    # Both layouts callers pass: a C-ordered block and a transposed view.
+    for V in (np.ascontiguousarray(rows.T), rows.T):
+        ledger = BudgetLedger()
+        block = A.apply_block(V, ledger, stage="block")
+        loop = np.column_stack([A.apply(V[:, j]) for j in range(V.shape[1])])
+        np.testing.assert_allclose(block, loop, rtol=0, atol=1e-12)
+        assert ledger.counts == {"block": V.shape[1]}
+    np.testing.assert_array_equal(rows, before)
+
+
+@pytest.mark.parametrize("A", backends())
 def test_apply_does_not_mutate_input(A):
     v = np.random.default_rng(4).standard_normal(A.dimension)
     before = v.copy()

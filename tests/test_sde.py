@@ -16,10 +16,11 @@ from specden import (
     vr_slq,
     wasserstein1,
 )
-from specden.lanczos import lanczos, tridiag_eig
+from specden import sde
+from specden.lanczos import TridiagonalFactorization, lanczos, tridiag_eig
 from specden.metrics import DiscreteDistribution
 from specden.operators import norm_estimate_cost
-from specden.sde import BudgetExhaustedError, _vr_sizing
+from specden.sde import BudgetExhaustedError, _vr_density, _vr_sizing
 
 from conftest import random_symmetric
 
@@ -98,6 +99,30 @@ def test_vr_slq_budget_is_m_plus_tested():
         vr_slq(A, 5, 6, stream=SeededStream(0))
 
 
+def test_vr_slq_every_atom_converged_gives_exact_density():
+    # Full Krylov space: all n Ritz pairs pass both gates, so S has n atoms
+    # and no mass is left to park at zero.
+    A = DiagonalOperator(np.array([1.0, 0.5, -0.3, -0.8]))
+    f = vr_slq(A, 4, 4, stream=SeededStream(2))
+    np.testing.assert_allclose(np.sort(f.locations), [-0.8, -0.3, 0.5, 1.0], atol=1e-12)
+    np.testing.assert_array_equal(f.weights, np.full(4, 0.25))
+
+
+def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
+    # The second Ritz vector's first component squares to 0.0, so the mass
+    # left outside S is spread uniformly over the unconverged atoms.
+    A = DiagonalOperator(np.array([1.0, 0.5]))
+    fact = TridiagonalFactorization(
+        alpha=np.array([1.0, 0.5]), eta=np.array([1e-200]), Q=np.eye(2), m_requested=2
+    )
+    ledger = BudgetLedger()
+    f, converged = _vr_density(A, fact, 1, 1.0, 5.0, 0.01, ledger)
+    assert converged == 1
+    np.testing.assert_allclose(f.locations, [0.5, 1.0])
+    np.testing.assert_allclose(f.weights, [0.5, 0.5])
+    assert ledger.counts == {"residual_test": 1}
+
+
 def test_vr_sizing_fits_budget():
     for budget in (3, 10, 100, 1000):
         m, l = _vr_sizing(budget, 500)
@@ -174,6 +199,61 @@ def test_run_every_algorithm_mass_and_budget(algo):
     est2 = run(A, config)
     np.testing.assert_array_equal(est.density.locations, est2.density.locations)
     np.testing.assert_array_equal(est.density.weights, est2.density.weights)
+
+
+@pytest.mark.parametrize("algo", ["slq", "vr_slq"])
+def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
+    # Six distinct eigenvalues: every Lanczos run breaks down after 6 steps.
+    A = DiagonalOperator(np.repeat(np.linspace(-0.9, 0.8, 6), 5))
+    for budget in (1, 2, 5, 9, 30):
+        config = SdeConfig(algo, budget=budget, trials=4, seed=7)
+        est = run(A, config)
+        per_trial = est.diagnostics["per_trial"]
+        assert len(per_trial) == config.trials
+        spent = []
+        for t, facts in enumerate(per_trial):
+            # The trial's own ledger, from the same start run on its own.
+            ledger = BudgetLedger()
+            stream = SeededStream(7).substream(t)
+            m, l = (min(budget, 30), 0) if algo == "slq" else _vr_sizing(budget, 30)
+            if l == 0:
+                slq(A, m, stream, ledger)
+            else:
+                vr_slq(A, m, l, stream=stream, ledger=ledger)
+            assert facts["m_effective"] == ledger.counts["lanczos"]
+            assert ledger.total <= budget
+            spent.append(ledger.counts)
+        merged = {}
+        for counts in spent:
+            for stage, c in counts.items():
+                merged[stage] = merged.get(stage, 0) + c
+        assert est.ledger.counts == merged
+
+
+def test_run_lockstep_groups_do_not_change_results(monkeypatch):
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 40))
+    for algo in ("slq", "vr_slq"):
+        config = SdeConfig(algo, budget=30, trials=5, seed=3)
+        whole = run(A, config)
+        # Room for two slq bases per group: slq runs groups of 2, 2 and 1.
+        monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * 8 * 30 * 40)
+        grouped = run(A, config)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(whole.density.locations, grouped.density.locations)
+        np.testing.assert_array_equal(whole.density.weights, grouped.density.weights)
+        assert whole.ledger.counts == grouped.ledger.counts
+        assert whole.diagnostics == grouped.diagnostics
+
+
+def test_run_per_trial_diagnostics_for_moment_methods():
+    A, _ = random_symmetric(60, seed=50)
+    for algo in ("kpm", "def_kpm"):
+        est = run(A, SdeConfig(algo, budget=250, trials=3, seed=5))
+        per_trial = est.diagnostics["per_trial"]
+        assert len(per_trial) == 3
+        keys = {"L", "N"} if algo == "kpm" else {"l", "s", "L", "N"}
+        assert all(set(facts) == keys for facts in per_trial)
+        assert all(facts["N"] >= 1 for facts in per_trial)
 
 
 def test_schatten1_identity_zero_and_harmonic():
