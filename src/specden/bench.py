@@ -50,7 +50,7 @@ def build_matrix(spec, seed=0, normalize_adjacency=True):
         raise ValueError(f"matrix spec {spec!r} needs an integer size, e.g. {name}:500")
     stream = SeededStream(seed, stream_id=7_777_777)
     if name == "gaussian":
-        return datasets.gaussian_matrix(n, stream)
+        return datasets.gaussian_spectrum(n, stream)
     if name == "uniform":
         return datasets.uniform_matrix(n, stream)
     if name == "inverse":

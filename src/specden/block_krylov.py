@@ -48,6 +48,8 @@ def default_depth(n):
     return math.ceil(2.0 * math.log2(max(n, 2)))
 
 
+# No estimator calls this; it stays while perfbench/tracing.py wraps it by
+# name.
 def orthonormalize_columns(K):
     """Rank-revealing orthonormal basis of the column span.
 
@@ -103,22 +105,6 @@ def build_krylov_block(A, X, q, ledger=None):
     return Q[:r].T, AQ[:r].T
 
 
-def rayleigh_ritz(A, Q, ledger=None):
-    """Eigendecomposition of Q^T A Q; charges r = #columns applications.
-
-    Returns (values, vectors) sorted by descending magnitude.
-    """
-    Q = np.asarray(Q, dtype=float)
-    r = Q.shape[1]
-    if not np.allclose(Q.T @ Q, np.eye(r), atol=1e-8):
-        raise OperatorError("Q must have orthonormal columns")
-    AQ = A.apply_block(Q, ledger, stage="rayleigh_ritz")
-    T = Q.T @ AQ
-    values, vectors = np.linalg.eigh(0.5 * (T + T.T))
-    order = magnitude_order(values)
-    return values[order], vectors[:, order]
-
-
 def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
@@ -142,9 +128,7 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
     X = gaussian_matrix(n, l, stream)
     Q, AQ = build_krylov_block(A, X, q, ledger)
     r = Q.shape[1]
-    norm_est = spectral_norm_upper_bound(
-        A, ledger, stream.substream(7919), stage="norm_estimate"
-    )
+    norm_est = spectral_norm_upper_bound(A, ledger, stream.substream(7919))
     if r == 0:
         return DeflationResult(
             Z=np.empty((n, 0)),

@@ -17,7 +17,7 @@ class MatrixMarketError(ValueError):
         self.line_number = line_number
 
 
-def gaussian_matrix(n, stream):
+def gaussian_spectrum(n, stream):
     """Dense matrix with N(0,1) eigenvalues normalized so max |eig| = 1."""
     eigs = gaussian_vector(n, stream.substream(0))
     eigs = eigs / np.abs(eigs).max()
@@ -64,11 +64,14 @@ def low_rank(n, r=100, stream=None):
 
 
 def load_matrix_market(path, normalize_adjacency=True):
-    """Load a symmetric coordinate-format Matrix Market file.
+    """Load a coordinate-format Matrix Market file of a symmetric matrix.
 
-    The lower triangle is symmetrized explicitly.  With
-    ``normalize_adjacency`` the result is D^{-1/2} A D^{-1/2}; isolated
-    vertices keep zero rows.
+    The header's symmetry qualifier decides how entries are read: a
+    ``symmetric`` file stores the lower triangle, which is mirrored, and an
+    entry above the diagonal is an error; a ``general`` file (or one with
+    no qualifier) stores every entry, and an asymmetric matrix is rejected
+    by ``SparseOperator``.  With ``normalize_adjacency`` the result is
+    D^{-1/2} A D^{-1/2}; isolated vertices keep zero rows.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -87,6 +90,9 @@ def load_matrix_market(path, normalize_adjacency=True):
     field = header[3].lower()
     if field not in ("real", "integer", "pattern"):
         raise MatrixMarketError(f"unsupported field type {field!r}", 1)
+    symmetry = header[4].lower() if len(header) > 4 else "general"
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", 1)
 
     idx = 1
     while idx < len(lines) and lines[idx].lstrip().startswith("%"):
@@ -114,6 +120,10 @@ def load_matrix_market(path, normalize_adjacency=True):
             raise MatrixMarketError(f"malformed entry {line.strip()!r}", lineno)
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
+        if symmetry == "symmetric" and i < j:
+            raise MatrixMarketError(
+                f"entry ({i}, {j}) above the diagonal of a symmetric file", lineno
+            )
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
@@ -122,17 +132,10 @@ def load_matrix_market(path, normalize_adjacency=True):
             f"header promised {nnz} entries, found {len(rows)}", len(lines)
         )
 
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-    # Symmetrize: keep the larger-magnitude of the two triangles per entry.
-    lower = sp.tril(A, k=-1)
-    upper = sp.triu(A, k=1)
-    sym = sp.diags(A.diagonal()) + lower + lower.T + upper + upper.T
-    overlap = lower.multiply(upper.T.astype(bool)) + upper.T.multiply(
-        lower.astype(bool)
-    )
-    if overlap.nnz:
-        sym = sym - overlap  # both triangles present: keep one copy
-    sym = sym.tocsr()
+    sym = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    if symmetry == "symmetric":
+        lower = sp.tril(sym, k=-1)
+        sym = (sp.diags(sym.diagonal()) + lower + lower.T).tocsr()
 
     if normalize_adjacency:
         degrees = np.asarray(abs(sym).sum(axis=1)).ravel()

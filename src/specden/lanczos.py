@@ -1,10 +1,9 @@
 """Lanczos tridiagonalization with full reorthogonalization.
 
 The three-term recurrence builds an orthonormal basis Q of the Krylov space
-of (A, g) together with the tridiagonal T = Q^T A Q.  Full
-reorthogonalization (two Gram-Schmidt passes against all previous columns)
-is on by default; without it the computed basis loses orthogonality long
-before m = n.
+of (A, g) together with the tridiagonal T = Q^T A Q.  Every new vector is
+reorthogonalized by two Gram-Schmidt passes against all previous columns;
+without them the computed basis loses orthogonality long before m = n.
 
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
@@ -94,17 +93,17 @@ def magnitude_order(values):
     return np.lexsort((-values, -np.abs(values)))
 
 
-def lanczos(A, g, m, reorth=True, ledger=None):
+def lanczos(A, g, m, ledger=None):
     """Run m Lanczos iterations from unit vector g.
 
     Consumes exactly m applications of A (fewer on breakdown).  Raises for a
     non-unit start or m > dimension.
     """
     g = np.asarray(g, dtype=float)
-    return lanczos_lockstep(A, g[:, None], m, reorth, [ledger]).trial(0)
+    return lanczos_lockstep(A, g[:, None], m, [ledger]).trial(0)
 
 
-def lanczos_lockstep(A, G, m, reorth=True, ledgers=None):
+def lanczos_lockstep(A, G, m, ledgers=None):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
@@ -141,10 +140,9 @@ def lanczos_lockstep(A, G, m, reorth=True, ledgers=None):
             survivors = []
             for t in active:
                 r = tilde[t]
-                if reorth:
-                    basis = Q[t, :i]
-                    r -= basis.T @ (basis @ r)
-                    r -= basis.T @ (basis @ r)
+                basis = Q[t, :i]
+                r -= basis.T @ (basis @ r)
+                r -= basis.T @ (basis @ r)
                 eta_i = np.linalg.norm(r)
                 if eta_i < BREAKDOWN_RTOL * scale[t]:
                     continue

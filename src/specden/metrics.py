@@ -48,19 +48,8 @@ class DiscreteDistribution:
         self.weights = w
 
     @classmethod
-    def from_atoms(cls, atoms, normalized=True):
-        loc, w = zip(*atoms)
-        return cls(np.array(loc), np.array(w), normalized=normalized)
-
-    @classmethod
     def point_mass(cls, x):
         return cls(np.array([float(x)]), np.array([1.0]))
-
-    def scaled_support(self, factor):
-        """Same weights with every location multiplied by factor."""
-        return DiscreteDistribution(
-            self.locations * factor, self.weights.copy(), normalized=self.normalized
-        )
 
     def mean_abs(self):
         return float(np.abs(self.locations) @ self.weights)
@@ -119,25 +108,6 @@ def exact_density(A):
         )
     eigs = np.linalg.eigvalsh(A.to_dense())
     return DiscreteDistribution(eigs, np.full(n, 1.0 / n))
-
-
-def sorted_eigenvalue_error(p, q, n):
-    """(1/n) sum |lambda_i - lambda_i~| over descending-sorted atom lists.
-
-    Both inputs must be expressible as n equal-weight atoms; equals
-    wasserstein1 for such inputs.
-    """
-    lp = _equal_weight_atoms(p, n)
-    lq = _equal_weight_atoms(q, n)
-    return float(np.abs(np.sort(lp)[::-1] - np.sort(lq)[::-1]).sum() / n)
-
-
-def _equal_weight_atoms(dist, n):
-    ratios = dist.weights * n
-    counts = np.rint(ratios)
-    if np.any(np.abs(ratios - counts) > 1e-6) or counts.sum() != n:
-        raise DistributionError("weights are not multiples of 1/n")
-    return np.repeat(dist.locations, counts.astype(int))
 
 
 def average_densities(densities):

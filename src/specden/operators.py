@@ -204,18 +204,6 @@ class DeflatedOperator(SymmetricOperator):
         return self._project(self.base._matmat(self._project(V)))
 
 
-def dense_from_eigendecomposition(eigs, V):
-    """Assemble V diag(eigs) V^T as a dense operator."""
-    eigs = np.asarray(eigs, dtype=float)
-    V = np.asarray(V, dtype=float)
-    n = eigs.shape[0]
-    if V.shape != (n, n):
-        raise OperatorError(f"V has shape {V.shape}, expected ({n}, {n})")
-    if not np.allclose(V.T @ V, np.eye(n), atol=1e-10):
-        raise OperatorError("V is not orthonormal")
-    return DenseOperator((V * eigs) @ V.T)
-
-
 def deflate(base, Z):
     """Project out the column span of Z from the operator."""
     return DeflatedOperator(base, Z)
@@ -226,7 +214,7 @@ def norm_estimate_cost(n):
     return 2 * max(1, math.ceil(math.log2(n + 2)))
 
 
-def spectral_norm_upper_bound(A, ledger=None, stream=None, stage="norm_estimate"):
+def spectral_norm_upper_bound(A, ledger=None, stream=None):
     """Factor-2 upper bound on the spectral norm: ||A||_2 <= L <= 2 ||A||_2.
 
     Power iteration on A^2 from a random Gaussian start (A^2 rather than A so
@@ -245,11 +233,11 @@ def spectral_norm_upper_bound(A, ledger=None, stream=None, stage="norm_estimate"
     steps = max(1, math.ceil(math.log2(n + 2)))
     readout = 0.0
     for _ in range(steps):
-        w = A.apply(v, ledger, stage)
+        w = A.apply(v, ledger, "norm_estimate")
         readout = np.linalg.norm(w)
         if readout == 0.0:
             return 0.0
-        u = A.apply(w, ledger, stage)
+        u = A.apply(w, ledger, "norm_estimate")
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return 2.0 * readout

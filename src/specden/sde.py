@@ -31,8 +31,9 @@ from .randgen import SeededStream, unit_sphere_vector
 
 ALGORITHMS = ("cmm", "kpm", "def_cmm", "def_kpm", "slq", "vr_slq")
 
-# Benchmark protocol defaults: 15 Hutchinson vectors, 15 block-Krylov
-# iterations, 15 averaging trials for the Lanczos-based estimators, and a
+# Benchmark protocol constants: 15 Hutchinson vectors, 15 block-Krylov
+# iterations, the deflation gate ||A||_est / n^DEFAULT_BETA (imported from
+# block_krylov), 15 averaging trials for the Lanczos-based estimators, and a
 # 1:3 split of the budget between moment estimation and block Krylov.
 DEFAULT_HUTCHINSON_B = 15
 DEFAULT_KRYLOV_DEPTH = 15
@@ -58,16 +59,17 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass
 class SdeConfig:
-    """Settings for one spectral density estimation run."""
+    """Settings for one spectral density estimation run.
+
+    The Hutchinson vector count, the block-Krylov depth and the deflation
+    gate exponent are the protocol constants above, not settings.
+    """
 
     algorithm: str
     budget: int
     trials: int = None
     deflation_block: int = None
-    krylov_depth: int = DEFAULT_KRYLOV_DEPTH
-    beta: float = DEFAULT_BETA
     grid_d: int = 2000
-    hutchinson_b: int = DEFAULT_HUTCHINSON_B
     seed: int = 0
 
     def __post_init__(self):
@@ -81,14 +83,8 @@ class SdeConfig:
             raise ValueError("trials must be at least 1")
         if self.deflation_block is not None and self.deflation_block < 0:
             raise ValueError("deflation block size must be nonnegative")
-        if self.krylov_depth < 0:
-            raise ValueError("krylov depth must be nonnegative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
         if self.grid_d < 1:
             raise ValueError("grid resolution must be positive")
-        if self.hutchinson_b < 1:
-            raise ValueError("need at least one Hutchinson vector")
 
     def resolved_trials(self):
         if self.trials is not None:
@@ -105,58 +101,42 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def slq(A, m, stream, ledger=None, uniform_weights=False):
+def slq(A, m, stream, ledger=None):
     """Stochastic Lanczos quadrature density from one random start.
 
     f = sum_j w_j^2 delta(x - lambda_j(T)) with w_j the first component of
     the j-th eigenvector of T; consumes m applications (fewer on breakdown).
-    With ``uniform_weights`` every Ritz atom gets mass 1/m_effective instead
-    (diagnostic mode for exact-recovery checks).
     """
     g = unit_sphere_vector(A.dimension, stream)
-    fact = lanczos(A, g, m, reorth=True, ledger=ledger)
-    return _slq_density(fact, uniform_weights)
+    return _slq_density(lanczos(A, g, m, ledger=ledger))
 
 
-def _slq_density(fact, uniform_weights=False):
+def _slq_density(fact):
     ritz = tridiag_eig(fact)
-    if uniform_weights:
-        weights = np.full(ritz.values.size, 1.0 / ritz.values.size)
-    else:
-        weights = ritz.weights
-    return DiscreteDistribution(ritz.values.copy(), weights)
+    return DiscreteDistribution(ritz.values.copy(), ritz.weights)
 
 
-def vr_slq(
-    A,
-    m,
-    l,
-    beta=DEFAULT_BETA,
-    C=VR_C,
-    delta=VR_DELTA,
-    stream=None,
-    ledger=None,
-):
+def vr_slq(A, m, l, beta=DEFAULT_BETA, stream=None, ledger=None):
     """Variance-reduced SLQ: converged top Ritz atoms get weight exactly 1/n.
 
     A top-magnitude Ritz pair (lambda_j, Q v_j) joins the converged set S
     when its residual ||A Q v_j - lambda_j Q v_j|| is at most
     ||A||_est / n^beta and its quadrature weight w_j^2 is at most
-    C sqrt(log(l/delta)) / n.  Atoms in S get mass 1/n; the remaining atoms
-    keep their SLQ weights rescaled so total mass is 1.  Consumes m
-    applications for Lanczos plus one per residual test.
+    VR_C sqrt(log(l / VR_DELTA)) / n.  Atoms in S get mass 1/n; the
+    remaining atoms keep their SLQ weights rescaled so total mass is 1.
+    Consumes m applications for Lanczos plus one per residual test.
     """
     if stream is None:
         stream = SeededStream(0)
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
     g = unit_sphere_vector(A.dimension, stream)
-    fact = lanczos(A, g, m, reorth=True, ledger=ledger)
-    density, _ = _vr_density(A, fact, l, beta, C, delta, ledger)
+    fact = lanczos(A, g, m, ledger=ledger)
+    density, _ = _vr_density(A, fact, l, beta, ledger)
     return density
 
 
-def _vr_density(A, fact, l, beta, C, delta, ledger):
+def _vr_density(A, fact, l, beta, ledger):
     """vr_slq's density from one Lanczos run, and the size of its set S.
 
     The top min(l, m_effective) Ritz vectors are tested in one block
@@ -171,7 +151,7 @@ def _vr_density(A, fact, l, beta, C, delta, ledger):
     # residual threshold; Ritz values never exceed the true norm.
     norm_est = float(np.abs(values).max())
     threshold = norm_est / n**beta
-    weight_cap = C * math.sqrt(math.log(l / delta)) / n
+    weight_cap = VR_C * math.sqrt(math.log(l / VR_DELTA)) / n
 
     tested = min(l, k)
     Y = fact.Q @ ritz.vectors[:, :tested]
@@ -204,20 +184,22 @@ def _vr_density(A, fact, l, beta, C, delta, ledger):
     return DiscreteDistribution(values.copy(), out_weights), s
 
 
-def _moment_stage(A, n, s, budget, b, d, method, stream, ledger, zero_below=0.0):
+def _moment_stage(A, n, s, budget, d, method, stream, ledger, zero_below=0.0):
     """Shared tail of the moment-based estimators.
 
     Estimates the norm of A (the possibly deflated operator), spends the
-    rest of ``budget`` on N = remaining // b Chebyshev moments of (1/L) A,
-    removes the contribution of s deflated zero eigenvalues, reconstructs a
-    grid density, and rescales to [-L, L].  An operator whose norm bound L
-    is at most ``zero_below`` is taken as zero: every eigenvalue lies in
-    [-L, L], so the point mass at 0 is within L of its density in W1, and no
-    moment is estimated.  Returns (density, L, N).
+    rest of ``budget`` on N = remaining // b Chebyshev moments of (1/L) A
+    with b = DEFAULT_HUTCHINSON_B, removes the contribution of s deflated
+    zero eigenvalues, reconstructs a grid density, and rescales to [-L, L].
+    An operator whose norm bound L is at most ``zero_below`` is taken as
+    zero: every eigenvalue lies in [-L, L], so the point mass at 0 is within
+    L of its density in W1, and no moment is estimated.  Returns
+    (density, L, N).
     """
     L = spectral_norm_upper_bound(A, ledger, stream.substream(2))
     if L <= zero_below:
         return DiscreteDistribution.point_mass(0.0), L, 0
+    b = DEFAULT_HUTCHINSON_B
     remaining = budget - norm_estimate_cost(n)
     N = remaining // b
     if N < 1:
@@ -237,15 +219,15 @@ def _moment_stage(A, n, s, budget, b, d, method, stream, ledger, zero_below=0.0)
     return rescale_density(grid, L), L, N
 
 
-def cmm(A, budget, stream, ledger=None, b=DEFAULT_HUTCHINSON_B, d=2000):
+def cmm(A, budget, stream, ledger=None, d=2000):
     """Plain Chebyshev moment matching on the whole spectrum."""
-    density, _, _ = _moment_stage(A, A.dimension, 0, budget, b, d, "cmm", stream, ledger)
+    density, _, _ = _moment_stage(A, A.dimension, 0, budget, d, "cmm", stream, ledger)
     return density
 
 
-def kpm(A, budget, stream, ledger=None, b=DEFAULT_HUTCHINSON_B, d=2000):
+def kpm(A, budget, stream, ledger=None, d=2000):
     """Plain Jackson-damped kernel polynomial density."""
-    density, _, _ = _moment_stage(A, A.dimension, 0, budget, b, d, "kpm", stream, ledger)
+    density, _, _ = _moment_stage(A, A.dimension, 0, budget, d, "kpm", stream, ledger)
     return density
 
 
@@ -283,7 +265,7 @@ def sde_with_deflation(A, config, ledger=None, stream=None):
         stream = SeededStream(config.seed)
     n = A.dimension
     budget = config.budget
-    b, q, d = config.hutchinson_b, config.krylov_depth, config.grid_d
+    b, q, beta = DEFAULT_HUTCHINSON_B, DEFAULT_KRYLOV_DEPTH, DEFAULT_BETA
     start = ledger.total
 
     l = config.deflation_block
@@ -297,7 +279,7 @@ def sde_with_deflation(A, config, ledger=None, stream=None):
         )
 
     defl = block_krylov_deflation(
-        A, l, q=q, beta=config.beta, stream=stream.substream(1), ledger=ledger
+        A, l, q=q, beta=beta, stream=stream.substream(1), ledger=ledger
     )
     s = defl.s
     diagnostics = {"l": l, "q": q, "s": s, "norm_estimate": defl.norm_estimate}
@@ -309,9 +291,10 @@ def sde_with_deflation(A, config, ledger=None, stream=None):
 
     deflated = deflate(A, defl.Z) if s > 0 else A
     remaining = budget - (ledger.total - start)
-    gate = defl.norm_estimate / n**config.beta
+    gate = defl.norm_estimate / n**beta
     tail, L, N = _moment_stage(
-        deflated, n, s, remaining, b, d, method, stream, ledger, zero_below=gate
+        deflated, n, s, remaining, config.grid_d, method, stream, ledger,
+        zero_below=gate,
     )
     diagnostics.update(L=L, N=N)
 
@@ -372,7 +355,7 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
         [unit_sphere_vector(n, root.substream(int(t))) for t in group]
     )
     group_ledgers = [ledgers[t] for t in group]
-    block = lanczos_lockstep(A, starts, m, reorth=True, ledgers=group_ledgers)
+    block = lanczos_lockstep(A, starts, m, ledgers=group_ledgers)
     densities, per_trial = [], []
     for j, ledger in enumerate(group_ledgers):
         fact = block.trial(j)
@@ -382,9 +365,7 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
         elif l == 0:
             density, facts["converged"] = _slq_density(fact), 0
         else:
-            density, facts["converged"] = _vr_density(
-                A, fact, l, config.beta, VR_C, VR_DELTA, ledger
-            )
+            density, facts["converged"] = _vr_density(A, fact, l, DEFAULT_BETA, ledger)
         densities.append(density)
         per_trial.append(facts)
     return densities, per_trial
@@ -395,9 +376,9 @@ def run(A, config):
 
     Each trial receives the full budget (enforced per trial); the returned
     ledger is the merge across trials.  ``diagnostics["per_trial"]`` holds
-    one dict per trial: Lanczos ``m_effective`` (and vr_slq's converged-set
-    size ``converged``) or the moment stage's ``L`` and ``N`` (and, with
-    deflation, ``l`` and ``s``).
+    one dict per trial, and is the only place for per-trial facts: Lanczos
+    ``m_effective`` (and vr_slq's converged-set size ``converged``) or the
+    moment stage's ``L`` and ``N`` (and, with deflation, ``l`` and ``s``).
     """
     n = A.dimension
     budget = config.budget
@@ -414,14 +395,12 @@ def run(A, config):
             stream = root.substream(t)
             if config.algorithm in ("cmm", "kpm"):
                 density, L, N = _moment_stage(
-                    A, n, 0, budget, config.hutchinson_b, config.grid_d,
-                    config.algorithm, stream, ledger,
+                    A, n, 0, budget, config.grid_d, config.algorithm, stream, ledger
                 )
                 per_trial.append({"L": L, "N": N})
             else:
                 est = sde_with_deflation(A, config, ledger, stream)
                 density = est.density
-                diagnostics.update(est.diagnostics)
                 per_trial.append({k: est.diagnostics[k] for k in ("l", "s", "N", "L")})
             densities.append(density)
 
@@ -455,13 +434,6 @@ def schatten1_estimate(A, eps, ledger=None, seed=0):
     b = DEFAULT_HUTCHINSON_B
     N = math.ceil(math.sqrt(n))
     budget = 2 * norm_estimate_cost(n) + min(n, l * (2 * q + 1)) + N * b
-    config = SdeConfig(
-        algorithm="def_cmm",
-        budget=budget,
-        deflation_block=l,
-        krylov_depth=q,
-        hutchinson_b=b,
-        seed=seed,
-    )
+    config = SdeConfig("def_cmm", budget=budget, deflation_block=l, seed=seed)
     est = sde_with_deflation(A, config, ledger)
     return n * est.density.mean_abs()

@@ -12,7 +12,10 @@ import pytest
 import scipy.optimize
 
 from specden import DenseOperator, DiscreteDistribution, SeededStream
-from specden.randgen import random_orthogonal
+from specden.lanczos import lanczos, tridiag_eig
+from specden.metrics import DistributionError
+from specden.operators import OperatorError
+from specden.randgen import random_orthogonal, unit_sphere_vector
 
 
 def random_symmetric(n, seed, spectrum=None):
@@ -22,6 +25,29 @@ def random_symmetric(n, seed, spectrum=None):
         spectrum = rng.uniform(-1.0, 1.0, size=n)
     V = random_orthogonal(n, SeededStream(seed, stream_id=123))
     return DenseOperator((V * spectrum) @ V.T), np.asarray(spectrum, dtype=float)
+
+
+def dense_from_eigendecomposition(eigs, V):
+    """Assemble V diag(eigs) V^T as a dense operator."""
+    eigs = np.asarray(eigs, dtype=float)
+    V = np.asarray(V, dtype=float)
+    n = eigs.shape[0]
+    if V.shape != (n, n):
+        raise OperatorError(f"V has shape {V.shape}, expected ({n}, {n})")
+    if not np.allclose(V.T @ V, np.eye(n), atol=1e-10):
+        raise OperatorError("V is not orthonormal")
+    return DenseOperator((V * eigs) @ V.T)
+
+
+def equal_weight_ritz_density(A, m, stream):
+    """Ritz values of m Lanczos steps from slq's start, each of mass 1/m_eff.
+
+    The start vector is the one ``slq(A, m, stream)`` draws; at m = n the
+    Ritz values are the spectrum, so this recovers the exact density.
+    """
+    g = unit_sphere_vector(A.dimension, stream)
+    values = tridiag_eig(lanczos(A, g, m)).values
+    return DiscreteDistribution(values.copy(), np.full(values.size, 1.0 / values.size))
 
 
 def random_distribution(rng, max_atoms=6):
@@ -82,19 +108,38 @@ def vertex_enumeration_l1(T, z):
     return best
 
 
+def sorted_eigenvalue_error(p, q, n):
+    """(1/n) sum |lambda_i - lambda_i~| over descending-sorted atom lists.
+
+    Both inputs must be expressible as n equal-weight atoms; equals
+    wasserstein1 for such inputs.
+    """
+    lp = _equal_weight_atoms(p, n)
+    lq = _equal_weight_atoms(q, n)
+    return float(np.abs(np.sort(lp)[::-1] - np.sort(lq)[::-1]).sum() / n)
+
+
+def _equal_weight_atoms(dist, n):
+    ratios = dist.weights * n
+    counts = np.rint(ratios)
+    if np.any(np.abs(ratios - counts) > 1e-6) or counts.sum() != n:
+        raise DistributionError("weights are not multiples of 1/n")
+    return np.repeat(dist.locations, counts.astype(int))
+
+
 def polynomial_identity_check(A, g, m, coeffs, ledger=None):
     """Residual ||p(A) g - Q p(T) Q^T g|| for a polynomial of degree < m.
 
     Checks the Krylov polynomial identity; coefficients are in the power
     basis, lowest degree first.
     """
-    from specden.lanczos import LanczosError, lanczos
+    from specden.lanczos import LanczosError
 
     coeffs = np.asarray(coeffs, dtype=float)
     degree = coeffs.size - 1
     if degree >= m:
         raise LanczosError(f"polynomial degree {degree} must be < m = {m}")
-    fact = lanczos(A, np.asarray(g, dtype=float), m, reorth=True, ledger=ledger)
+    fact = lanczos(A, np.asarray(g, dtype=float), m, ledger=ledger)
 
     # Horner on the operator side: r = c_d g; r = A r + c_k g going down.
     g = np.asarray(g, dtype=float)

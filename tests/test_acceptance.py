@@ -33,6 +33,7 @@ from specden.randgen import unit_sphere_vector
 
 from conftest import (
     dense_cheb_quadratic_form,
+    equal_weight_ritz_density,
     random_distribution,
     random_symmetric,
     transport_lp_w1,
@@ -62,7 +63,7 @@ def test_criterion_2_exact_recovery():
         fact = lanczos(A, g, n)
         ritz = np.sort(np.linalg.eigvalsh(fact.tridiagonal()))
         worst_eig = max(worst_eig, np.abs(ritz - np.sort(spectrum)).max())
-        f = slq(A, n, SeededStream(seed), uniform_weights=True)
+        f = equal_weight_ritz_density(A, n, SeededStream(seed))
         worst_w1 = max(worst_w1, wasserstein1(f, exact_density(A)))
     assert worst_eig <= 1e-8
     assert worst_w1 <= 1e-8

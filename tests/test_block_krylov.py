@@ -10,11 +10,7 @@ from specden import (
     block_krylov_deflation,
     deflate,
 )
-from specden.block_krylov import (
-    default_depth,
-    orthonormalize_columns,
-    rayleigh_ritz,
-)
+from specden.block_krylov import default_depth, orthonormalize_columns
 from specden.datasets import low_rank
 from specden.operators import OperatorError, norm_estimate_cost
 
@@ -119,34 +115,6 @@ def test_orthonormalize_drops_dependent_columns():
     assert Q.shape == (10, 3)
     np.testing.assert_allclose(Q.T @ Q, np.eye(3), atol=1e-10)
     assert orthonormalize_columns(np.zeros((4, 2))).shape == (4, 0)
-
-
-def test_rayleigh_ritz_identity_basis_gives_exact_spectrum():
-    A, spectrum = random_symmetric(12, seed=14)
-    values, vectors = rayleigh_ritz(A, np.eye(12))
-    np.testing.assert_allclose(np.sort(values), np.sort(spectrum), atol=1e-10)
-    np.testing.assert_allclose(vectors.T @ vectors, np.eye(12), atol=1e-10)
-
-
-def test_rayleigh_ritz_single_eigenvector():
-    A, _ = random_symmetric(10, seed=15)
-    eigs, V = np.linalg.eigh(A.to_dense())
-    values, _ = rayleigh_ritz(A, V[:, [4]])
-    assert values[0] == pytest.approx(eigs[4], abs=1e-10)
-
-
-def test_rayleigh_ritz_minmax_containment():
-    A, spectrum = random_symmetric(30, seed=16)
-    rng = np.random.default_rng(16)
-    Q = np.linalg.qr(rng.standard_normal((30, 5)))[0]
-    ledger = BudgetLedger()
-    values, _ = rayleigh_ritz(A, Q, ledger)
-    assert ledger.total == 5
-    true_sorted = np.sort(np.abs(spectrum))[::-1]
-    for j, v in enumerate(np.sort(np.abs(values))[::-1]):
-        assert v <= true_sorted[j] + 1e-10
-    with pytest.raises(OperatorError):
-        rayleigh_ritz(A, 2.0 * Q)
 
 
 def test_default_depth():

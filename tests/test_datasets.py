@@ -7,25 +7,26 @@ import scipy.stats
 from specden import SeededStream
 from specden.datasets import (
     MatrixMarketError,
-    gaussian_matrix,
+    gaussian_spectrum,
     inverse_spectrum,
     load_matrix_market,
     low_rank,
     power_law_spectrum,
     uniform_matrix,
 )
+from specden.operators import OperatorError
 from specden.randgen import gaussian_vector
 
 
 def test_gaussian_matrix_normalization_and_spectrum():
     stream = SeededStream(11)
-    A = gaussian_matrix(50, stream)
+    A = gaussian_spectrum(50, stream)
     eigs = np.linalg.eigvalsh(A.to_dense())
     assert np.max(np.abs(eigs)) == pytest.approx(1.0, abs=1e-10)
     drawn = gaussian_vector(50, stream.substream(0))
     drawn /= np.abs(drawn).max()
     np.testing.assert_allclose(np.sort(eigs), np.sort(drawn), atol=1e-9)
-    B = gaussian_matrix(50, SeededStream(11))
+    B = gaussian_spectrum(50, SeededStream(11))
     np.testing.assert_array_equal(A.to_dense(), B.to_dense())
 
 
@@ -138,6 +139,53 @@ def test_isolated_vertex_keeps_zero_row(tmp_path):
     dense = A.to_dense()
     np.testing.assert_array_equal(dense[2], np.zeros(3))
     np.testing.assert_allclose(np.abs(dense[0, 1]), 1.0)
+
+
+def mtx_file(tmp_path, name, qualifier, entries):
+    """Write a 3x3 real coordinate file; qualifier may be empty."""
+    header = f"%%MatrixMarket matrix coordinate real {qualifier}".rstrip()
+    body = "".join(f"{i} {j} {v}\n" for i, j, v in entries)
+    path = tmp_path / name
+    path.write_text(f"{header}\n3 3 {len(entries)}\n{body}")
+    return str(path)
+
+
+LOWER = [(1, 1, 2.0), (2, 1, -1.0), (3, 2, 0.5), (3, 3, 1.5)]
+BOTH = [(1, 1, 2.0), (1, 2, -1.0), (2, 1, -1.0), (2, 3, 0.5), (3, 2, 0.5), (3, 3, 1.5)]
+
+
+def test_general_file_loads_like_symmetric_file(tmp_path):
+    symmetric = mtx_file(tmp_path, "sym.mtx", "symmetric", LOWER)
+    general = mtx_file(tmp_path, "gen.mtx", "general", BOTH)
+    bare = mtx_file(tmp_path, "bare.mtx", "", BOTH)
+    for normalize in (False, True):
+        expected = load_matrix_market(symmetric, normalize).matrix
+        for path in (general, bare):
+            got = load_matrix_market(path, normalize).matrix
+            np.testing.assert_array_equal(got.indptr, expected.indptr)
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.data, expected.data)
+    dense = load_matrix_market(symmetric, normalize_adjacency=False).to_dense()
+    np.testing.assert_array_equal(
+        dense, [[2.0, -1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.5, 1.5]]
+    )
+
+
+def test_loader_honors_symmetry_qualifier(tmp_path):
+    asymmetric = mtx_file(tmp_path, "asym.mtx", "general", LOWER)
+    for normalize in (False, True):
+        with pytest.raises(OperatorError):
+            load_matrix_market(asymmetric, normalize)
+
+    upper = mtx_file(tmp_path, "upper.mtx", "symmetric", BOTH)
+    with pytest.raises(MatrixMarketError) as err:
+        load_matrix_market(upper)
+    assert err.value.line_number == 4
+
+    skew = mtx_file(tmp_path, "skew.mtx", "skew-symmetric", LOWER)
+    with pytest.raises(MatrixMarketError) as err:
+        load_matrix_market(skew)
+    assert err.value.line_number == 1
 
 
 ERDOS_PATH = os.environ.get("SPECDEN_ERDOS992", "data/Erdos992.mtx")

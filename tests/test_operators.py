@@ -18,12 +18,11 @@ from specden.operators import (
     DeflatedOperator,
     OperatorError,
     ScaledOperator,
-    dense_from_eigendecomposition,
     norm_estimate_cost,
 )
 from specden.randgen import random_orthogonal
 
-from conftest import random_symmetric
+from conftest import dense_from_eigendecomposition, random_symmetric
 
 
 def backends():

@@ -22,7 +22,7 @@ from specden.metrics import DiscreteDistribution
 from specden.operators import norm_estimate_cost
 from specden.sde import BudgetExhaustedError, _vr_density, _vr_sizing
 
-from conftest import random_symmetric
+from conftest import equal_weight_ritz_density, random_symmetric
 
 
 def test_slq_hand_case_through_lanczos():
@@ -50,7 +50,7 @@ def test_slq_weights_sum_and_trial_averaging():
 
 def test_slq_uniform_weight_diagnostic_recovers_spectrum():
     A, _ = random_symmetric(25, seed=32)
-    f = slq(A, 25, SeededStream(7), uniform_weights=True)
+    f = equal_weight_ritz_density(A, 25, SeededStream(7))
     assert wasserstein1(f, exact_density(A)) <= 1e-8
 
 
@@ -116,7 +116,7 @@ def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
         alpha=np.array([1.0, 0.5]), eta=np.array([1e-200]), Q=np.eye(2), m_requested=2
     )
     ledger = BudgetLedger()
-    f, converged = _vr_density(A, fact, 1, 1.0, 5.0, 0.01, ledger)
+    f, converged = _vr_density(A, fact, 1, 1.0, ledger)
     assert converged == 1
     np.testing.assert_allclose(f.locations, [0.5, 1.0])
     np.testing.assert_allclose(f.weights, [0.5, 0.5])
@@ -158,22 +158,23 @@ def test_sde_with_deflation_zero_remainder_takes_no_moments():
     assert est.diagnostics["N"] == 0
     assert "moments" not in ledger.counts
     assert ledger.total <= config.budget
-    gate = est.diagnostics["norm_estimate"] / n**config.beta
+    gate = est.diagnostics["norm_estimate"] / n**sde.DEFAULT_BETA
     assert est.diagnostics["L"] <= gate
     assert wasserstein1(est.density, exact_density(A)) <= gate
 
 
-def test_sde_with_deflation_s_zero_equals_plain_cmm():
+def test_sde_with_deflation_s_zero_equals_plain_cmm(monkeypatch):
     A, _ = random_symmetric(60, seed=41)
     # beta so strict that no Ritz pair is ever admitted.
-    config = SdeConfig("def_cmm", budget=300, deflation_block=2, beta=50.0, seed=9)
+    monkeypatch.setattr(sde, "DEFAULT_BETA", 50.0)
+    config = SdeConfig("def_cmm", budget=300, deflation_block=2, seed=9)
     ledger = BudgetLedger()
     est = sde_with_deflation(A, config, ledger)
     assert est.diagnostics["s"] == 0
     assert "rayleigh_ritz" not in ledger.counts
     spent_on_krylov = ledger.counts["krylov_subspace"] + norm_estimate_cost(60)
     remaining = config.budget - spent_on_krylov
-    plain = cmm(A, remaining, SeededStream(9), b=config.hutchinson_b, d=config.grid_d)
+    plain = cmm(A, remaining, SeededStream(9), d=config.grid_d)
     np.testing.assert_allclose(est.density.locations, plain.locations)
     np.testing.assert_allclose(est.density.weights, plain.weights)
 
@@ -197,8 +198,6 @@ def test_config_validation():
         SdeConfig("slq", budget=0)
     with pytest.raises(ValueError):
         SdeConfig("slq", budget=10, trials=0)
-    with pytest.raises(ValueError):
-        SdeConfig("cmm", budget=10, hutchinson_b=0)
     assert SdeConfig("slq", budget=10).resolved_trials() == 15
     assert SdeConfig("cmm", budget=100).resolved_trials() == 1
 
@@ -275,6 +274,15 @@ def test_run_per_trial_diagnostics_for_moment_methods():
                 assert facts["N"] == 0 and facts["L"] == 0
             else:
                 assert facts["N"] >= 1
+
+
+def test_run_keeps_deflation_facts_per_trial_only():
+    A, _ = random_symmetric(60, seed=50)
+    est = run(A, SdeConfig("def_cmm", budget=250, trials=2, seed=5))
+    assert not {"l", "q", "s", "N", "L", "norm_estimate"} & set(est.diagnostics)
+    per_trial = est.diagnostics["per_trial"]
+    assert len(per_trial) == 2
+    assert all(set(facts) == {"l", "s", "N", "L"} for facts in per_trial)
 
 
 def test_schatten1_identity_zero_and_harmonic():
