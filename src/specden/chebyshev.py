@@ -67,6 +67,20 @@ def cheb_normalized(k, x):
     return TBAR_SCALE * cheb_eval(k, x)
 
 
+def cheb_normalized_rows(N, x):
+    """Yield Tbar_1(x), ..., Tbar_N(x) from one running recurrence.
+
+    Each row equals ``cheb_normalized(k, x)`` bit for bit: it is the same
+    recurrence, advanced once per degree instead of restarted for each.
+    """
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones_like(x), x.copy()
+    for k in range(1, N + 1):
+        if k > 1:
+            prev, cur = cur, 2.0 * x * cur - prev
+        yield TBAR_SCALE * cur
+
+
 def cheb_normalized_at_zero(k):
     """Tbar_k(0): 0 for odd k, +-sqrt(2/pi) alternating for even k >= 2."""
     if k == 0:

@@ -2,8 +2,11 @@
 
 The three-term recurrence builds an orthonormal basis Q of the Krylov space
 of (A, g) together with the tridiagonal T = Q^T A Q.  Every new vector is
-reorthogonalized by two Gram-Schmidt passes against all previous columns;
-without them the computed basis loses orthogonality long before m = n.
+reorthogonalized by a classical Gram-Schmidt pass against all previous
+columns, and by a second pass only when the first one cancels most of its
+norm (the Daniel-Gragg-Kaufman-Stewart test: "twice is enough").  Without
+reorthogonalization the computed basis loses orthogonality long before
+m = n.
 
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
@@ -12,6 +15,7 @@ products; ``lanczos`` is its k = 1 case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,10 @@ import scipy.linalg
 # An off-diagonal below BREAKDOWN_RTOL * scale(T) signals an invariant
 # subspace; iteration stops and the remaining applications are not charged.
 BREAKDOWN_RTOL = 1e-12
+
+# A Gram-Schmidt pass that leaves less than REPEAT_RATIO of the vector's norm
+# has cancelled enough to lose orthogonality, so it is repeated once.
+REPEAT_RATIO = 1.0 / math.sqrt(2.0)
 
 
 class LanczosError(ValueError):
@@ -57,6 +65,8 @@ class LockstepFactorization:
 
     Row t of ``alpha`` and ``eta`` is valid up to ``m_effective[t]`` entries
     (one fewer for eta); ``trial(t)`` returns views, not copies.
+    ``reorth_repeats[t]`` counts trial t's steps that needed a second
+    Gram-Schmidt pass.
     """
 
     alpha: np.ndarray
@@ -64,6 +74,7 @@ class LockstepFactorization:
     basis: np.ndarray
     m_effective: np.ndarray
     m_requested: int
+    reorth_repeats: np.ndarray
 
     def trial(self, t):
         m = int(self.m_effective[t])
@@ -103,6 +114,22 @@ def lanczos(A, g, m, ledger=None):
     return lanczos_lockstep(A, g[:, None], m, [ledger]).trial(0)
 
 
+def _reorthogonalize(basis, r):
+    """Remove from r, in place, its components along the rows of basis.
+
+    One classical Gram-Schmidt pass, and a second one when the first leaves
+    less than REPEAT_RATIO of r's norm.  Returns r's final norm and whether
+    the pass was repeated.
+    """
+    before = np.linalg.norm(r)
+    r -= basis.T @ (basis @ r)
+    after = np.linalg.norm(r)
+    if after >= REPEAT_RATIO * before:
+        return after, False
+    r -= basis.T @ (basis @ r)
+    return np.linalg.norm(r), True
+
+
 def lanczos_lockstep(A, G, m, ledgers=None):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
@@ -131,6 +158,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     alpha = np.empty((k, m))
     eta = np.empty((k, max(m - 1, 0)))
     m_eff = np.zeros(k, dtype=int)
+    repeats = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
     tilde = np.empty((k, n))
     Q[:, 0] = G.T
@@ -140,10 +168,8 @@ def lanczos_lockstep(A, G, m, ledgers=None):
             survivors = []
             for t in active:
                 r = tilde[t]
-                basis = Q[t, :i]
-                r -= basis.T @ (basis @ r)
-                r -= basis.T @ (basis @ r)
-                eta_i = np.linalg.norm(r)
+                eta_i, repeated = _reorthogonalize(Q[t, :i], r)
+                repeats[t] += repeated
                 if eta_i < BREAKDOWN_RTOL * scale[t]:
                     continue
                 Q[t, i] = r / eta_i
@@ -167,7 +193,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
                 scale[t] = max(scale[t], eta[t, i - 1])
             scale[t] = max(scale[t], abs(a))
             m_eff[t] = i + 1
-    return LockstepFactorization(alpha, eta, Q, m_eff, m)
+    return LockstepFactorization(alpha, eta, Q, m_eff, m, repeats)
 
 
 def tridiag_eig(fact):

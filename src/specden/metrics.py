@@ -9,6 +9,10 @@ import numpy as np
 # Atoms closer than this are merged into one location.
 MERGE_TOL = 1e-12
 
+# Merged groups still growing, at most this many, sum their remaining
+# weights one group at a time.
+_FINISH_ALONE = 16
+
 # Largest dimension for which the dense eigendecomposition oracle is allowed.
 EXACT_DENSITY_CAP = 6100
 
@@ -59,16 +63,42 @@ class DiscreteDistribution:
 
 
 def _merge_atoms(loc, w):
+    """Sort atoms and merge each into the group of the first atom within
+    MERGE_TOL below it; a group keeps its first location.
+
+    Group weights are summed in order, one atom at a time.
+    """
     order = np.argsort(loc, kind="stable")
     loc, w = loc[order], w[order]
-    keep_loc, keep_w = [loc[0]], [w[0]]
-    for x, wx in zip(loc[1:], w[1:]):
-        if x - keep_loc[-1] <= MERGE_TOL:
-            keep_w[-1] += wx
-        else:
-            keep_loc.append(x)
-            keep_w.append(wx)
-    return np.array(keep_loc), np.array(keep_w)
+    # An atom more than MERGE_TOL above its predecessor starts a group.  In
+    # a run of closer atoms, one more than MERGE_TOL above the group's first
+    # location also starts one, so runs that span more than MERGE_TOL are
+    # walked atom by atom.
+    new = np.diff(loc, prepend=-np.inf) > MERGE_TOL
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], loc.size)
+    wide = loc[ends - 1] - loc[starts] > MERGE_TOL
+    for first, end in zip(starts[wide], ends[wide]):
+        for i in range(first + 1, end):
+            if loc[i] - loc[first] > MERGE_TOL:
+                new[i] = True
+                first = i
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], loc.size)
+    # Every group still growing adds its next atom in one vector step; the
+    # few longest finish with a sequential cumulative sum each, so one large
+    # group does not cost a vector step per atom.
+    merged = w[starts]
+    growing = np.flatnonzero(ends - starts > 1)
+    j = 1
+    while growing.size > _FINISH_ALONE:
+        merged[growing] += w[starts[growing] + j]
+        j += 1
+        growing = growing[ends[growing] - starts[growing] > j]
+    for g in growing:
+        rest = w[starts[g] + j : ends[g]]
+        merged[g] = np.cumsum(np.concatenate(([merged[g]], rest)))[-1]
+    return loc[starts], merged
 
 
 def wasserstein1(p, q):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from .chebyshev import TBAR0, MomentVector, cheb_normalized
+from .chebyshev import TBAR0, MomentVector, cheb_normalized, cheb_normalized_rows
 from .metrics import DiscreteDistribution
 
 LP_TOL = 1e-7
@@ -59,9 +59,8 @@ def grid_points(d):
 
 def moment_matrix(N, d):
     """N x (d+1) matrix with entries Tbar_i(-1 + 2j/d) / i."""
-    x = grid_points(d)
-    rows = [cheb_normalized(i, x) / i for i in range(1, N + 1)]
-    return np.vstack(rows)
+    rows = cheb_normalized_rows(N, grid_points(d))
+    return np.vstack([row / i for i, row in enumerate(rows, start=1)])
 
 
 def solve_moment_matching(moments, d):
@@ -130,8 +129,8 @@ def kpm_density(moments, d):
     x = grid_points(d)
     series = np.full(x.size, TBAR0 / math.sqrt(math.pi))
     damping = jackson_coefficients(N)
-    for k in range(1, N + 1):
-        series += damping[k - 1] * moments[k] * cheb_normalized(k, x)
+    for k, row in enumerate(cheb_normalized_rows(N, x), start=1):
+        series += damping[k - 1] * moments[k] * row
     half_cell = 1.0 / d
     x_w = np.clip(x, -1.0 + half_cell, 1.0 - half_cell)
     values = series / np.sqrt(1.0 - x_w**2)

@@ -29,8 +29,6 @@ from .operators import (
 )
 from .randgen import SeededStream, unit_sphere_vector
 
-ALGORITHMS = ("cmm", "kpm", "def_cmm", "def_kpm", "slq", "vr_slq")
-
 # Benchmark protocol constants: 15 Hutchinson vectors, 15 block-Krylov
 # iterations, the deflation gate ||A||_est / n^DEFAULT_BETA (imported from
 # block_krylov), 15 averaging trials for the Lanczos-based estimators, and a
@@ -359,7 +357,10 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
     densities, per_trial = [], []
     for j, ledger in enumerate(group_ledgers):
         fact = block.trial(j)
-        facts = {"m_effective": fact.m_effective}
+        facts = {
+            "m_effective": fact.m_effective,
+            "reorth_repeats": int(block.reorth_repeats[j]),
+        }
         if config.algorithm == "slq":
             density = _slq_density(fact)
         elif l == 0:
@@ -371,38 +372,60 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
     return densities, per_trial
 
 
+def _moment_trials(A, config, root, ledgers, diagnostics):
+    """cmm or kpm: trial t runs the moment stage from ``root.substream(t)``."""
+    densities, per_trial = [], []
+    for t, ledger in enumerate(ledgers):
+        density, L, N = _moment_stage(
+            A, A.dimension, 0, config.budget, config.grid_d, config.algorithm,
+            root.substream(t), ledger,
+        )
+        densities.append(density)
+        per_trial.append({"L": L, "N": N})
+    return densities, per_trial
+
+
+def _deflation_trials(A, config, root, ledgers, diagnostics):
+    """def_cmm or def_kpm: trial t deflates from ``root.substream(t)``."""
+    densities, per_trial = [], []
+    for t, ledger in enumerate(ledgers):
+        est = sde_with_deflation(A, config, ledger, root.substream(t))
+        densities.append(est.density)
+        per_trial.append({k: est.diagnostics[k] for k in ("l", "s", "N", "L")})
+    return densities, per_trial
+
+
+# Algorithm -> runner of all its trials.  A runner takes (A, config, root
+# stream, one ledger per trial, run-level diagnostics to fill) and returns
+# the trials' densities and per-trial diagnostics.
+TRIAL_RUNNERS = {
+    "cmm": _moment_trials,
+    "kpm": _moment_trials,
+    "def_cmm": _deflation_trials,
+    "def_kpm": _deflation_trials,
+    "slq": _lanczos_trials,
+    "vr_slq": _lanczos_trials,
+}
+ALGORITHMS = tuple(TRIAL_RUNNERS)
+
+
 def run(A, config):
     """Dispatch one algorithm with trial averaging; returns an SdeEstimate.
 
     Each trial receives the full budget (enforced per trial); the returned
     ledger is the merge across trials.  ``diagnostics["per_trial"]`` holds
     one dict per trial, and is the only place for per-trial facts: Lanczos
-    ``m_effective`` (and vr_slq's converged-set size ``converged``) or the
-    moment stage's ``L`` and ``N`` (and, with deflation, ``l`` and ``s``).
+    ``m_effective`` and ``reorth_repeats`` (and vr_slq's converged-set size
+    ``converged``) or the moment stage's ``L`` and ``N`` (and, with
+    deflation, ``l`` and ``s``).
     """
-    n = A.dimension
     budget = config.budget
     trials = config.resolved_trials()
-    root = SeededStream(config.seed)
     ledgers = [BudgetLedger() for _ in range(trials)]
     diagnostics = {"trials": trials, "per_trial_budget": budget}
-
-    if config.algorithm in ("slq", "vr_slq"):
-        densities, per_trial = _lanczos_trials(A, config, root, ledgers, diagnostics)
-    else:
-        densities, per_trial = [], []
-        for t, ledger in enumerate(ledgers):
-            stream = root.substream(t)
-            if config.algorithm in ("cmm", "kpm"):
-                density, L, N = _moment_stage(
-                    A, n, 0, budget, config.grid_d, config.algorithm, stream, ledger
-                )
-                per_trial.append({"L": L, "N": N})
-            else:
-                est = sde_with_deflation(A, config, ledger, stream)
-                density = est.density
-                per_trial.append({k: est.diagnostics[k] for k in ("l", "s", "N", "L")})
-            densities.append(density)
+    densities, per_trial = TRIAL_RUNNERS[config.algorithm](
+        A, config, SeededStream(config.seed), ledgers, diagnostics
+    )
 
     merged = BudgetLedger()
     for t, ledger in enumerate(ledgers):

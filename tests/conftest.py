@@ -127,6 +127,23 @@ def _equal_weight_atoms(dist, n):
     return np.repeat(dist.locations, counts.astype(int))
 
 
+def merge_atoms_loop(loc, w):
+    """Sort atoms, then merge each into the current group while it lies within
+    MERGE_TOL of the group's first location, one atom at a time."""
+    from specden.metrics import MERGE_TOL
+
+    order = np.argsort(loc, kind="stable")
+    loc, w = loc[order], w[order]
+    keep_loc, keep_w = [loc[0]], [w[0]]
+    for x, wx in zip(loc[1:], w[1:]):
+        if x - keep_loc[-1] <= MERGE_TOL:
+            keep_w[-1] += wx
+        else:
+            keep_loc.append(x)
+            keep_w.append(wx)
+    return np.array(keep_loc), np.array(keep_w)
+
+
 def polynomial_identity_check(A, g, m, coeffs, ledger=None):
     """Residual ||p(A) g - Q p(T) Q^T g|| for a polynomial of degree < m.
 

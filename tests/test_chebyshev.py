@@ -13,10 +13,20 @@ from specden.chebyshev import (
     cheb_moment_quadratic_form,
     cheb_normalized,
     cheb_normalized_at_zero,
+    cheb_normalized_rows,
 )
 from specden.randgen import unit_sphere_vector
 
 from conftest import dense_cheb_quadratic_form, random_symmetric
+
+
+def test_cheb_normalized_rows_equal_per_degree_polynomials():
+    x = np.linspace(-1.0, 1.0, 2001)
+    rows = list(cheb_normalized_rows(52, x))
+    assert len(rows) == 52
+    for k, row in enumerate(rows, start=1):
+        np.testing.assert_array_equal(row, cheb_normalized(k, x))
+    assert list(cheb_normalized_rows(0, x)) == []
 
 
 def test_cheb_eval_base_cases_and_recurrence():

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from specden import BudgetLedger, DiagonalOperator, SeededStream, lanczos, tridiag_eig
+from specden.bench import build_matrix
 from specden.chebyshev import TBAR_SCALE, cheb_normalized
 from specden.lanczos import (
     LanczosError,
     TridiagonalFactorization,
+    _reorthogonalize,
     lanczos_lockstep,
     magnitude_order,
 )
-from specden.randgen import unit_sphere_vector
+from specden.randgen import random_orthogonal, unit_sphere_vector
 
 from conftest import polynomial_identity_check, random_symmetric
 
@@ -103,6 +105,47 @@ def test_lockstep_matches_separate_runs_on_dense():
         lanczos_lockstep(A, G, 20, ledgers=[BudgetLedger()])
     with pytest.raises(LanczosError):
         lanczos_lockstep(A, 2.0 * G, 20)
+
+
+def test_reorthogonalize_repeats_the_pass_when_the_first_cancels():
+    n, k = 200, 30
+    basis = random_orthogonal(n, SeededStream(31))[:k]
+    rng = np.random.default_rng(31)
+    perp = rng.standard_normal(n)
+    perp -= basis.T @ (basis @ perp)
+    perp /= np.linalg.norm(perp)
+    r = basis.T @ rng.standard_normal(k) + 1e-10 * perp
+    eta, repeated = _reorthogonalize(basis, r)
+    assert repeated
+    assert eta == np.linalg.norm(r)
+    assert eta == pytest.approx(1e-10, rel=1e-4)
+    assert np.abs(basis @ (r / eta)).max() <= 1e-14
+
+
+def test_reorthogonalize_makes_one_pass_for_a_generic_vector():
+    n, k = 200, 30
+    basis = random_orthogonal(n, SeededStream(32))[:k]
+    r = np.random.default_rng(32).standard_normal(n)
+    once = r - basis.T @ (basis @ r)
+    eta, repeated = _reorthogonalize(basis, r)
+    assert not repeated
+    np.testing.assert_array_equal(r, once)
+    assert eta == np.linalg.norm(once)
+
+
+@pytest.mark.parametrize("spec", ["power_law:500", "low_rank:500", "uniform:500"])
+def test_lockstep_basis_stays_orthonormal_up_to_m_equal_n(spec):
+    A = build_matrix(spec, seed=1)
+    n = A.dimension
+    G = np.column_stack(
+        [unit_sphere_vector(n, SeededStream(1).substream(t)) for t in range(2)]
+    )
+    block = lanczos_lockstep(A, G, n)
+    for t in range(2):
+        fact = block.trial(t)
+        m = fact.m_effective
+        assert np.abs(fact.Q.T @ fact.Q - np.eye(m)).max() <= 1e-12
+        assert 0 <= block.reorth_repeats[t] < m
 
 
 def test_budget_is_exactly_m():

@@ -5,13 +5,20 @@ from hypothesis import strategies as st
 
 from specden import DenseOperator, DiagonalOperator, DiscreteDistribution
 from specden.metrics import (
+    MERGE_TOL,
     DistributionError,
+    _merge_atoms,
     average_densities,
     exact_density,
     wasserstein1,
 )
 
-from conftest import random_distribution, sorted_eigenvalue_error, transport_lp_w1
+from conftest import (
+    merge_atoms_loop,
+    random_distribution,
+    sorted_eigenvalue_error,
+    transport_lp_w1,
+)
 
 
 def dist(pairs):
@@ -78,6 +85,50 @@ def test_distribution_validation_and_merging():
     merged = DiscreteDistribution(np.array([0.3, 0.3, 1.0]), np.array([0.25, 0.25, 0.5]))
     assert len(merged) == 2
     np.testing.assert_allclose(merged.weights, [0.5, 0.5])
+
+
+def assert_merge_matches_loop(loc, w):
+    loc, w = np.asarray(loc, dtype=float), np.asarray(w, dtype=float)
+    got_loc, got_w = _merge_atoms(loc, w)
+    want_loc, want_w = merge_atoms_loop(loc, w)
+    np.testing.assert_array_equal(got_loc, want_loc)
+    np.testing.assert_array_equal(got_w, want_w)
+
+
+def test_merge_atoms_chain_joins_only_within_tol_of_group_start():
+    # 0.6e-12 is within MERGE_TOL of 0, 1.2e-12 is not: two groups, although
+    # each atom is within MERGE_TOL of the one before it.
+    loc, w = _merge_atoms(np.array([1.2e-12, 0.0, 0.6e-12]), np.array([0.5, 0.2, 0.3]))
+    np.testing.assert_array_equal(loc, [0.0, 1.2e-12])
+    np.testing.assert_array_equal(w, [0.2 + 0.3, 0.5])
+    assert_merge_matches_loop([0.0, 0.6e-12, 1.2e-12, 1.8e-12, 2.4e-12], np.ones(5))
+    # Groups of many atoms sum their weights in sorted order, whether a few
+    # or many of them are long.
+    rng = np.random.default_rng(5)
+    assert_merge_matches_loop(np.zeros(50), rng.uniform(size=50))
+    for groups in (3, 40):
+        loc = np.repeat(np.arange(float(groups)), rng.integers(1, 60, size=groups))
+        assert_merge_matches_loop(rng.permutation(loc), rng.uniform(size=loc.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-1.0, -1e-3, 0.0, 0.5]), st.floats(-2.0, 2.0)),
+            st.integers(0, 12),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_merge_atoms_matches_sequential_loop(atoms):
+    # Offsets in steps of 0.3 MERGE_TOL build clusters and chains of every
+    # length around a few shared base locations.
+    loc = [base + k * 0.3 * MERGE_TOL for base, k, _ in atoms]
+    w = [wx for _, _, wx in atoms]
+    assert_merge_matches_loop(loc, w)
 
 
 def test_exact_density_examples():

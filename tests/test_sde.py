@@ -236,6 +236,8 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
             else:
                 vr_slq(A, m, l, stream=stream, ledger=ledger)
             assert facts["m_effective"] == ledger.counts["lanczos"]
+            # At most one repeated Gram-Schmidt pass per step after the first.
+            assert 0 <= facts["reorth_repeats"] < facts["m_effective"]
             assert ledger.total <= budget
             spent.append(ledger.counts)
         merged = {}
