@@ -25,13 +25,8 @@ from .sde import (
     BudgetExhaustedError,
     SdeConfig,
     SdeEstimate,
-    cmm,
-    kpm,
     run,
     schatten1_estimate,
-    sde_with_deflation,
-    slq,
-    vr_slq,
 )
 
 __all__ = [
@@ -50,21 +45,16 @@ __all__ = [
     "SymmetricOperator",
     "average_densities",
     "block_krylov_deflation",
-    "cmm",
     "deflate",
     "estimate_moments",
     "exact_density",
-    "kpm",
     "kpm_density",
     "lanczos",
     "run",
     "schatten1_estimate",
-    "sde_with_deflation",
-    "slq",
     "solve_moment_matching",
     "spectral_norm_upper_bound",
     "tridiag_eig",
-    "vr_slq",
     "wasserstein1",
 ]
 

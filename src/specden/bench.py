@@ -21,7 +21,7 @@ import numpy as np
 from . import datasets
 from .metrics import exact_density, wasserstein1
 from .randgen import SeededStream
-from .sde import ALGORITHMS, SdeConfig, run
+from .sde import ALGORITHMS, BudgetExhaustedError, SdeConfig, run
 
 PROFILES = {
     # Full benchmark protocol: 15 Hutchinson vectors / 15 Krylov iterations /
@@ -370,7 +370,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,6 @@ class TridiagonalFactorization:
     alpha: np.ndarray
     eta: np.ndarray
     Q: np.ndarray
-    m_requested: int
 
     @property
     def m_effective(self):
@@ -73,7 +72,6 @@ class LockstepFactorization:
     eta: np.ndarray
     basis: np.ndarray
     m_effective: np.ndarray
-    m_requested: int
     reorth_repeats: np.ndarray
 
     def trial(self, t):
@@ -82,7 +80,6 @@ class LockstepFactorization:
             alpha=self.alpha[t, :m],
             eta=self.eta[t, : m - 1],
             Q=self.basis[t, :m].T,
-            m_requested=self.m_requested,
         )
 
 
@@ -193,7 +190,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
                 scale[t] = max(scale[t], eta[t, i - 1])
             scale[t] = max(scale[t], abs(a))
             m_eff[t] = i + 1
-    return LockstepFactorization(alpha, eta, Q, m_eff, m, repeats)
+    return LockstepFactorization(alpha, eta, Q, m_eff, repeats)
 
 
 def tridiag_eig(fact):

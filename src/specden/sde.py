@@ -1,10 +1,12 @@
 """End-to-end spectral density estimators under a matvec budget.
 
-Six algorithms share one entry point: Chebyshev moment matching (cmm),
-kernel polynomial method (kpm), both with explicit deflation (def_cmm,
-def_kpm), stochastic Lanczos quadrature (slq), and its variance-reduced
-variant (vr_slq).  Budgets are per invocation; multi-trial averaging gives
-each trial the full budget and reports the merged ledger.
+``run`` is the one entry point for six algorithms in two families.  The
+moment family is Chebyshev moment matching (cmm) and the kernel polynomial
+method (kpm), each plain or after explicit block-Krylov deflation (def_cmm,
+def_kpm); plain cmm/kpm are the deflated methods at block size 0.  The
+Lanczos family is stochastic Lanczos quadrature (slq) and its
+variance-reduced variant (vr_slq).  Budgets are per invocation; multi-trial
+averaging gives each trial the full budget and reports the merged ledger.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .block_krylov import DEFAULT_BETA, block_krylov_deflation
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
+# sde.lanczos has no caller; it stays while perfbench/tracing.py wraps it.
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
 from .metrics import DiscreteDistribution, average_densities
 from .moment_matching import kpm_density, rescale_density, solve_moment_matching
@@ -66,7 +69,6 @@ class SdeConfig:
     algorithm: str
     budget: int
     trials: int = None
-    deflation_block: int = None
     grid_d: int = 2000
     seed: int = 0
 
@@ -79,8 +81,6 @@ class SdeConfig:
             raise ValueError("budget must be at least 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.deflation_block is not None and self.deflation_block < 0:
-            raise ValueError("deflation block size must be nonnegative")
         if self.grid_d < 1:
             raise ValueError("grid resolution must be positive")
 
@@ -99,44 +99,23 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def slq(A, m, stream, ledger=None):
-    """Stochastic Lanczos quadrature density from one random start.
-
-    f = sum_j w_j^2 delta(x - lambda_j(T)) with w_j the first component of
-    the j-th eigenvector of T; consumes m applications (fewer on breakdown).
-    """
-    g = unit_sphere_vector(A.dimension, stream)
-    return _slq_density(lanczos(A, g, m, ledger=ledger))
-
-
 def _slq_density(fact):
+    """SLQ density of one Lanczos run: sum_j w_j^2 delta(x - lambda_j(T)).
+
+    w_j is the first component of the j-th eigenvector of T.
+    """
     ritz = tridiag_eig(fact)
     return DiscreteDistribution(ritz.values.copy(), ritz.weights)
 
 
-def vr_slq(A, m, l, beta=DEFAULT_BETA, stream=None, ledger=None):
-    """Variance-reduced SLQ: converged top Ritz atoms get weight exactly 1/n.
+def _vr_density(A, fact, l, beta, ledger):
+    """vr_slq's density from one Lanczos run, and the size of its set S.
 
     A top-magnitude Ritz pair (lambda_j, Q v_j) joins the converged set S
     when its residual ||A Q v_j - lambda_j Q v_j|| is at most
     ||A||_est / n^beta and its quadrature weight w_j^2 is at most
     VR_C sqrt(log(l / VR_DELTA)) / n.  Atoms in S get mass 1/n; the
     remaining atoms keep their SLQ weights rescaled so total mass is 1.
-    Consumes m applications for Lanczos plus one per residual test.
-    """
-    if stream is None:
-        stream = SeededStream(0)
-    if not 1 <= l <= m:
-        raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
-    g = unit_sphere_vector(A.dimension, stream)
-    fact = lanczos(A, g, m, ledger=ledger)
-    density, _ = _vr_density(A, fact, l, beta, ledger)
-    return density
-
-
-def _vr_density(A, fact, l, beta, ledger):
-    """vr_slq's density from one Lanczos run, and the size of its set S.
-
     The top min(l, m_effective) Ritz vectors are tested in one block
     product, charging one ``residual_test`` unit each.
     """
@@ -182,132 +161,93 @@ def _vr_density(A, fact, l, beta, ledger):
     return DiscreteDistribution(values.copy(), out_weights), s
 
 
-def _moment_stage(A, n, s, budget, d, method, stream, ledger, zero_below=0.0):
-    """Shared tail of the moment-based estimators.
-
-    Estimates the norm of A (the possibly deflated operator), spends the
-    rest of ``budget`` on N = remaining // b Chebyshev moments of (1/L) A
-    with b = DEFAULT_HUTCHINSON_B, removes the contribution of s deflated
-    zero eigenvalues, reconstructs a grid density, and rescales to [-L, L].
-    An operator whose norm bound L is at most ``zero_below`` is taken as
-    zero: every eigenvalue lies in [-L, L], so the point mass at 0 is within
-    L of its density in W1, and no moment is estimated.  Returns
-    (density, L, N).
-    """
-    L = spectral_norm_upper_bound(A, ledger, stream.substream(2))
-    if L <= zero_below:
-        return DiscreteDistribution.point_mass(0.0), L, 0
-    b = DEFAULT_HUTCHINSON_B
-    remaining = budget - norm_estimate_cost(n)
-    N = remaining // b
-    if N < 1:
-        raise BudgetExhaustedError(
-            f"no budget left for moment estimation: {remaining} applications "
-            f"remain after norm estimation but {b} per moment are needed; "
-            f"consumption so far:\n{ledger.report() if ledger else '(no ledger)'}"
-        )
-    moments = estimate_moments(
-        ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger
-    )
-    adjusted = adjust_moments_for_deflation(moments, n, s)
-    if method == "cmm":
-        grid = solve_moment_matching(adjusted, d)
-    else:
-        grid = kpm_density(adjusted, d)
-    return rescale_density(grid, L), L, N
-
-
-def cmm(A, budget, stream, ledger=None, d=2000):
-    """Plain Chebyshev moment matching on the whole spectrum."""
-    density, _, _ = _moment_stage(A, A.dimension, 0, budget, d, "cmm", stream, ledger)
-    return density
-
-
-def kpm(A, budget, stream, ledger=None, d=2000):
-    """Plain Jackson-damped kernel polynomial density."""
-    density, _, _ = _moment_stage(A, A.dimension, 0, budget, d, "kpm", stream, ledger)
-    return density
-
-
-def _allocate_block_size(n, budget, q, b):
+def _allocate_block_size(n, budget):
     """Largest block size l fitting the 1:3 moments-to-Krylov budget split.
 
     Block Lanczos to depth q spends one application per basis column, at
     most min(n, l(2q + 1)); the worst case adds both norm estimates and one
-    moment.
+    moment.  Raises BudgetExhaustedError when not even l = 1 fits.
     """
+    q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
     per_column = 2 * q + 1
     target = max(1, int((1.0 - MOMENT_SHARE) * budget) // per_column)
     for l in range(min(n, target), 0, -1):
         worst = 2 * norm_estimate_cost(n) + min(n, l * per_column) + b
         if worst <= budget:
             return l
-    return 0
+    raise BudgetExhaustedError(
+        f"budget {budget} cannot fund even a rank-1 Krylov block at depth "
+        f"{q} ({per_column} applications per column) plus norm estimation "
+        f"({2 * norm_estimate_cost(n)}) and one moment ({b})"
+    )
 
 
-def sde_with_deflation(A, config, ledger=None, stream=None):
-    """Moment matching (or KPM) after explicit block-Krylov deflation.
+def _moment_estimate(A, l, method, budget, d, stream, ledger):
+    """cmm or kpm density after deflating A with a rank-l Krylov block.
 
-    Converged large-magnitude eigenpairs become s exact atoms of mass 1/n
-    each; the deflated remainder is handled by the moment pipeline and
-    contributes the other (n - s)/n of the mass.  A remainder whose norm
-    bound is within the deflation gate ||A||_est / n^beta is a point mass
-    at 0, estimated with no moments.
+    With l > 0, block Lanczos to depth DEFAULT_KRYLOV_DEPTH finds s
+    converged large-magnitude eigenpairs; they become exact atoms of mass
+    1/n each, and the deflated remainder carries the other (n - s)/n of the
+    mass.  l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
+    estimates the remainder's norm bound L, spends the rest of ``budget`` on
+    N = remaining // b Chebyshev moments of (1/L) A with
+    b = DEFAULT_HUTCHINSON_B, removes the contribution of the s deflated
+    zero eigenvalues, reconstructs a density on a d-point grid and rescales
+    it to [-L, L].  A remainder whose L is within the deflation gate
+    ||A||_est / n^beta (with l = 0: the zero operator) lies within L of the
+    point mass at 0 in W1, which stands in for it with no moment.  Returns
+    (density, facts); facts holds L and N, and l and s when l > 0.
     """
-    if config.algorithm not in ("def_cmm", "def_kpm"):
-        raise ValueError(f"algorithm {config.algorithm!r} does not use deflation")
-    method = "cmm" if config.algorithm == "def_cmm" else "kpm"
-    if ledger is None:
-        ledger = BudgetLedger()
-    if stream is None:
-        stream = SeededStream(config.seed)
     n = A.dimension
-    budget = config.budget
-    b, q, beta = DEFAULT_HUTCHINSON_B, DEFAULT_KRYLOV_DEPTH, DEFAULT_BETA
+    b = DEFAULT_HUTCHINSON_B
     start = ledger.total
+    s, zero_below, facts = 0, 0.0, {}
+    if l > 0:
+        defl = block_krylov_deflation(
+            A, l, q=DEFAULT_KRYLOV_DEPTH, beta=DEFAULT_BETA,
+            stream=stream.substream(1), ledger=ledger,
+        )
+        s = defl.s
+        facts = {"l": l, "s": s}
+        if s >= n:
+            density = DiscreteDistribution(defl.lambdas.copy(), np.full(n, 1.0 / n))
+            return density, dict(facts, N=0, L=0.0)
+        if s > 0:
+            A = deflate(A, defl.Z)
+        zero_below = defl.norm_estimate / n**DEFAULT_BETA
 
-    l = config.deflation_block
-    if l is None:
-        l = _allocate_block_size(n, budget, q, b)
-    if l < 1:
+    remaining = budget - (ledger.total - start) - norm_estimate_cost(n)
+    N = remaining // b
+    if N < 1:
         raise BudgetExhaustedError(
-            f"budget {budget} cannot fund even a rank-1 Krylov block at depth "
-            f"{q} ({2 * q + 1} applications per column) plus norm estimation "
-            f"({2 * norm_estimate_cost(n)}) and one moment ({b})"
+            f"no budget left for moment estimation: {remaining} applications "
+            f"remain after norm estimation but {b} per moment are needed; "
+            f"consumption so far:\n{ledger.report()}"
         )
-
-    defl = block_krylov_deflation(
-        A, l, q=q, beta=beta, stream=stream.substream(1), ledger=ledger
-    )
-    s = defl.s
-    diagnostics = {"l": l, "q": q, "s": s, "norm_estimate": defl.norm_estimate}
-
-    if s >= n:
-        density = DiscreteDistribution(defl.lambdas.copy(), np.full(n, 1.0 / n))
-        diagnostics.update(L=0.0, N=0)
-        return SdeEstimate(density, ledger, diagnostics)
-
-    deflated = deflate(A, defl.Z) if s > 0 else A
-    remaining = budget - (ledger.total - start)
-    gate = defl.norm_estimate / n**beta
-    tail, L, N = _moment_stage(
-        deflated, n, s, remaining, config.grid_d, method, stream, ledger,
-        zero_below=gate,
-    )
-    diagnostics.update(L=L, N=N)
-
-    if s == 0:
-        density = tail
+    L = spectral_norm_upper_bound(A, ledger, stream.substream(2))
+    if L <= zero_below:
+        density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
-        locations = np.concatenate([defl.lambdas, tail.locations])
-        weights = np.concatenate(
-            [np.full(s, 1.0 / n), tail.weights * ((n - s) / n)]
+        moments = estimate_moments(
+            ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger
         )
-        density = DiscreteDistribution(locations, weights)
+        adjusted = adjust_moments_for_deflation(moments, n, s)
+        if method == "cmm":
+            grid = solve_moment_matching(adjusted, d)
+        else:
+            grid = kpm_density(adjusted, d)
+        density = rescale_density(grid, L)
+    facts.update(N=N, L=L)
+
+    if s > 0:
+        density = DiscreteDistribution(
+            np.concatenate([defl.lambdas, density.locations]),
+            np.concatenate([np.full(s, 1.0 / n), density.weights * ((n - s) / n)]),
+        )
     spent = ledger.total - start
     if spent > budget:
         raise RuntimeError(f"ledger total {spent} exceeded budget {budget}")
-    return SdeEstimate(density, ledger, diagnostics)
+    return density, facts
 
 
 def _vr_sizing(budget, n):
@@ -322,8 +262,8 @@ def _vr_sizing(budget, n):
 def _lanczos_trials(A, config, root, ledgers, diagnostics):
     """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
 
-    Trial t starts from the same vector a single-trial run draws from
-    ``root.substream(t)`` and charges ``ledgers[t]``.  Returns the densities
+    Trial t starts from a unit vector drawn from ``root.substream(t)`` and
+    charges ``ledgers[t]``.  Returns the densities
     and the per-trial diagnostics.
     """
     n = A.dimension
@@ -373,25 +313,21 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
 
 
 def _moment_trials(A, config, root, ledgers, diagnostics):
-    """cmm or kpm: trial t runs the moment stage from ``root.substream(t)``."""
+    """cmm, kpm, def_cmm or def_kpm: trial t runs from ``root.substream(t)``.
+
+    Plain cmm/kpm are def_cmm/def_kpm with block size l = 0.
+    """
+    method = config.algorithm.removeprefix("def_")
+    l = 0
+    if method != config.algorithm:
+        l = _allocate_block_size(A.dimension, config.budget)
     densities, per_trial = [], []
     for t, ledger in enumerate(ledgers):
-        density, L, N = _moment_stage(
-            A, A.dimension, 0, config.budget, config.grid_d, config.algorithm,
-            root.substream(t), ledger,
+        density, facts = _moment_estimate(
+            A, l, method, config.budget, config.grid_d, root.substream(t), ledger
         )
         densities.append(density)
-        per_trial.append({"L": L, "N": N})
-    return densities, per_trial
-
-
-def _deflation_trials(A, config, root, ledgers, diagnostics):
-    """def_cmm or def_kpm: trial t deflates from ``root.substream(t)``."""
-    densities, per_trial = [], []
-    for t, ledger in enumerate(ledgers):
-        est = sde_with_deflation(A, config, ledger, root.substream(t))
-        densities.append(est.density)
-        per_trial.append({k: est.diagnostics[k] for k in ("l", "s", "N", "L")})
+        per_trial.append(facts)
     return densities, per_trial
 
 
@@ -401,8 +337,8 @@ def _deflation_trials(A, config, root, ledgers, diagnostics):
 TRIAL_RUNNERS = {
     "cmm": _moment_trials,
     "kpm": _moment_trials,
-    "def_cmm": _deflation_trials,
-    "def_kpm": _deflation_trials,
+    "def_cmm": _moment_trials,
+    "def_kpm": _moment_trials,
     "slq": _lanczos_trials,
     "vr_slq": _lanczos_trials,
 }
@@ -442,7 +378,7 @@ def run(A, config):
 def schatten1_estimate(A, eps, ledger=None, seed=0):
     """Estimate the Schatten-1 norm (sum of singular values) of A.
 
-    Runs the deflation pipeline with block size ceil(sqrt(n) / eps) and
+    Runs the def_cmm pipeline with block size ceil(sqrt(n) / eps) and
     enough moments for accuracy ~1/sqrt(n) on the deflated tail, then
     returns n times the mean absolute atom location.
     """
@@ -457,6 +393,8 @@ def schatten1_estimate(A, eps, ledger=None, seed=0):
     b = DEFAULT_HUTCHINSON_B
     N = math.ceil(math.sqrt(n))
     budget = 2 * norm_estimate_cost(n) + min(n, l * (2 * q + 1)) + N * b
-    config = SdeConfig("def_cmm", budget=budget, deflation_block=l, seed=seed)
-    est = sde_with_deflation(A, config, ledger)
-    return n * est.density.mean_abs()
+    density, _ = _moment_estimate(
+        A, l, "cmm", budget, SdeConfig.grid_d, SeededStream(seed),
+        BudgetLedger() if ledger is None else ledger,
+    )
+    return n * density.mean_abs()

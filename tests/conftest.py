@@ -42,8 +42,9 @@ def dense_from_eigendecomposition(eigs, V):
 def equal_weight_ritz_density(A, m, stream):
     """Ritz values of m Lanczos steps from slq's start, each of mass 1/m_eff.
 
-    The start vector is the one ``slq(A, m, stream)`` draws; at m = n the
-    Ritz values are the spectrum, so this recovers the exact density.
+    The start vector is the one an slq trial drawing from ``stream`` uses;
+    at m = n the Ritz values are the spectrum, so this recovers the exact
+    density.
     """
     g = unit_sphere_vector(A.dimension, stream)
     values = tridiag_eig(lanczos(A, g, m)).values

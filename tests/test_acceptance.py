@@ -17,8 +17,6 @@ from specden import (
     SeededStream,
     run,
     schatten1_estimate,
-    slq,
-    vr_slq,
     wasserstein1,
 )
 from specden.block_krylov import block_krylov_deflation
@@ -210,13 +208,13 @@ def test_criterion_10_budget_honesty():
     A, _ = random_symmetric(50, seed=1000)
     g_stream = SeededStream(1000)
 
-    ledger = BudgetLedger()
-    slq(A, 20, g_stream, ledger)
-    assert ledger.total == 20
+    est = run(A, SdeConfig("slq", budget=20, trials=1, seed=1000))
+    assert est.diagnostics["m"] == 20
+    assert est.ledger.total == 20
 
-    ledger = BudgetLedger()
-    vr_slq(A, 20, 10, stream=g_stream, ledger=ledger)
-    assert ledger.total == 20 + 10  # m + |tested|, no breakdown on dense A
+    est = run(A, SdeConfig("vr_slq", budget=30, trials=1, seed=1000))
+    assert (est.diagnostics["m"], est.diagnostics["l"]) == (20, 10)
+    assert est.ledger.total == 20 + 10  # m + |tested|, no breakdown on dense A
 
     ledger = BudgetLedger()
     l, q = 4, 6

@@ -52,6 +52,27 @@ def test_estimate_rejects_bad_flags(tmp_path):
     )
 
 
+def test_too_small_budget_is_an_error_not_a_traceback(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert (
+        run_cli(
+            "estimate", "--matrix", "low_rank:200", "--algo", "def_cmm",
+            "--budget", "5", "--out", str(out),
+        )
+        == 2
+    )
+    assert capsys.readouterr().err.startswith("error: budget 5 cannot fund")
+    assert (
+        run_cli(
+            "sweep", "--matrix", "low_rank:200", "--algo", "cmm",
+            "--budgets", "10", "--seed", "1", "--profile", "ci", "--out", str(out),
+        )
+        == 2
+    )
+    assert capsys.readouterr().err.startswith("error: no budget left")
+    assert not out.exists()
+
+
 def test_sweep_schema_and_budget_honesty(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(

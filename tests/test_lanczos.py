@@ -157,9 +157,7 @@ def test_budget_is_exactly_m():
 
 
 def test_tridiag_eig_hand_case():
-    fact = TridiagonalFactorization(
-        alpha=np.zeros(2), eta=np.array([1.0]), Q=np.eye(2), m_requested=2
-    )
+    fact = TridiagonalFactorization(alpha=np.zeros(2), eta=np.array([1.0]), Q=np.eye(2))
     ritz = tridiag_eig(fact)
     np.testing.assert_allclose(ritz.values, [1.0, -1.0], atol=1e-14)
     np.testing.assert_allclose(ritz.weights, [0.5, 0.5], atol=1e-14)
@@ -170,7 +168,6 @@ def test_tridiag_eig_diagonal_case():
         alpha=np.array([3.0, 2.0, 1.0]),
         eta=np.zeros(2),
         Q=np.eye(3),
-        m_requested=3,
     )
     ritz = tridiag_eig(fact)
     np.testing.assert_allclose(ritz.values, [3.0, 2.0, 1.0])
@@ -183,7 +180,6 @@ def test_tridiag_eig_residuals_and_weight_sum():
         alpha=rng.uniform(-1, 1, 50),
         eta=rng.uniform(0.01, 1, 49),
         Q=np.eye(50),
-        m_requested=50,
     )
     ritz = tridiag_eig(fact)
     T = fact.tridiagonal()

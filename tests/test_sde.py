@@ -7,22 +7,44 @@ from specden import (
     SdeConfig,
     SeededStream,
     average_densities,
-    cmm,
+    block_krylov_deflation,
     exact_density,
     run,
     schatten1_estimate,
-    sde_with_deflation,
-    slq,
-    vr_slq,
     wasserstein1,
 )
 from specden import sde
 from specden.lanczos import TridiagonalFactorization, lanczos, tridiag_eig
 from specden.metrics import DiscreteDistribution
 from specden.operators import norm_estimate_cost
-from specden.sde import BudgetExhaustedError, _vr_density, _vr_sizing
+from specden.randgen import unit_sphere_vector
+from specden.sde import (
+    BudgetExhaustedError,
+    _allocate_block_size,
+    _moment_estimate,
+    _slq_density,
+    _vr_density,
+    _vr_sizing,
+)
 
 from conftest import equal_weight_ritz_density, random_symmetric
+
+
+def lanczos_trial(A, m, stream, ledger=None):
+    """One trial's Lanczos run from the start vector run() draws from ``stream``."""
+    g = unit_sphere_vector(A.dimension, stream)
+    return lanczos(A, g, m, ledger=ledger)
+
+
+def slq_density(A, m, stream, ledger=None):
+    """One slq trial's density from the start vector run() draws."""
+    return _slq_density(lanczos_trial(A, m, stream, ledger))
+
+
+def vr_slq_density(A, m, l, stream, beta=sde.DEFAULT_BETA, ledger=None):
+    """One vr_slq trial's density from the start vector run() draws."""
+    density, _ = _vr_density(A, lanczos_trial(A, m, stream, ledger), l, beta, ledger)
+    return density
 
 
 def test_slq_hand_case_through_lanczos():
@@ -37,11 +59,11 @@ def test_slq_hand_case_through_lanczos():
 
 def test_slq_weights_sum_and_trial_averaging():
     A, _ = random_symmetric(12, seed=31)
-    single = slq(A, 12, SeededStream(0))
+    single = slq_density(A, 12, SeededStream(0))
     assert single.weights.sum() == pytest.approx(1.0, abs=1e-10)
-    few = average_densities([slq(A, 12, SeededStream(0).substream(t)) for t in range(2)])
+    few = average_densities([slq_density(A, 12, SeededStream(0).substream(t)) for t in range(2)])
     many = average_densities(
-        [slq(A, 12, SeededStream(0).substream(t)) for t in range(300)]
+        [slq_density(A, 12, SeededStream(0).substream(t)) for t in range(300)]
     )
     exact = exact_density(A)
     assert wasserstein1(many, exact) <= 0.05
@@ -57,7 +79,7 @@ def test_slq_uniform_weight_diagnostic_recovers_spectrum():
 def test_slq_budget_and_support_containment():
     A, spectrum = random_symmetric(40, seed=33)
     ledger = BudgetLedger()
-    f = slq(A, 18, SeededStream(3), ledger)
+    f = slq_density(A, 18, SeededStream(3), ledger)
     assert ledger.total == 18
     top = np.max(np.abs(spectrum))
     assert np.max(np.abs(f.locations)) <= top + 1e-10
@@ -67,7 +89,7 @@ def test_vr_slq_gates_low_rank_atoms_at_exactly_one_over_n():
     entries = np.zeros(50)
     entries[:3] = [1.0, -0.7, 0.4]
     A = DiagonalOperator(entries)
-    f = vr_slq(A, 20, 5, stream=SeededStream(4))
+    f = vr_slq_density(A, 20, 5, SeededStream(4))
     for target in entries[:3]:
         idx = np.argmin(np.abs(f.locations - target))
         assert abs(f.locations[idx] - target) <= 1e-8
@@ -78,8 +100,8 @@ def test_vr_slq_gates_low_rank_atoms_at_exactly_one_over_n():
 def test_vr_slq_empty_gate_equals_slq():
     A, _ = random_symmetric(40, seed=35)
     # beta huge -> residual threshold below machine precision, nothing admits.
-    f_vr = vr_slq(A, 10, 5, beta=50.0, stream=SeededStream(8))
-    f_slq = slq(A, 10, SeededStream(8))
+    f_vr = vr_slq_density(A, 10, 5, SeededStream(8), beta=50.0)
+    f_slq = slq_density(A, 10, SeededStream(8))
     np.testing.assert_allclose(f_vr.locations, f_slq.locations)
     np.testing.assert_allclose(f_vr.weights, f_slq.weights)
 
@@ -90,20 +112,18 @@ def test_vr_slq_budget_is_m_plus_tested():
     A = DiagonalOperator(entries)
     ledger = BudgetLedger()
     m, l = 20, 5
-    vr_slq(A, m, l, stream=SeededStream(4), ledger=ledger)
+    vr_slq_density(A, m, l, SeededStream(4), ledger=ledger)
     # Krylov space has dimension 4 here, so Lanczos breaks down at 4 and
     # only min(l, 4) residual tests run.
     assert ledger.counts["lanczos"] == 4
     assert ledger.counts["residual_test"] == 4
-    with pytest.raises(ValueError):
-        vr_slq(A, 5, 6, stream=SeededStream(0))
 
 
 def test_vr_slq_every_atom_converged_gives_exact_density():
     # Full Krylov space: all n Ritz pairs pass both gates, so S has n atoms
     # and no mass is left to park at zero.
     A = DiagonalOperator(np.array([1.0, 0.5, -0.3, -0.8]))
-    f = vr_slq(A, 4, 4, stream=SeededStream(2))
+    f = vr_slq_density(A, 4, 4, SeededStream(2))
     np.testing.assert_allclose(np.sort(f.locations), [-0.8, -0.3, 0.5, 1.0], atol=1e-12)
     np.testing.assert_array_equal(f.weights, np.full(4, 0.25))
 
@@ -113,7 +133,7 @@ def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
     # left outside S is spread uniformly over the unconverged atoms.
     A = DiagonalOperator(np.array([1.0, 0.5]))
     fact = TridiagonalFactorization(
-        alpha=np.array([1.0, 0.5]), eta=np.array([1e-200]), Q=np.eye(2), m_requested=2
+        alpha=np.array([1.0, 0.5]), eta=np.array([1e-200]), Q=np.eye(2)
     )
     ledger = BudgetLedger()
     f, converged = _vr_density(A, fact, 1, 1.0, ledger)
@@ -135,13 +155,14 @@ def test_sde_with_deflation_on_exact_low_rank():
     entries = np.zeros(n)
     entries[:r] = [1.0, -0.8, 0.6, 0.5]
     A = DiagonalOperator(entries)
-    config = SdeConfig("def_cmm", budget=400, deflation_block=r, seed=2)
-    est = sde_with_deflation(A, config)
-    assert est.diagnostics["s"] >= r
+    budget, d = 400, 2000
+    ledger = BudgetLedger()
+    density, facts = _moment_estimate(A, r, "cmm", budget, d, SeededStream(2), ledger)
+    assert facts["s"] >= r
     exact = exact_density(A)
-    L = max(est.diagnostics["L"], 1e-12)
-    assert wasserstein1(est.density, exact) <= 2 * L / config.grid_d + 1e-4 * 1.0
-    assert est.ledger.total <= config.budget
+    L = max(facts["L"], 1e-12)
+    assert wasserstein1(density, exact) <= 2 * L / d + 1e-4 * 1.0
+    assert ledger.total <= budget
 
 
 def test_sde_with_deflation_zero_remainder_takes_no_moments():
@@ -151,44 +172,57 @@ def test_sde_with_deflation_zero_remainder_takes_no_moments():
     entries = np.zeros(n)
     entries[:5] = [1.0, -0.9, 0.45, 0.3, -0.2]
     A = DiagonalOperator(entries)
-    config = SdeConfig("def_cmm", budget=300, seed=4)
+    budget = 300
+    l = _allocate_block_size(n, budget)
     ledger = BudgetLedger()
-    est = sde_with_deflation(A, config, ledger)
-    assert 5 <= est.diagnostics["s"] < n
-    assert est.diagnostics["N"] == 0
+    density, facts = _moment_estimate(A, l, "cmm", budget, 2000, SeededStream(4), ledger)
+    assert 5 <= facts["s"] < n
+    assert facts["N"] == 0
     assert "moments" not in ledger.counts
-    assert ledger.total <= config.budget
-    gate = est.diagnostics["norm_estimate"] / n**sde.DEFAULT_BETA
-    assert est.diagnostics["L"] <= gate
-    assert wasserstein1(est.density, exact_density(A)) <= gate
+    assert ledger.total <= budget
+    # The same deflation, rerun on its own, gives the gate's norm estimate.
+    defl = block_krylov_deflation(
+        A, l, q=sde.DEFAULT_KRYLOV_DEPTH, stream=SeededStream(4).substream(1)
+    )
+    gate = defl.norm_estimate / n**sde.DEFAULT_BETA
+    assert facts["L"] <= gate
+    assert wasserstein1(density, exact_density(A)) <= gate
 
 
 def test_sde_with_deflation_s_zero_equals_plain_cmm(monkeypatch):
     A, _ = random_symmetric(60, seed=41)
     # beta so strict that no Ritz pair is ever admitted.
     monkeypatch.setattr(sde, "DEFAULT_BETA", 50.0)
-    config = SdeConfig("def_cmm", budget=300, deflation_block=2, seed=9)
+    budget, d = 300, 2000
     ledger = BudgetLedger()
-    est = sde_with_deflation(A, config, ledger)
-    assert est.diagnostics["s"] == 0
+    density, facts = _moment_estimate(A, 2, "cmm", budget, d, SeededStream(9), ledger)
+    assert facts["s"] == 0
     assert "rayleigh_ritz" not in ledger.counts
     spent_on_krylov = ledger.counts["krylov_subspace"] + norm_estimate_cost(60)
-    remaining = config.budget - spent_on_krylov
-    plain = cmm(A, remaining, SeededStream(9), d=config.grid_d)
-    np.testing.assert_allclose(est.density.locations, plain.locations)
-    np.testing.assert_allclose(est.density.weights, plain.weights)
+    remaining = budget - spent_on_krylov
+    plain, _ = _moment_estimate(A, 0, "cmm", remaining, d, SeededStream(9), BudgetLedger())
+    np.testing.assert_allclose(density.locations, plain.locations)
+    np.testing.assert_allclose(density.weights, plain.weights)
 
 
 def test_sde_with_deflation_budget_exhaustion():
     A, _ = random_symmetric(60, seed=42)
     with pytest.raises(BudgetExhaustedError):
-        sde_with_deflation(A, SdeConfig("def_cmm", budget=5, seed=0))
+        run(A, SdeConfig("def_cmm", budget=5, seed=0))
 
 
-def test_sde_with_deflation_rejects_wrong_algorithm():
-    A, _ = random_symmetric(10, seed=1)
-    with pytest.raises(ValueError):
-        sde_with_deflation(A, SdeConfig("slq", budget=50))
+def test_moment_trial_too_small_for_one_moment_spends_nothing():
+    # Norm estimation alone needs 16 products at n = 200, more than budget.
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 200))
+    ledger = BudgetLedger()
+    with pytest.raises(BudgetExhaustedError):
+        _moment_estimate(A, 0, "cmm", 10, 2000, SeededStream(0), ledger)
+    assert ledger.total == 0
+    # The least budget that runs is one norm estimate plus one moment.
+    least = norm_estimate_cost(200) + sde.DEFAULT_HUTCHINSON_B
+    with pytest.raises(BudgetExhaustedError):
+        run(A, SdeConfig("kpm", budget=least - 1))
+    assert run(A, SdeConfig("kpm", budget=least)).diagnostics["per_trial"][0]["N"] == 1
 
 
 def test_config_validation():
@@ -232,9 +266,9 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
             stream = SeededStream(7).substream(t)
             m, l = (min(budget, 30), 0) if algo == "slq" else _vr_sizing(budget, 30)
             if l == 0:
-                slq(A, m, stream, ledger)
+                lanczos_trial(A, m, stream, ledger)
             else:
-                vr_slq(A, m, l, stream=stream, ledger=ledger)
+                vr_slq_density(A, m, l, stream, ledger=ledger)
             assert facts["m_effective"] == ledger.counts["lanczos"]
             # At most one repeated Gram-Schmidt pass per step after the first.
             assert 0 <= facts["reorth_repeats"] < facts["m_effective"]
