@@ -1,7 +1,7 @@
 """Matrix-free spectral density estimation under an exact matvec budget."""
 
 from .block_krylov import DeflationResult, block_krylov_deflation
-from .chebyshev import MomentVector, estimate_moments
+from .chebyshev import estimate_moments
 from .lanczos import lanczos, tridiag_eig
 from .metrics import (
     DiscreteDistribution,
@@ -37,7 +37,6 @@ __all__ = [
     "DenseOperator",
     "DiagonalOperator",
     "DiscreteDistribution",
-    "MomentVector",
     "SdeConfig",
     "SdeEstimate",
     "SeededStream",

@@ -26,12 +26,15 @@ class DiscreteDistribution:
     """Finite list of (location, weight) atoms.
 
     Locations are sorted and near-duplicates merged on construction; weights
-    must be nonnegative and, when ``normalized``, sum to 1 within 1e-9.
+    must be nonnegative and sum to 1 within 1e-9.
     """
 
     locations: np.ndarray
     weights: np.ndarray
-    normalized: bool = True
+
+    # Not a setting: construction rejects weights that do not sum to 1.  It
+    # stays readable because perfbench/worker.py checks it on every estimate.
+    normalized = True
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float).ravel()
@@ -46,7 +49,7 @@ class DiscreteDistribution:
             raise DistributionError("weights must be nonnegative")
         w = np.clip(w, 0.0, None)
         loc, w = _merge_atoms(loc, w)
-        if self.normalized and abs(w.sum() - 1.0) > 1e-9:
+        if abs(w.sum() - 1.0) > 1e-9:
             raise DistributionError(f"weights sum to {w.sum():.12g}, expected 1")
         self.locations = loc
         self.weights = w
@@ -108,7 +111,7 @@ def wasserstein1(p, q):
     which is the closed form of the 1-D transport problem.
     """
     for d in (p, q):
-        if not d.normalized or abs(d.weights.sum() - 1.0) > 1e-9:
+        if abs(d.weights.sum() - 1.0) > 1e-9:
             raise DistributionError("wasserstein1 requires normalized inputs")
     support = np.concatenate([p.locations, q.locations])
     support = np.unique(support)

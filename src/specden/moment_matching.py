@@ -1,56 +1,26 @@
 """Density recovery on a grid from approximate Chebyshev moments.
 
 Two reconstructions: a weighted-l1 moment-matching linear program over the
-probability simplex, and the Jackson-damped kernel polynomial method.
+probability simplex, and the Jackson-damped kernel polynomial method.  Both
+take the moments as a float array tau_1 ... tau_N (tau_0 = 1/sqrt(pi) is
+implicit) and return a grid density: d + 1 nonnegative weights summing to 1
+on ``grid_points(d)``, the evenly spaced grid {-1, -1 + 2/d, ..., 1}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from .chebyshev import TBAR0, MomentVector, cheb_normalized, cheb_normalized_rows
+from .chebyshev import TBAR0, cheb_normalized_rows
 from .metrics import DiscreteDistribution
-
-LP_TOL = 1e-7
-
-# Benchmark grid resolution; tests and CI runs use something much smaller.
-DEFAULT_GRID_D = 20000
 
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass
-class GridDensity:
-    """Probability weights on the evenly spaced grid {-1, -1+2/d, ..., 1}."""
-
-    d: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.size != self.d + 1:
-            raise ValueError(f"expected {self.d + 1} weights, got {self.weights.size}")
-        if np.any(self.weights < -1e-12):
-            raise ValueError("grid weights must be nonnegative")
-        self.weights = np.clip(self.weights, 0.0, None)
-        total = self.weights.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"grid weights sum to {total:.12g}, expected 1")
-
-    @property
-    def support(self):
-        return grid_points(self.d)
-
-    def moment(self, k):
-        """<Tbar_k, q> for this grid density."""
-        return float(cheb_normalized(k, self.support) @ self.weights)
 
 
 def grid_points(d):
@@ -63,20 +33,21 @@ def moment_matrix(N, d):
     return np.vstack([row / i for i, row in enumerate(rows, start=1)])
 
 
-def solve_moment_matching(moments, d):
-    """Minimize ||T q - z||_1 over the probability simplex.
+def solve_moment_matching(tau, d):
+    """Grid density q minimizing ||T q - z||_1 over the probability simplex.
 
-    z_i = tau_i / i.  Solved as a linear program in (q, t) with auxiliary
-    variables for the absolute values; the achieved objective is within
-    LP_TOL of optimal.
+    T = ``moment_matrix(N, d)`` and z_i = tau_i / i.  Solved by HiGHS as a
+    linear program in (q, t) with auxiliary variables for the absolute
+    values; no tolerance is passed, so the solve stops at HiGHS's default
+    tolerances.
     """
-    N = moments.N
+    N = tau.size
     if N < 1:
         raise ValueError("need at least one moment")
     if d < N:
         raise ValueError(f"grid resolution d={d} must be >= N={N}")
     T = moment_matrix(N, d)
-    z = moments.values / np.arange(1, N + 1)
+    z = tau / np.arange(1, N + 1)
 
     n_q = d + 1
     T_sp = sp.csr_matrix(T)
@@ -106,7 +77,7 @@ def solve_moment_matching(moments, d):
         )
     q = np.clip(res.x[:n_q], 0.0, None)
     q /= q.sum()
-    return GridDensity(d=d, weights=q)
+    return q
 
 
 def jackson_coefficients(N):
@@ -118,19 +89,19 @@ def jackson_coefficients(N):
     )
 
 
-def kpm_density(moments, d):
-    """Jackson-damped Chebyshev series reconstruction on the grid.
+def kpm_density(tau, d):
+    """Grid density of the Jackson-damped Chebyshev series of tau.
 
     Negative values are clipped to zero and the result renormalized.  The
     1/sqrt(1-x^2) weight is evaluated half a grid cell inside the endpoints
     to keep it finite.
     """
-    N = moments.N
+    N = tau.size
     x = grid_points(d)
     series = np.full(x.size, TBAR0 / math.sqrt(math.pi))
     damping = jackson_coefficients(N)
     for k, row in enumerate(cheb_normalized_rows(N, x), start=1):
-        series += damping[k - 1] * moments[k] * row
+        series += damping[k - 1] * tau[k - 1] * row
     half_cell = 1.0 / d
     x_w = np.clip(x, -1.0 + half_cell, 1.0 - half_cell)
     values = series / np.sqrt(1.0 - x_w**2)
@@ -139,11 +110,11 @@ def kpm_density(moments, d):
     if total == 0.0:
         values = np.ones_like(values)
         total = values.sum()
-    return GridDensity(d=d, weights=values / total)
+    return values / total
 
 
 def rescale_density(q, L):
-    """Stretch a grid density on [-1, 1] to atoms on [-L, L]."""
+    """Stretch grid weights q on [-1, 1] to atoms on [-L, L]."""
     if L <= 0:
         raise ValueError("scale L must be positive")
-    return DiscreteDistribution(q.support * L, q.weights.copy())
+    return DiscreteDistribution(grid_points(q.size - 1) * L, q.copy())

@@ -99,29 +99,25 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _slq_density(fact):
-    """SLQ density of one Lanczos run: sum_j w_j^2 delta(x - lambda_j(T)).
-
-    w_j is the first component of the j-th eigenvector of T.
-    """
-    ritz = tridiag_eig(fact)
-    return DiscreteDistribution(ritz.values.copy(), ritz.weights)
-
-
 def _vr_density(A, fact, l, beta, ledger):
     """vr_slq's density from one Lanczos run, and the size of its set S.
 
-    A top-magnitude Ritz pair (lambda_j, Q v_j) joins the converged set S
-    when its residual ||A Q v_j - lambda_j Q v_j|| is at most
-    ||A||_est / n^beta and its quadrature weight w_j^2 is at most
-    VR_C sqrt(log(l / VR_DELTA)) / n.  Atoms in S get mass 1/n; the
-    remaining atoms keep their SLQ weights rescaled so total mass is 1.
-    The top min(l, m_effective) Ritz vectors are tested in one block
-    product, charging one ``residual_test`` unit each.
+    The SLQ density of the run is sum_j w_j^2 delta(x - lambda_j(T)), where
+    w_j is the first component of the j-th eigenvector of T.  With l = 0
+    (slq) it is returned as is: S is empty and no product is spent.
+    Otherwise a top-magnitude Ritz pair (lambda_j, Q v_j) joins S when its
+    residual ||A Q v_j - lambda_j Q v_j|| is at most ||A||_est / n^beta and
+    its quadrature weight w_j^2 is at most VR_C sqrt(log(l / VR_DELTA)) / n.
+    Atoms in S get mass 1/n; the remaining atoms keep their SLQ weights
+    rescaled so total mass is 1.  The top min(l, m_effective) Ritz vectors
+    are tested in one block product, charging one ``residual_test`` unit
+    each.
     """
     n = A.dimension
     ritz = tridiag_eig(fact)
     values, weights = ritz.values, ritz.weights
+    if l == 0:
+        return DiscreteDistribution(values.copy(), weights), 0
     k = values.size
 
     # The tridiagonal's own norm is a free estimate of ||A|| for the
@@ -161,19 +157,30 @@ def _vr_density(A, fact, l, beta, ledger):
     return DiscreteDistribution(values.copy(), out_weights), s
 
 
-def _allocate_block_size(n, budget):
-    """Largest block size l fitting the 1:3 moments-to-Krylov budget split.
+def _deflated_trial_cost(n, l, N):
+    """Most applications a rank-l deflated moment trial with N moments spends.
 
     Block Lanczos to depth q spends one application per basis column, at
-    most min(n, l(2q + 1)); the worst case adds both norm estimates and one
-    moment.  Raises BudgetExhaustedError when not even l = 1 fits.
+    most min(n, l(2q + 1)); both norm estimates and the N moments of b
+    Hutchinson vectors each come on top.
+    """
+    per_column = 2 * DEFAULT_KRYLOV_DEPTH + 1
+    return (
+        2 * norm_estimate_cost(n) + min(n, l * per_column) + N * DEFAULT_HUTCHINSON_B
+    )
+
+
+def _allocate_block_size(n, budget):
+    """Largest block size l within the 1:3 moments-to-Krylov budget split
+    whose trial, with one moment, fits the budget.
+
+    Raises BudgetExhaustedError when not even l = 1 fits.
     """
     q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
     per_column = 2 * q + 1
     target = max(1, int((1.0 - MOMENT_SHARE) * budget) // per_column)
     for l in range(min(n, target), 0, -1):
-        worst = 2 * norm_estimate_cost(n) + min(n, l * per_column) + b
-        if worst <= budget:
+        if _deflated_trial_cost(n, l, 1) <= budget:
             return l
     raise BudgetExhaustedError(
         f"budget {budget} cannot fund even a rank-1 Krylov block at depth "
@@ -228,15 +235,15 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     if L <= zero_below:
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
-        moments = estimate_moments(
+        tau = estimate_moments(
             ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger
         )
-        adjusted = adjust_moments_for_deflation(moments, n, s)
+        tau = adjust_moments_for_deflation(tau, n, s)
         if method == "cmm":
-            grid = solve_moment_matching(adjusted, d)
+            q = solve_moment_matching(tau, d)
         else:
-            grid = kpm_density(adjusted, d)
-        density = rescale_density(grid, L)
+            q = kpm_density(tau, d)
+        density = rescale_density(q, L)
     facts.update(N=N, L=L)
 
     if s > 0:
@@ -301,12 +308,9 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
             "m_effective": fact.m_effective,
             "reorth_repeats": int(block.reorth_repeats[j]),
         }
-        if config.algorithm == "slq":
-            density = _slq_density(fact)
-        elif l == 0:
-            density, facts["converged"] = _slq_density(fact), 0
-        else:
-            density, facts["converged"] = _vr_density(A, fact, l, DEFAULT_BETA, ledger)
+        density, converged = _vr_density(A, fact, l, DEFAULT_BETA, ledger)
+        if config.algorithm == "vr_slq":
+            facts["converged"] = converged
         densities.append(density)
         per_trial.append(facts)
     return densities, per_trial
@@ -389,10 +393,7 @@ def schatten1_estimate(A, eps, ledger=None, seed=0):
     if l > n:
         warnings.warn(f"block size {l} exceeds dimension {n}; clamping to {n}")
         l = n
-    q = DEFAULT_KRYLOV_DEPTH
-    b = DEFAULT_HUTCHINSON_B
-    N = math.ceil(math.sqrt(n))
-    budget = 2 * norm_estimate_cost(n) + min(n, l * (2 * q + 1)) + N * b
+    budget = _deflated_trial_cost(n, l, math.ceil(math.sqrt(n)))
     density, _ = _moment_estimate(
         A, l, "cmm", budget, SdeConfig.grid_d, SeededStream(seed),
         BudgetLedger() if ledger is None else ledger,

@@ -12,10 +12,35 @@ import pytest
 import scipy.optimize
 
 from specden import DenseOperator, DiscreteDistribution, SeededStream
+from specden.chebyshev import TBAR0, TBAR_SCALE
 from specden.lanczos import lanczos, tridiag_eig
 from specden.metrics import DistributionError
 from specden.operators import OperatorError
 from specden.randgen import random_orthogonal, unit_sphere_vector
+
+
+def cheb_eval(k, x):
+    """T_k(x) by the three-term recurrence, restarted for each k; vectorized
+    over x."""
+    if k < 0:
+        raise ValueError("polynomial degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    if k == 0:
+        out = np.ones_like(x)
+        return out if out.shape else 1.0
+    prev, cur = np.ones_like(x), x.copy()
+    for _ in range(k - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur if cur.shape else float(cur)
+
+
+def cheb_normalized(k, x):
+    """Tbar_k(x): unit-norm Chebyshev polynomial under the 1/sqrt(1-x^2) weight."""
+    if k == 0:
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, TBAR0)
+        return out if out.shape else float(out)
+    return TBAR_SCALE * cheb_eval(k, x)
 
 
 def random_symmetric(n, seed, spectrum=None):
@@ -174,8 +199,6 @@ def polynomial_identity_check(A, g, m, coeffs, ledger=None):
 
 def dense_cheb_quadratic_form(matrix, g, N):
     """g^T Tbar_i(A) g for i = 0..N via eigendecomposition (oracle route)."""
-    from specden.chebyshev import cheb_normalized
-
     eigs, V = np.linalg.eigh(matrix)
     c = V.T @ g
     return np.array([float(c**2 @ cheb_normalized(i, eigs)) for i in range(N + 1)])

@@ -7,17 +7,18 @@ from specden import BudgetLedger, DiagonalOperator, SeededStream, estimate_momen
 from specden.chebyshev import (
     TBAR0,
     TBAR_SCALE,
-    MomentVector,
+    _quadratic_forms,
     adjust_moments_for_deflation,
-    cheb_eval,
-    cheb_moment_quadratic_form,
-    cheb_normalized,
-    cheb_normalized_at_zero,
     cheb_normalized_rows,
 )
 from specden.randgen import unit_sphere_vector
 
-from conftest import dense_cheb_quadratic_form, random_symmetric
+from conftest import (
+    cheb_eval,
+    cheb_normalized,
+    dense_cheb_quadratic_form,
+    random_symmetric,
+)
 
 
 def test_cheb_normalized_rows_equal_per_degree_polynomials():
@@ -54,10 +55,10 @@ def test_normalized_polynomials():
 
 
 def test_normalized_at_zero():
-    for k in range(0, 30):
-        assert cheb_normalized_at_zero(k) == pytest.approx(
-            float(cheb_normalized(k, 0.0)), abs=1e-12
-        )
+    # Tbar_k(0) is 0 for odd k and +-sqrt(2/pi), alternating, for even k.
+    for k, value in enumerate(cheb_normalized_rows(29, 0.0), start=1):
+        assert value == (0.0 if k % 2 else TBAR_SCALE * (1.0 if k % 4 == 0 else -1.0))
+        assert value == pytest.approx(float(cheb_normalized(k, 0.0)), abs=1e-12)
 
 
 def test_orthonormality_under_chebyshev_weight():
@@ -75,20 +76,20 @@ def test_orthonormality_under_chebyshev_weight():
 def test_quadratic_form_identity_and_zero_operator():
     g = unit_sphere_vector(15, SeededStream(2))
     ident = DiagonalOperator(np.ones(15))
-    vals = cheb_moment_quadratic_form(ident, g, 3)
+    vals = _quadratic_forms(ident, g[None, :], 3, None)[0]
     assert vals[1] == pytest.approx(TBAR_SCALE)
     zero = DiagonalOperator(np.zeros(15))
-    vals = cheb_moment_quadratic_form(zero, g, 3)
+    vals = _quadratic_forms(zero, g[None, :], 3, None)[0]
     assert vals[2] == pytest.approx(-TBAR_SCALE)
     with pytest.raises(ValueError):
-        cheb_moment_quadratic_form(ident, g, -1)
+        _quadratic_forms(ident, g[None, :], -1, None)
 
 
 def test_quadratic_form_matches_matrix_function_oracle():
     A, _ = random_symmetric(20, seed=5)
     scaled = DiagonalOperator(np.linalg.eigvalsh(A.to_dense()))
     g = unit_sphere_vector(20, SeededStream(9))
-    ours = cheb_moment_quadratic_form(scaled, g, 8)
+    ours = _quadratic_forms(scaled, g[None, :], 8, None)[0]
     oracle = dense_cheb_quadratic_form(scaled.to_dense(), g, 8)
     np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
@@ -97,7 +98,7 @@ def test_quadratic_form_budget_is_exact():
     A = DiagonalOperator(np.linspace(-1, 1, 10))
     g = unit_sphere_vector(10, SeededStream(0))
     ledger = BudgetLedger()
-    cheb_moment_quadratic_form(A, g, 7, ledger)
+    _quadratic_forms(A, g[None, :], 7, ledger)
     assert ledger.counts == {"moments": 7}
 
 
@@ -105,14 +106,14 @@ def test_estimate_moments_identity_and_b1():
     A = DiagonalOperator(np.ones(12))
     for b in (1, 3, 10):
         m = estimate_moments(A, 4, b, SeededStream(1))
-        assert m[1] == pytest.approx(TBAR_SCALE)
+        assert m[0] == pytest.approx(TBAR_SCALE)
     # b = 1 is exactly one quadratic form with the first Hutchinson vector.
     A2 = DiagonalOperator(np.linspace(-0.9, 0.9, 12))
     stream = SeededStream(6)
     single = estimate_moments(A2, 5, 1, stream)
     g = unit_sphere_vector(12, stream.substream(0))
-    direct = cheb_moment_quadratic_form(A2, g, 5)
-    np.testing.assert_allclose(single.values, direct[1:], atol=1e-14)
+    direct = _quadratic_forms(A2, g[None, :], 5, None)[0]
+    np.testing.assert_allclose(single, direct[1:], atol=1e-14)
 
 
 def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
@@ -123,12 +124,12 @@ def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
     ours = estimate_moments(A, N, b, stream, ledger)
     assert ledger.counts == {"moments": N * b}
     probes = [unit_sphere_vector(20, stream.substream(j)) for j in range(b)]
-    loop = np.mean([cheb_moment_quadratic_form(A, g, N) for g in probes], axis=0)
+    loop = np.mean([_quadratic_forms(A, g[None, :], N, None)[0] for g in probes], axis=0)
     oracle = np.mean(
         [dense_cheb_quadratic_form(A.to_dense(), g, N) for g in probes], axis=0
     )
-    np.testing.assert_allclose(ours.values, loop[1:], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ours.values, oracle[1:], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(ours, loop[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ours, oracle[1:], rtol=0, atol=1e-10)
 
 
 def test_estimate_moments_budget_and_validation():
@@ -147,7 +148,7 @@ def test_estimate_moments_concentrates_on_exact_trace():
     errors = []
     for seed in range(20):
         m = estimate_moments(A, 5, 50, SeededStream(seed))
-        errors.append(np.abs(m.values - exact).max())
+        errors.append(np.abs(m - exact).max())
     frob = max(
         np.linalg.norm(cheb_normalized(i, eigs)) for i in range(1, 6)
     )
@@ -155,30 +156,20 @@ def test_estimate_moments_concentrates_on_exact_trace():
     assert np.quantile(errors, 0.95) <= 5.0 * math.sqrt(math.log(100)) * frob / 40
 
 
-def test_moment_vector_indexing():
-    m = MomentVector(np.array([0.1, 0.2]))
-    assert m.N == 2
-    assert m[2] == pytest.approx(0.2)
-    with pytest.raises(IndexError):
-        m[0]
-    with pytest.raises(IndexError):
-        m[3]
-
-
 def test_adjust_moments_for_deflation():
-    m = MomentVector(np.array([0.3, -0.1, 0.2]))
+    m = np.array([0.3, -0.1, 0.2])
     same = adjust_moments_for_deflation(m, 10, 0)
-    np.testing.assert_allclose(same.values, m.values)
+    # s = 0 returns an equal copy, not (n tau) / n rounded.
+    assert same is not m
+    np.testing.assert_array_equal(same, m)
     # Affine inversion: feeding tau~ = (1-s/n) x + (s/n) Tbar(0) returns x.
     n, s = 10, 2
     x = np.array([0.4, -0.3, 0.25])
-    at_zero = np.array([cheb_normalized_at_zero(i) for i in (1, 2, 3)])
-    mixed = MomentVector(((n - s) * x + s * at_zero) / n)
-    np.testing.assert_allclose(
-        adjust_moments_for_deflation(mixed, n, s).values, x, atol=1e-12
-    )
+    at_zero = np.array([cheb_normalized(i, 0.0) for i in (1, 2, 3)])
+    mixed = ((n - s) * x + s * at_zero) / n
+    np.testing.assert_allclose(adjust_moments_for_deflation(mixed, n, s), x, atol=1e-12)
     # Odd moments just rescale because odd Chebyshev polynomials vanish at 0.
-    odd = adjust_moments_for_deflation(MomentVector(np.array([0.5])), 10, 4)
-    assert odd[1] == pytest.approx(10 * 0.5 / 6)
+    odd = adjust_moments_for_deflation(np.array([0.5]), 10, 4)
+    assert odd[0] == pytest.approx(10 * 0.5 / 6)
     with pytest.raises(ValueError):
         adjust_moments_for_deflation(m, 5, 5)

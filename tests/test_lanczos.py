@@ -3,7 +3,7 @@ import pytest
 
 from specden import BudgetLedger, DiagonalOperator, SeededStream, lanczos, tridiag_eig
 from specden.bench import build_matrix
-from specden.chebyshev import TBAR_SCALE, cheb_normalized
+from specden.chebyshev import TBAR_SCALE
 from specden.lanczos import (
     LanczosError,
     TridiagonalFactorization,
@@ -13,7 +13,7 @@ from specden.lanczos import (
 )
 from specden.randgen import random_orthogonal, unit_sphere_vector
 
-from conftest import polynomial_identity_check, random_symmetric
+from conftest import cheb_normalized, polynomial_identity_check, random_symmetric
 
 
 def test_hand_two_by_two_recurrence():

@@ -44,7 +44,9 @@ def test_w1_matches_transport_lp(rng):
 
 
 def test_w1_rejects_unnormalized():
-    p = DiscreteDistribution(np.array([0.0]), np.array([0.5]), normalized=False)
+    # Construction rejects such weights, so set them afterwards.
+    p = DiscreteDistribution.point_mass(0.0)
+    p.weights = np.array([0.5])
     q = DiscreteDistribution.point_mass(0.0)
     with pytest.raises(DistributionError):
         wasserstein1(p, q)

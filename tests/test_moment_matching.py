@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from specden import DiscreteDistribution, wasserstein1
-from specden.chebyshev import MomentVector, cheb_normalized, cheb_normalized_at_zero
 from specden.metrics import exact_density
 from specden.moment_matching import (
-    GridDensity,
     grid_points,
     jackson_coefficients,
     kpm_density,
@@ -14,29 +12,16 @@ from specden.moment_matching import (
     solve_moment_matching,
 )
 
-from conftest import random_symmetric, vertex_enumeration_l1
+from conftest import cheb_normalized, random_symmetric, vertex_enumeration_l1
 
 
 def exact_moments(eigs, N):
     """Exact normalized Chebyshev moments of a uniform spectrum (oracle)."""
-    return MomentVector(
-        np.array([float(np.mean(cheb_normalized(i, eigs))) for i in range(1, N + 1)])
-    )
+    return np.array([float(np.mean(cheb_normalized(i, eigs))) for i in range(1, N + 1)])
 
 
 def grid_to_distribution(q):
-    return DiscreteDistribution(q.support, q.weights)
-
-
-def test_grid_density_validation():
-    with pytest.raises(ValueError):
-        GridDensity(4, np.ones(4))
-    with pytest.raises(ValueError):
-        GridDensity(3, np.array([0.5, -0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        GridDensity(3, np.full(4, 0.3))
-    ok = GridDensity(4, np.full(5, 0.2))
-    np.testing.assert_allclose(ok.support, np.linspace(-1, 1, 5))
+    return DiscreteDistribution(grid_points(q.size - 1), q)
 
 
 def test_moment_matrix_rows_bounded():
@@ -48,20 +33,19 @@ def test_moment_matrix_rows_bounded():
 
 def test_atom_at_zero_recovered():
     d = 200
-    moments = MomentVector(
-        np.array([cheb_normalized_at_zero(i) for i in range(1, 9)])
-    )
+    moments = np.array([float(cheb_normalized(i, 0.0)) for i in range(1, 9)])
     q = solve_moment_matching(moments, d)
-    z = moments.values / np.arange(1, 9)
-    objective = np.abs(moment_matrix(8, d) @ q.weights - z).sum()
+    z = moments / np.arange(1, 9)
+    objective = np.abs(moment_matrix(8, d) @ q - z).sum()
     assert objective <= 1e-7
     w1 = wasserstein1(grid_to_distribution(q), DiscreteDistribution.point_mass(0.0))
     assert w1 <= 2 / d + 1e-6
 
 
 def test_zero_first_moment():
-    q = solve_moment_matching(MomentVector(np.array([0.0])), 64)
-    assert abs(q.moment(1)) <= 1e-7
+    q = solve_moment_matching(np.array([0.0]), 64)
+    # moment_matrix divides row i by i, so row 1 is exactly Tbar_1 on the grid.
+    assert abs(moment_matrix(1, 64)[0] @ q) <= 1e-7
 
 
 def test_diagonal_spectrum_recovery_and_validation():
@@ -82,41 +66,41 @@ def test_small_instance_matches_vertex_enumeration(rng):
     for _ in range(8):
         N = int(rng.integers(1, 4))
         d = int(rng.integers(N, 9))
-        moments = MomentVector(rng.uniform(-0.5, 0.5, N))
+        moments = rng.uniform(-0.5, 0.5, N)
         q = solve_moment_matching(moments, d)
         T = moment_matrix(N, d)
-        z = moments.values / np.arange(1, N + 1)
-        ours = np.abs(T @ q.weights - z).sum()
+        z = moments / np.arange(1, N + 1)
+        ours = np.abs(T @ q - z).sum()
         oracle = vertex_enumeration_l1(T, z)
         assert abs(ours - oracle) <= 1e-8
-        assert np.all(q.weights >= 0)
-        assert q.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(q >= 0)
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_objective_never_worsens_with_finer_grid():
     moments = exact_moments(np.linspace(-0.8, 0.6, 32), 10)
-    z = moments.values / np.arange(1, 11)
+    z = moments / np.arange(1, 11)
     objectives = []
     for d in (64, 256, 1024):
         q = solve_moment_matching(moments, d)
-        objectives.append(np.abs(moment_matrix(10, d) @ q.weights - z).sum())
+        objectives.append(np.abs(moment_matrix(10, d) @ q - z).sum())
     assert objectives[1] <= objectives[0] + 1e-9
     assert objectives[2] <= objectives[1] + 1e-9
 
 
 def test_kpm_zero_moments_gives_chebyshev_weight_shape():
-    q = kpm_density(MomentVector(np.zeros(6)), 128)
+    q = kpm_density(np.zeros(6), 128)
     x = grid_points(128)
     half = 1.0 / 128
     w = 1.0 / np.sqrt(1.0 - np.clip(x, -1 + half, 1 - half) ** 2)
-    np.testing.assert_allclose(q.weights, w / w.sum(), atol=1e-12)
+    np.testing.assert_allclose(q, w / w.sum(), atol=1e-12)
 
 
 def test_kpm_valid_for_random_moments(rng):
     for _ in range(5):
-        q = kpm_density(MomentVector(rng.uniform(-0.7, 0.7, 12)), 256)
-        assert np.all(q.weights >= 0)
-        assert q.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        q = kpm_density(rng.uniform(-0.7, 0.7, 12), 256)
+        assert np.all(q >= 0)
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kpm_concentrates_on_exact_atom():
@@ -149,10 +133,10 @@ def test_jackson_coefficients_shape():
 
 
 def test_rescale_density():
-    q = GridDensity(4, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    q = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     unchanged = rescale_density(q, 1.0)
     assert unchanged.locations[unchanged.weights.argmax()] == pytest.approx(0.0)
-    scaled = rescale_density(GridDensity(4, np.array([0, 0, 0, 1.0, 0])), 2.0)
+    scaled = rescale_density(np.array([0, 0, 0, 1.0, 0]), 2.0)
     assert scaled.locations[scaled.weights.argmax()] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rescale_density(q, 0.0)
@@ -160,7 +144,7 @@ def test_rescale_density():
 
 def test_rescale_w1_homogeneity(rng):
     weights = rng.uniform(0, 1, 65)
-    q = GridDensity(64, weights / weights.sum())
+    q = weights / weights.sum()
     ref = DiscreteDistribution.point_mass(0.2)
     base = wasserstein1(grid_to_distribution(q), ref)
     for L in (0.5, 3.0):

@@ -22,7 +22,6 @@ from specden.sde import (
     BudgetExhaustedError,
     _allocate_block_size,
     _moment_estimate,
-    _slq_density,
     _vr_density,
     _vr_sizing,
 )
@@ -37,8 +36,11 @@ def lanczos_trial(A, m, stream, ledger=None):
 
 
 def slq_density(A, m, stream, ledger=None):
-    """One slq trial's density from the start vector run() draws."""
-    return _slq_density(lanczos_trial(A, m, stream, ledger))
+    """One slq trial's density from the start vector run() draws: vr_slq's
+    density at l = 0."""
+    fact = lanczos_trial(A, m, stream, ledger)
+    density, _ = _vr_density(A, fact, 0, sde.DEFAULT_BETA, ledger)
+    return density
 
 
 def vr_slq_density(A, m, l, stream, beta=sde.DEFAULT_BETA, ledger=None):
@@ -270,6 +272,7 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
             else:
                 vr_slq_density(A, m, l, stream, ledger=ledger)
             assert facts["m_effective"] == ledger.counts["lanczos"]
+            assert ("converged" in facts) == (algo == "vr_slq")
             # At most one repeated Gram-Schmidt pass per step after the first.
             assert 0 <= facts["reorth_repeats"] < facts["m_effective"]
             assert ledger.total <= budget
@@ -342,3 +345,41 @@ def test_schatten1_clamps_oversized_block_with_warning():
     with pytest.warns(UserWarning):
         M = schatten1_estimate(A, 0.3)
     assert abs(M - 9) <= 0.3 * 9
+
+
+# W1 against exact_density and ledger counts of run() on one fixed diagonal
+# matrix, so that a change to what an estimator computes shows here.  cmm is
+# left out: another HiGHS version may return a different optimal vertex of
+# the same LP.
+PINNED_RUNS = [
+    ("slq", 60, 0.003024226940134769, {"lanczos": 900}),
+    ("slq", 200, 0.0028331305370572564, {"lanczos": 3000}),
+    ("vr_slq", 60, 0.002867344395080891, {"lanczos": 600, "residual_test": 300}),
+    ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995, "residual_test": 990}),
+    ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30}),
+    ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180}),
+    # Block size 4 deflates all six large eigenvalues, leaving N = 2 moments.
+    ("def_kpm", 200, 0.14307026626140412,
+     {"krylov_subspace": 124, "norm_estimate": 32, "moments": 30}),
+]
+
+
+def test_run_results_are_pinned():
+    A = DiagonalOperator(
+        np.concatenate([np.linspace(0.6, 1.0, 6), np.linspace(-0.2, 0.2, 194)])
+    )
+    exact = exact_density(A)
+    for algo, budget, w1, counts in PINNED_RUNS:
+        est = run(A, SdeConfig(algo, budget=budget, seed=0))
+        assert wasserstein1(est.density, exact) == pytest.approx(w1, rel=1e-9, abs=0)
+        assert est.ledger.counts == counts, (algo, budget)
+    # Budget 60 cannot fund def_kpm's rank-1 Krylov block.
+    with pytest.raises(BudgetExhaustedError, match="rank-1 Krylov block"):
+        run(A, SdeConfig("def_kpm", budget=60, seed=0))
+
+
+def test_public_names_resolve():
+    import specden
+
+    assert [name for name in specden.__all__ if not hasattr(specden, name)] == []
+    assert len(set(specden.__all__)) == len(specden.__all__)
