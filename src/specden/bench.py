@@ -4,7 +4,9 @@
 ledger.  ``sweep`` scores algorithms against the exact spectrum across a
 budget grid and emits a results CSV.  ``exact`` dumps the true spectral
 density.  ``plot`` renders a sweep CSV as an SVG with per-algorithm mean
-lines and 10th/90th percentile bands on a log y axis.
+lines and 10th/90th percentile bands on a log y axis.  Bad input, from a
+flag, the config file or a CSV, prints ``error: ...`` and exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ PROFILES = {
     "ci": {"grid_d": 2000, "sweep_trials": 3},
 }
 
-GENERATORS = ("gaussian", "uniform", "inverse", "power_law", "low_rank")
+# Generator name -> builder of an n x n operator from (n, seeded stream).
+GENERATORS = {
+    "gaussian": datasets.gaussian_spectrum,
+    "uniform": datasets.uniform_matrix,
+    "inverse": lambda n, stream: datasets.inverse_spectrum(n),
+    "power_law": lambda n, stream: datasets.power_law_spectrum(n),
+    "low_rank": lambda n, stream: datasets.low_rank(n, stream=stream),
+}
 
 
 def build_matrix(spec, seed=0, normalize_adjacency=True):
@@ -41,27 +50,18 @@ def build_matrix(spec, seed=0, normalize_adjacency=True):
     name, _, size = spec.partition(":")
     if name not in GENERATORS:
         raise ValueError(
-            f"unknown matrix {spec!r}: expected one of {GENERATORS} as "
+            f"unknown matrix {spec!r}: expected one of {tuple(GENERATORS)} as "
             "'name:n', or a path to a .mtx file"
         )
     try:
         n = int(size)
     except ValueError:
         raise ValueError(f"matrix spec {spec!r} needs an integer size, e.g. {name}:500")
-    stream = SeededStream(seed, stream_id=7_777_777)
-    if name == "gaussian":
-        return datasets.gaussian_spectrum(n, stream)
-    if name == "uniform":
-        return datasets.uniform_matrix(n, stream)
-    if name == "inverse":
-        return datasets.inverse_spectrum(n)
-    if name == "power_law":
-        return datasets.power_law_spectrum(n)
-    return datasets.low_rank(n, stream=stream)
+    return GENERATORS[name](n, SeededStream(seed, stream_id=7_777_777))
 
 
 def read_config_file(path):
-    """Plain key=value lines; '#' starts a comment."""
+    """Plain key=value lines, each key one of ``_OPTIONS``; '#' starts a comment."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -71,7 +71,10 @@ def read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _OPTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -253,7 +256,11 @@ def render_sweep_svg(rows):
 def cmd_plot(args):
     rows = []
     with open(args.infile, newline="") as fh:
-        for record in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = {"algorithm", "budget", "w1"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{args.infile} has no {', '.join(sorted(missing))} column")
+        for record in reader:
             rows.append(
                 (record["algorithm"], int(record["budget"]), float(record["w1"]))
             )
@@ -262,6 +269,15 @@ def cmd_plot(args):
     with open(args.out, "w") as fh:
         fh.write(render_sweep_svg(rows))
     return 0
+
+
+# Subcommand -> handler; ``build_parser`` adds one subparser per entry.
+COMMANDS = {
+    "estimate": cmd_estimate,
+    "sweep": cmd_sweep,
+    "exact": cmd_exact,
+    "plot": cmd_plot,
+}
 
 
 def _add_common(parser):
@@ -295,7 +311,7 @@ def build_parser():
         description="Spectral density estimation benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("estimate", "sweep", "exact", "plot"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "plot":
@@ -303,13 +319,20 @@ def build_parser():
     return parser
 
 
-_CONFIG_TYPES = {
-    "budget": int,
-    "trials": int,
-    "seed": int,
-    "sweep_trials": int,
-    "grid_d": int,
-    "normalize_adjacency": lambda s: s.lower() in ("1", "true", "yes", "on"),
+# Option -> (parser of its config-file value, default when no flag, config
+# file or profile sets it).  A config file may set these keys only.
+_OPTIONS = {
+    "matrix": (str, None),
+    "algo": (str, None),
+    "budget": (int, None),
+    "budgets": (str, None),
+    "trials": (int, None),
+    "seed": (int, 0),
+    "sweep_trials": (int, 10),
+    "grid_d": (int, 2000),
+    "out": (str, None),
+    "infile": (str, None),
+    "normalize_adjacency": (lambda s: s.lower() in ("1", "true", "yes", "on"), True),
 }
 
 
@@ -317,30 +340,13 @@ def resolve(args, parser):
     """Fill unset flags from the config file, then the profile, then defaults."""
     file_values = read_config_file(args.config) if args.config else {}
     profile = PROFILES[args.profile] if args.profile else {}
-
-    def pick(name, default=None):
-        current = getattr(args, name, None)
-        if current is not None:
-            return current
+    for name, (parse, default) in _OPTIONS.items():
+        if getattr(args, name, None) is not None:
+            continue
         if name in file_values:
-            caster = _CONFIG_TYPES.get(name, str)
-            return caster(file_values[name])
-        if name in profile:
-            return profile[name]
-        return default
-
-    args.seed = pick("seed", 0)
-    args.normalize_adjacency = pick("normalize_adjacency", True)
-    args.grid_d = pick("grid_d", 2000)
-    args.sweep_trials = pick("sweep_trials", 10)
-    args.trials = pick("trials")
-    args.matrix = pick("matrix")
-    args.algo = pick("algo")
-    args.budget = pick("budget")
-    args.budgets = pick("budgets")
-    args.out = pick("out")
-    if args.command == "plot":
-        args.infile = pick("infile")
+            setattr(args, name, parse(file_values[name]))
+        else:
+            setattr(args, name, profile.get(name, default))
 
     if args.command in ("estimate", "sweep", "exact") and not args.matrix:
         parser.error("--matrix is required")
@@ -361,15 +367,9 @@ def resolve(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = resolve(args, parser)
-    handlers = {
-        "estimate": cmd_estimate,
-        "sweep": cmd_sweep,
-        "exact": cmd_exact,
-        "plot": cmd_plot,
-    }
     try:
-        return handlers[args.command](args)
+        args = resolve(args, parser)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

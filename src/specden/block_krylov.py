@@ -127,17 +127,7 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
 
     X = gaussian_matrix(n, l, stream)
     Q, AQ = build_krylov_block(A, X, q, ledger)
-    r = Q.shape[1]
     norm_est = spectral_norm_upper_bound(A, ledger, stream.substream(7919))
-    if r == 0:
-        return DeflationResult(
-            Z=np.empty((n, 0)),
-            lambdas=np.empty(0),
-            residuals=np.empty(0),
-            candidates_examined=0,
-            norm_estimate=norm_est,
-        )
-
     T = Q.T @ AQ
     values, vectors = np.linalg.eigh(0.5 * (T + T.T))
     order = magnitude_order(values)
@@ -153,6 +143,6 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
         Z=ritz_vecs[:, admitted],
         lambdas=values[admitted],
         residuals=residuals[admitted],
-        candidates_examined=r,
+        candidates_examined=Q.shape[1],
         norm_estimate=norm_est,
     )

@@ -45,7 +45,6 @@ def power_law_spectrum(n):
     """
     exponents = np.concatenate([[0], np.arange(2, n + 1)])[:n]
     entries = np.where(exponents <= 1074, 2.0 ** (-np.minimum(exponents, 1074.0)), 0.0)
-    entries[exponents > 1074] = 0.0
     return DiagonalOperator(entries)
 
 

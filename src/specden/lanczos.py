@@ -10,7 +10,8 @@ m = n.
 
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
-products; ``lanczos`` is its k = 1 case.
+products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
+is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -39,48 +40,18 @@ class TridiagonalFactorization:
     """Lanczos output: T (alpha diagonal, eta off-diagonal) and basis Q.
 
     ``m_effective`` counts iterations completed before breakdown; alpha has
-    length m_effective and eta one less.
+    length m_effective and eta one less.  ``reorth_repeats`` counts the
+    steps that needed a second Gram-Schmidt pass.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
     Q: np.ndarray
+    reorth_repeats: int = 0
 
     @property
     def m_effective(self):
         return self.alpha.size
-
-    def tridiagonal(self):
-        m = self.m_effective
-        T = np.diag(self.alpha)
-        if m > 1:
-            T += np.diag(self.eta, 1) + np.diag(self.eta, -1)
-        return T
-
-
-@dataclass
-class LockstepFactorization:
-    """k Lanczos runs stored trial-major: ``basis[t, i]`` is q_i of trial t.
-
-    Row t of ``alpha`` and ``eta`` is valid up to ``m_effective[t]`` entries
-    (one fewer for eta); ``trial(t)`` returns views, not copies.
-    ``reorth_repeats[t]`` counts trial t's steps that needed a second
-    Gram-Schmidt pass.
-    """
-
-    alpha: np.ndarray
-    eta: np.ndarray
-    basis: np.ndarray
-    m_effective: np.ndarray
-    reorth_repeats: np.ndarray
-
-    def trial(self, t):
-        m = int(self.m_effective[t])
-        return TridiagonalFactorization(
-            alpha=self.alpha[t, :m],
-            eta=self.eta[t, : m - 1],
-            Q=self.basis[t, :m].T,
-        )
 
 
 @dataclass
@@ -108,7 +79,7 @@ def lanczos(A, g, m, ledger=None):
     non-unit start or m > dimension.
     """
     g = np.asarray(g, dtype=float)
-    return lanczos_lockstep(A, g[:, None], m, [ledger]).trial(0)
+    return lanczos_lockstep(A, g[:, None], m, [ledger])[0]
 
 
 def _reorthogonalize(basis, r):
@@ -135,7 +106,8 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     applications are charged to ``ledgers[t]`` (m each, fewer on
     breakdown).  Outside the block product, every reduction is a dot or
     matrix-vector product on one trial's contiguous rows, as in a
-    single-vector run.
+    single-vector run.  Returns one ``TridiagonalFactorization`` per column
+    of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -190,7 +162,10 @@ def lanczos_lockstep(A, G, m, ledgers=None):
                 scale[t] = max(scale[t], eta[t, i - 1])
             scale[t] = max(scale[t], abs(a))
             m_eff[t] = i + 1
-    return LockstepFactorization(alpha, eta, Q, m_eff, repeats)
+    return [
+        TridiagonalFactorization(alpha[t, :j], eta[t, : j - 1], Q[t, :j].T, int(r))
+        for t, (j, r) in enumerate(zip(m_eff, repeats))
+    ]
 
 
 def tridiag_eig(fact):

@@ -9,10 +9,6 @@ import numpy as np
 # Atoms closer than this are merged into one location.
 MERGE_TOL = 1e-12
 
-# Merged groups still growing, at most this many, sum their remaining
-# weights one group at a time.
-_FINISH_ALONE = 16
-
 # Largest dimension for which the dense eigendecomposition oracle is allowed.
 EXACT_DENSITY_CAP = 6100
 
@@ -88,19 +84,9 @@ def _merge_atoms(loc, w):
                 first = i
     starts = np.flatnonzero(new)
     ends = np.append(starts[1:], loc.size)
-    # Every group still growing adds its next atom in one vector step; the
-    # few longest finish with a sequential cumulative sum each, so one large
-    # group does not cost a vector step per atom.
     merged = w[starts]
-    growing = np.flatnonzero(ends - starts > 1)
-    j = 1
-    while growing.size > _FINISH_ALONE:
-        merged[growing] += w[starts[growing] + j]
-        j += 1
-        growing = growing[ends[growing] - starts[growing] > j]
-    for g in growing:
-        rest = w[starts[g] + j : ends[g]]
-        merged[g] = np.cumsum(np.concatenate(([merged[g]], rest)))[-1]
+    for g in np.flatnonzero(ends - starts > 1):
+        merged[g] = np.cumsum(w[starts[g] : ends[g]])[-1]
     return loc[starts], merged
 
 

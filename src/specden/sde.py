@@ -108,8 +108,9 @@ def _vr_density(A, fact, l, beta, ledger):
     Otherwise a top-magnitude Ritz pair (lambda_j, Q v_j) joins S when its
     residual ||A Q v_j - lambda_j Q v_j|| is at most ||A||_est / n^beta and
     its quadrature weight w_j^2 is at most VR_C sqrt(log(l / VR_DELTA)) / n.
-    Atoms in S get mass 1/n; the remaining atoms keep their SLQ weights
-    rescaled so total mass is 1.  The top min(l, m_effective) Ritz vectors
+    Atoms in S get mass 1/n; the remaining atoms keep their SLQ weights,
+    renormalized to carry the other (n - s)/n, and when every Ritz atom is
+    in S that mass sits at 0.  The top min(l, m_effective) Ritz vectors
     are tested in one block product, charging one ``residual_test`` unit
     each.
     """
@@ -134,27 +135,31 @@ def _vr_density(A, fact, l, beta, ledger):
     in_S[:tested] = (resid <= threshold) & (weights[:tested] <= weight_cap)
 
     s = int(in_S.sum())
-    if s == 0:
-        return DiscreteDistribution(values.copy(), weights.copy()), s
-    out_weights = np.empty(k)
-    out_weights[in_S] = 1.0 / n
-    rest = ~in_S
-    rest_mass = 1.0 - s / n
-    rest_total = float(weights[rest].sum())
-    if rest.sum() == 0:
-        # Every Ritz atom converged; park any leftover mass at zero.
-        if rest_mass > 1e-15:
-            return DiscreteDistribution(
-                np.append(values, 0.0), np.append(out_weights, rest_mass)
-            ), s
-        return DiscreteDistribution(values.copy(), out_weights / out_weights.sum()), s
-    if rest_total == 0.0:
-        # Degenerate rescue: no quadrature mass left outside S, spread the
-        # remainder uniformly over the unconverged Ritz values.
-        out_weights[rest] = rest_mass / rest.sum()
+    if in_S.all():
+        remainder = DiscreteDistribution.point_mass(0.0)
     else:
-        out_weights[rest] = weights[rest] * (rest_mass / rest_total)
-    return DiscreteDistribution(values.copy(), out_weights), s
+        rest_weights = weights[~in_S]
+        if rest_weights.sum() == 0.0:
+            # Degenerate rescue: no quadrature mass left outside S, spread the
+            # remainder uniformly over the unconverged Ritz values.
+            rest_weights = np.ones(rest_weights.size)
+        remainder = DiscreteDistribution(
+            values[~in_S], rest_weights / rest_weights.sum()
+        )
+    return _with_deflated_atoms(values[in_S], remainder, n), s
+
+
+def _with_deflated_atoms(lambdas, remainder, n):
+    """The deflating estimators' mass rule: the s deflated eigenvalues as
+    atoms of mass 1/n each, plus the distribution ``remainder`` carrying the
+    other (n - s)/n.  With s = n, ``remainder`` is not read."""
+    s = lambdas.size
+    if s == n:
+        return DiscreteDistribution(lambdas.copy(), np.full(n, 1.0 / n))
+    return DiscreteDistribution(
+        np.concatenate([lambdas, remainder.locations]),
+        np.concatenate([np.full(s, 1.0 / n), remainder.weights * ((n - s) / n)]),
+    )
 
 
 def _deflated_trial_cost(n, l, N):
@@ -208,18 +213,17 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
     start = ledger.total
-    s, zero_below, facts = 0, 0.0, {}
+    lambdas, zero_below, facts = np.empty(0), 0.0, {}
     if l > 0:
         defl = block_krylov_deflation(
             A, l, q=DEFAULT_KRYLOV_DEPTH, beta=DEFAULT_BETA,
             stream=stream.substream(1), ledger=ledger,
         )
-        s = defl.s
-        facts = {"l": l, "s": s}
-        if s >= n:
-            density = DiscreteDistribution(defl.lambdas.copy(), np.full(n, 1.0 / n))
-            return density, dict(facts, N=0, L=0.0)
-        if s > 0:
+        lambdas = defl.lambdas
+        facts = {"l": l, "s": defl.s}
+        if defl.s == n:
+            return _with_deflated_atoms(lambdas, None, n), dict(facts, N=0, L=0.0)
+        if defl.s > 0:
             A = deflate(A, defl.Z)
         zero_below = defl.norm_estimate / n**DEFAULT_BETA
 
@@ -238,7 +242,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         tau = estimate_moments(
             ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger
         )
-        tau = adjust_moments_for_deflation(tau, n, s)
+        tau = adjust_moments_for_deflation(tau, n, lambdas.size)
         if method == "cmm":
             q = solve_moment_matching(tau, d)
         else:
@@ -246,11 +250,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         density = rescale_density(q, L)
     facts.update(N=N, L=L)
 
-    if s > 0:
-        density = DiscreteDistribution(
-            np.concatenate([defl.lambdas, density.locations]),
-            np.concatenate([np.full(s, 1.0 / n), density.weights * ((n - s) / n)]),
-        )
+    density = _with_deflated_atoms(lambdas, density, n)
     spent = ledger.total - start
     if spent > budget:
         raise RuntimeError(f"ledger total {spent} exceeded budget {budget}")
@@ -300,14 +300,10 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
         [unit_sphere_vector(n, root.substream(int(t))) for t in group]
     )
     group_ledgers = [ledgers[t] for t in group]
-    block = lanczos_lockstep(A, starts, m, ledgers=group_ledgers)
+    factorizations = lanczos_lockstep(A, starts, m, ledgers=group_ledgers)
     densities, per_trial = [], []
-    for j, ledger in enumerate(group_ledgers):
-        fact = block.trial(j)
-        facts = {
-            "m_effective": fact.m_effective,
-            "reorth_repeats": int(block.reorth_repeats[j]),
-        }
+    for fact, ledger in zip(factorizations, group_ledgers):
+        facts = {"m_effective": fact.m_effective, "reorth_repeats": fact.reorth_repeats}
         density, converged = _vr_density(A, fact, l, DEFAULT_BETA, ledger)
         if config.algorithm == "vr_slq":
             facts["converged"] = converged

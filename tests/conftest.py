@@ -76,6 +76,14 @@ def equal_weight_ritz_density(A, m, stream):
     return DiscreteDistribution(values.copy(), np.full(values.size, 1.0 / values.size))
 
 
+def tridiagonal(fact):
+    """The dense m x m tridiagonal T of a Lanczos factorization."""
+    T = np.diag(fact.alpha)
+    if fact.m_effective > 1:
+        T += np.diag(fact.eta, 1) + np.diag(fact.eta, -1)
+    return T
+
+
 def random_distribution(rng, max_atoms=6):
     k = rng.integers(1, max_atoms + 1)
     loc = rng.uniform(-2.0, 2.0, size=k)
@@ -189,7 +197,7 @@ def polynomial_identity_check(A, g, m, coeffs, ledger=None):
     r = coeffs[-1] * g
     for c in coeffs[-2::-1]:
         r = A.apply(r, ledger, stage="identity_check") + c * g
-    T = fact.tridiagonal()
+    T = tridiagonal(fact)
     x = fact.Q.T @ g
     y = coeffs[-1] * x
     for c in coeffs[-2::-1]:

@@ -35,6 +35,7 @@ from conftest import (
     random_distribution,
     random_symmetric,
     transport_lp_w1,
+    tridiagonal,
     vertex_enumeration_l1,
 )
 
@@ -59,7 +60,7 @@ def test_criterion_2_exact_recovery():
         A, spectrum = random_symmetric(n, seed=seed)
         g = unit_sphere_vector(n, SeededStream(seed))
         fact = lanczos(A, g, n)
-        ritz = np.sort(np.linalg.eigvalsh(fact.tridiagonal()))
+        ritz = np.sort(np.linalg.eigvalsh(tridiagonal(fact)))
         worst_eig = max(worst_eig, np.abs(ritz - np.sort(spectrum)).max())
         f = equal_weight_ritz_density(A, n, SeededStream(seed))
         worst_w1 = max(worst_w1, wasserstein1(f, exact_density(A)))

@@ -175,3 +175,42 @@ def test_config_file_with_flag_precedence(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError):
         read_config_file(str(bad))
+
+
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        ("just words\n", "bench.cfg:1: expected key=value"),
+        ("matrix = inverse:40\nbudgte = 30\n", "bench.cfg:2: unknown key 'budgte'"),
+        ("matrix = inverse:40\nbudget = abc\n", "'abc'"),
+        (None, "No such file"),
+    ],
+    ids=["malformed_line", "unknown_key", "bad_integer", "missing_file"],
+)
+def test_config_file_errors_exit_2(tmp_path, capsys, config_text, message):
+    cfg = tmp_path / "bench.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    out = tmp_path / "x.csv"
+    code = run_cli("estimate", "--algo", "slq", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", ["algorithm", "budget", "w1"])
+def test_plot_rejects_a_csv_without_a_needed_column(tmp_path, capsys, column):
+    header = ["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"]
+    row = ["m", "slq", "50", "1", "1", "0.25", "50"]
+    keep = [i for i, name in enumerate(header) if name != column]
+    sweep = tmp_path / "s.csv"
+    with open(sweep, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header[i] for i in keep])
+        writer.writerow([row[i] for i in keep])
+    out = tmp_path / "s.svg"
+    assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {sweep} has no {column} column\n"
+    assert not out.exists()

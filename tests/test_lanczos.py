@@ -13,7 +13,12 @@ from specden.lanczos import (
 )
 from specden.randgen import random_orthogonal, unit_sphere_vector
 
-from conftest import cheb_normalized, polynomial_identity_check, random_symmetric
+from conftest import (
+    cheb_normalized,
+    polynomial_identity_check,
+    random_symmetric,
+    tridiagonal,
+)
 
 
 def test_hand_two_by_two_recurrence():
@@ -22,7 +27,7 @@ def test_hand_two_by_two_recurrence():
     fact = lanczos(A, g, 2)
     np.testing.assert_allclose(fact.alpha, [0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(fact.eta, [1.0], atol=1e-14)
-    np.testing.assert_allclose(fact.tridiagonal(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(tridiagonal(fact), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_eigenvector_start_breaks_down_immediately():
@@ -40,7 +45,7 @@ def test_full_run_reproduces_spectrum():
     A, spectrum = random_symmetric(30, seed=4)
     g = unit_sphere_vector(30, SeededStream(4))
     fact = lanczos(A, g, 30)
-    ritz = np.sort(np.linalg.eigvalsh(fact.tridiagonal()))
+    ritz = np.sort(np.linalg.eigvalsh(tridiagonal(fact)))
     np.testing.assert_allclose(ritz, np.sort(spectrum), atol=1e-8)
 
 
@@ -52,7 +57,7 @@ def test_factorization_invariants():
     np.testing.assert_allclose(fact.Q.T @ fact.Q, np.eye(m), atol=1e-8)
     np.testing.assert_allclose(fact.Q[:, 0], g)
     projected = fact.Q.T @ A.to_dense() @ fact.Q
-    assert np.linalg.norm(projected - fact.tridiagonal()) <= 1e-6
+    assert np.linalg.norm(projected - tridiagonal(fact)) <= 1e-6
 
 
 def test_input_validation():
@@ -75,17 +80,17 @@ def test_lockstep_matches_separate_runs_with_staggered_breakdown():
     G = np.column_stack([g / np.linalg.norm(g) for g in starts])
     ledgers = [BudgetLedger() for _ in starts]
     block = lanczos_lockstep(A, G, m, ledgers=ledgers)
-    np.testing.assert_array_equal(block.m_effective, [5, 2, 5])
+    assert [fact.m_effective for fact in block] == [5, 2, 5]
     for t in range(3):
         single_ledger = BudgetLedger()
         single = lanczos(A, G[:, t], m, ledger=single_ledger)
-        fact = block.trial(t)
+        fact = block[t]
         assert fact.m_effective == single.m_effective
         np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
         np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
         assert ledgers[t].counts == {"lanczos": fact.m_effective}
         assert single_ledger.counts == ledgers[t].counts
-        assert np.shares_memory(fact.Q, block.basis)
+        assert fact.Q.base is block[0].Q.base is not None
 
 
 def test_lockstep_matches_separate_runs_on_dense():
@@ -96,7 +101,7 @@ def test_lockstep_matches_separate_runs_on_dense():
     block = lanczos_lockstep(A, G, 20)
     for t in range(4):
         single = lanczos(A, G[:, t], 20)
-        fact = block.trial(t)
+        fact = block[t]
         assert fact.m_effective == single.m_effective == 20
         np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
         np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
@@ -142,10 +147,10 @@ def test_lockstep_basis_stays_orthonormal_up_to_m_equal_n(spec):
     )
     block = lanczos_lockstep(A, G, n)
     for t in range(2):
-        fact = block.trial(t)
+        fact = block[t]
         m = fact.m_effective
         assert np.abs(fact.Q.T @ fact.Q - np.eye(m)).max() <= 1e-12
-        assert 0 <= block.reorth_repeats[t] < m
+        assert 0 <= fact.reorth_repeats < m
 
 
 def test_budget_is_exactly_m():
@@ -182,7 +187,7 @@ def test_tridiag_eig_residuals_and_weight_sum():
         Q=np.eye(50),
     )
     ritz = tridiag_eig(fact)
-    T = fact.tridiagonal()
+    T = tridiagonal(fact)
     for j in range(50):
         assert (
             np.linalg.norm(T @ ritz.vectors[:, j] - ritz.values[j] * ritz.vectors[:, j])

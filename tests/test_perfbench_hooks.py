@@ -1,8 +1,9 @@
 """The benchmark's tracer finds every specden name it wraps.
 
 ``perfbench/tracing.py`` replaces each ``TARGETS`` attribute looked up in
-its owner's ``__dict__``; a renamed or deleted name would fail only the
-benchmark's own suite, so tier-1 checks the lookup here.
+its owner's ``__dict__`` and prices every operator product by its class; a
+renamed or deleted name, or an operator class it cannot price, would fail
+only traced benchmark runs, so tier-1 checks both here.
 """
 
 import importlib.util
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from specden import DiagonalOperator, SdeConfig, run, sde
+from specden import DiagonalOperator, SdeConfig, operators, run, sde
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -49,3 +51,25 @@ def test_traced_deflation_reports_the_depth_it_ran(tracing):
     ]
     assert len(infos) == 1
     assert infos[0][1] == sde.DEFAULT_KRYLOV_DEPTH
+
+
+def test_product_cost_prices_every_operator_class(tracing):
+    base = operators.DiagonalOperator(np.arange(1.0, 5.0))
+    instances = {
+        operators.DenseOperator: operators.DenseOperator(np.eye(4)),
+        operators.DiagonalOperator: base,
+        operators.SparseOperator: operators.SparseOperator(sp.identity(4)),
+        operators.ScaledOperator: operators.ScaledOperator(base, 0.5),
+        operators.DeflatedOperator: operators.deflate(base, np.eye(4)[:, :1]),
+    }
+    classes = {
+        cls
+        for cls in vars(operators).values()
+        if isinstance(cls, type)
+        and issubclass(cls, operators.SymmetricOperator)
+        and cls is not operators.SymmetricOperator
+    }
+    assert classes == set(instances)
+    for op in instances.values():
+        nbytes, flops = tracing.product_cost(op)
+        assert nbytes > 0 and flops > 0
