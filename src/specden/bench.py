@@ -12,7 +12,6 @@ status 2.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import math
 import os
@@ -101,16 +100,6 @@ def cmd_estimate(args):
     return 0
 
 
-def _sweep_cell(A, exact, algo, budget, trial, base_seed, grid_d, trials):
-    seed = base_seed * 10_000 + trial
-    config = SdeConfig(
-        algorithm=algo, budget=budget, trials=trials, grid_d=grid_d, seed=seed
-    )
-    estimate = run(A, config)
-    w1 = wasserstein1(estimate.density, exact)
-    return (algo, budget, trial, seed, w1, estimate.ledger.total)
-
-
 def cmd_sweep(args):
     A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     exact = exact_density(A)
@@ -119,36 +108,21 @@ def cmd_sweep(args):
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    sweep_trials = args.sweep_trials
 
-    cells = [
-        (algo, budget, trial)
-        for algo in algos
-        for budget in budgets
-        for trial in range(1, sweep_trials + 1)
-    ]
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(8, os.cpu_count() or 1)
-    ) as pool:
-        rows = list(
-            pool.map(
-                lambda cell: _sweep_cell(
-                    A, exact, cell[0], cell[1], cell[2], args.seed, args.grid_d,
-                    args.trials,
-                ),
-                cells,
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    # Cells run one after another: a thread pool measured slower, its threads
+    # competing with BLAS's own.  Rows are written once every cell succeeded.
+    rows = [["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"]]
+    for algo in sorted(algos):
+        for budget in budgets:
+            for trial in range(1, args.sweep_trials + 1):
+                seed = args.seed * 10_000 + trial
+                config = SdeConfig(algo, budget, args.trials, args.grid_d, seed)
+                estimate = run(A, config)
+                w1 = f"{wasserstein1(estimate.density, exact):.17g}"
+                total = estimate.ledger.total
+                rows.append([args.matrix, algo, budget, trial, seed, w1, total])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"]
-        )
-        for algo, budget, trial, seed, w1, total in rows:
-            writer.writerow(
-                [args.matrix, algo, budget, trial, seed, f"{w1:.17g}", total]
-            )
+        csv.writer(fh).writerows(rows)
     return 0
 
 
@@ -261,9 +235,11 @@ def cmd_plot(args):
         if missing:
             raise ValueError(f"{args.infile} has no {', '.join(sorted(missing))} column")
         for record in reader:
-            rows.append(
-                (record["algorithm"], int(record["budget"]), float(record["w1"]))
-            )
+            try:
+                budget, w1 = int(record["budget"]), float(record["w1"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{args.infile}:{reader.line_num}: {exc}") from None
+            rows.append((record["algorithm"], budget, w1))
     if not rows:
         raise ValueError(f"{args.infile} has no data rows")
     with open(args.out, "w") as fh:
@@ -271,38 +247,41 @@ def cmd_plot(args):
     return 0
 
 
-# Subcommand -> handler; ``build_parser`` adds one subparser per entry.
-COMMANDS = {
-    "estimate": cmd_estimate,
-    "sweep": cmd_sweep,
-    "exact": cmd_exact,
-    "plot": cmd_plot,
+# Option -> (parser of its flag and config-file value, default when no flag,
+# config file or profile sets it, flag, flag help).  An option without a flag
+# is set by a config file or a profile only; a config file may set these keys
+# only.  The one boolean option gets a --no- flag too.
+_OPTIONS = {
+    "matrix": (str, None, "--matrix", "generator 'name:n' or .mtx path"),
+    "algo": (str, None, "--algo", "algorithm name (comma list for sweep)"),
+    "budget": (int, None, "--budget", "matvec budget"),
+    "budgets": (str, None, "--budgets", "comma-separated budget list"),
+    "trials": (int, None, "--trials", "averaging trials per run"),
+    "seed": (int, 0, "--seed", "base random seed"),
+    "sweep_trials": (int, None, None, None),
+    "grid_d": (int, None, None, None),
+    "out": (str, None, "--out", "output file path"),
+    "infile": (str, None, "--in", "sweep CSV to plot"),
+    "normalize_adjacency": (
+        lambda s: s.lower() in ("1", "true", "yes", "on"), True,
+        "--normalize-adjacency", "degree-normalize loaded graphs (default on)",
+    ),
 }
 
+# Subcommand -> (handler, the options it needs in the order they are checked).
+COMMANDS = {
+    "estimate": (cmd_estimate, ("matrix", "algo", "budget", "out")),
+    "sweep": (cmd_sweep, ("matrix", "algo", "budgets", "out")),
+    "exact": (cmd_exact, ("matrix", "out")),
+    "plot": (cmd_plot, ("infile", "out")),
+}
 
-def _add_common(parser):
-    parser.add_argument("--matrix", help="generator 'name:n' or .mtx path")
-    parser.add_argument("--algo", help="algorithm name (comma list for sweep)")
-    parser.add_argument("--budget", type=int, help="matvec budget")
-    parser.add_argument("--budgets", help="comma-separated budget list")
-    parser.add_argument("--trials", type=int, help="averaging trials per run")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--profile", choices=sorted(PROFILES), help="defaults bundle")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument(
-        "--normalize-adjacency",
-        dest="normalize_adjacency",
-        action="store_true",
-        default=None,
-        help="degree-normalize loaded graphs (default on)",
-    )
-    parser.add_argument(
-        "--no-normalize-adjacency",
-        dest="normalize_adjacency",
-        action="store_false",
-        help="load raw adjacency",
-    )
+# A needed option that is unset, empty or below 1 is an error: its flag, then
+# this text, or "is required" for an option not listed.
+_MISSING = {
+    "budget": "must be a positive integer",
+    "budgets": "is required (comma-separated list)",
+}
 
 
 def build_parser():
@@ -311,36 +290,27 @@ def build_parser():
         description="Spectral density estimation benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "plot":
-            p.add_argument("--in", dest="infile", help="sweep CSV to plot")
+    for command, (_, needs) in COMMANDS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--profile", choices=sorted(PROFILES), default="ci",
+                       help="defaults bundle (default ci)")
+        p.add_argument("--config", help="key=value config file (flags win)")
+        for name, (parse, default, flag, help_text) in _OPTIONS.items():
+            if flag is None or (name == "infile" and name not in needs):
+                continue  # config-only, or --in off plot
+            if isinstance(default, bool):
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": parse}
+            p.add_argument(flag, dest=name, help=help_text, **kind)
     return parser
-
-
-# Option -> (parser of its config-file value, default when no flag, config
-# file or profile sets it).  A config file may set these keys only.
-_OPTIONS = {
-    "matrix": (str, None),
-    "algo": (str, None),
-    "budget": (int, None),
-    "budgets": (str, None),
-    "trials": (int, None),
-    "seed": (int, 0),
-    "sweep_trials": (int, 10),
-    "grid_d": (int, 2000),
-    "out": (str, None),
-    "infile": (str, None),
-    "normalize_adjacency": (lambda s: s.lower() in ("1", "true", "yes", "on"), True),
-}
 
 
 def resolve(args, parser):
     """Fill unset flags from the config file, then the profile, then defaults."""
     file_values = read_config_file(args.config) if args.config else {}
-    profile = PROFILES[args.profile] if args.profile else {}
-    for name, (parse, default) in _OPTIONS.items():
+    profile = PROFILES[args.profile]
+    for name, (parse, default, _, _) in _OPTIONS.items():
         if getattr(args, name, None) is not None:
             continue
         if name in file_values:
@@ -348,19 +318,10 @@ def resolve(args, parser):
         else:
             setattr(args, name, profile.get(name, default))
 
-    if args.command in ("estimate", "sweep", "exact") and not args.matrix:
-        parser.error("--matrix is required")
-    if args.command in ("estimate", "sweep") and not args.algo:
-        parser.error("--algo is required")
-    if args.command == "estimate":
-        if args.budget is None or args.budget < 1:
-            parser.error("--budget must be a positive integer")
-    if args.command == "sweep" and not args.budgets:
-        parser.error("--budgets is required (comma-separated list)")
-    if args.command == "plot" and not args.infile:
-        parser.error("--in is required")
-    if not args.out:
-        parser.error("--out is required")
+    for name in COMMANDS[args.command][1]:
+        value = getattr(args, name)
+        if value in (None, "") or (isinstance(value, int) and value < 1):
+            parser.error(f"{_OPTIONS[name][2]} {_MISSING.get(name, 'is required')}")
     return args
 
 
@@ -369,7 +330,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = resolve(args, parser)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OSError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

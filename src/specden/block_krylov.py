@@ -16,7 +16,7 @@ import numpy as np
 
 from .lanczos import magnitude_order
 from .operators import OperatorError, spectral_norm_upper_bound
-from .randgen import gaussian_matrix
+from .randgen import SeededStream, gaussian_matrix
 
 # Columns whose norm drops below this fraction of their pre-projection norm
 # during orthonormalization are treated as dependent and dropped.
@@ -42,6 +42,12 @@ class DeflationResult:
     @property
     def s(self):
         return self.lambdas.size
+
+
+def basis_capacity(l, q, n=math.inf):
+    """Most columns block Lanczos to depth q from l start vectors builds:
+    l per block for 2q + 1 blocks, and no more than the dimension n."""
+    return min(n, l * (2 * q + 1))
 
 
 def default_depth(n):
@@ -78,7 +84,7 @@ def build_krylov_block(A, X, q, ledger=None):
     n x r; charges one application per basis column, r <= min(n, l(2q + 1)).
     """
     n, l = X.shape
-    capacity = min(n, l * (2 * q + 1))
+    capacity = basis_capacity(l, q, n)
     # Basis vectors and their images are kept as contiguous rows, which the
     # block products read without a copy.
     Q = np.empty((capacity, n))
@@ -111,8 +117,6 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
     Charges one application per Krylov basis column, at most
     min(n, l(2q+1)), plus the norm-estimation cost.
     """
-    from .randgen import SeededStream
-
     n = A.dimension
     if not 1 <= l <= n:
         raise OperatorError(f"block size {l} outside 1..{n}")

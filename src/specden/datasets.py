@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .operators import DenseOperator, DiagonalOperator, SparseOperator
-from .randgen import gaussian_vector, random_orthogonal
+from .randgen import SeededStream, gaussian_vector, random_orthogonal
 
 
 class MatrixMarketError(ValueError):
@@ -50,8 +50,6 @@ def power_law_spectrum(n):
 
 def low_rank(n, r=100, stream=None):
     """Diagonal with r Gaussian entries (normalized to max 1) and n - r zeros."""
-    from .randgen import SeededStream
-
     if stream is None:
         stream = SeededStream(0)
     if not 1 <= r <= n:

@@ -15,6 +15,8 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
+from .randgen import SeededStream
+
 
 class OperatorError(ValueError):
     """Raised on dimension mismatches or invalid operator construction."""
@@ -222,15 +224,13 @@ def spectral_norm_upper_bound(A, ledger=None, stream=None):
     ||A v|| as the readout, then doubled.  Deterministic given the stream.
     Returns 0.0 for the zero operator.
     """
-    from .randgen import SeededStream
-
     if stream is None:
         stream = SeededStream(0, stream_id=991)
     n = A.dimension
     rng = stream.generator()
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    steps = max(1, math.ceil(math.log2(n + 2)))
+    steps = norm_estimate_cost(n) // 2
     readout = 0.0
     for _ in range(steps):
         w = A.apply(v, ledger, "norm_estimate")

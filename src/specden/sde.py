@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block_krylov import DEFAULT_BETA, block_krylov_deflation
+from .block_krylov import DEFAULT_BETA, basis_capacity, block_krylov_deflation
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
 # sde.lanczos has no caller; it stays while perfbench/tracing.py wraps it.
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
@@ -169,9 +169,10 @@ def _deflated_trial_cost(n, l, N):
     most min(n, l(2q + 1)); both norm estimates and the N moments of b
     Hutchinson vectors each come on top.
     """
-    per_column = 2 * DEFAULT_KRYLOV_DEPTH + 1
     return (
-        2 * norm_estimate_cost(n) + min(n, l * per_column) + N * DEFAULT_HUTCHINSON_B
+        2 * norm_estimate_cost(n)
+        + basis_capacity(l, DEFAULT_KRYLOV_DEPTH, n)
+        + N * DEFAULT_HUTCHINSON_B
     )
 
 
@@ -182,7 +183,7 @@ def _allocate_block_size(n, budget):
     Raises BudgetExhaustedError when not even l = 1 fits.
     """
     q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
-    per_column = 2 * q + 1
+    per_column = basis_capacity(1, q)
     target = max(1, int((1.0 - MOMENT_SHARE) * budget) // per_column)
     for l in range(min(n, target), 0, -1):
         if _deflated_trial_cost(n, l, 1) <= budget:

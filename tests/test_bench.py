@@ -88,6 +88,20 @@ def test_sweep_schema_and_budget_honesty(tmp_path):
         assert row["matrix"] == "inverse:80"
         assert int(row["ledger_total"]) <= int(row["budget"])
         float(row["w1"])  # parses
+    cells = [(r["algorithm"], int(r["budget"]), int(r["trial"])) for r in rows]
+    assert cells == sorted(cells)  # cmm before slq, though --algo lists slq first
+
+
+def test_bare_sweep_runs_the_ci_profile(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--matrix", "inverse:60", "--algo", "slq,kpm",
+        "--budgets", "40,60", "--trials", "1", "--out", str(out),
+    )
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2 * 3  # algos x budgets x ci-profile trials
 
 
 def test_sweep_is_deterministic(tmp_path):
@@ -109,6 +123,28 @@ def test_exact_command(tmp_path):
     assert len(rows) == 30
     locs = sorted(float(r["location"]) for r in rows)
     assert locs[-1] == pytest.approx(1.0)
+
+
+def test_exact_command_normalizes_a_graph_unless_told_not_to(tmp_path):
+    graph = tmp_path / "p3.mtx"
+    graph.write_text(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
+    )
+    spectra = {}
+    for flag in ("--normalize-adjacency", "--no-normalize-adjacency", None):
+        out = tmp_path / f"{flag}.csv"
+        argv = ["exact", "--matrix", str(graph), "--out", str(out)]
+        assert run_cli(*argv, *([flag] if flag else [])) == 0
+        with open(out) as fh:
+            spectra[flag] = sorted(float(r["location"]) for r in csv.DictReader(fh))
+    # The three-vertex path: D^{-1/2} A D^{-1/2} has eigenvalues -1, 0, 1,
+    # and its adjacency matrix -sqrt(2), 0, sqrt(2).
+    assert spectra[None] == spectra["--normalize-adjacency"]
+    np.testing.assert_allclose(spectra[None], [-1.0, 0.0, 1.0], atol=1e-12)
+    root2 = np.sqrt(2.0)
+    np.testing.assert_allclose(
+        spectra["--no-normalize-adjacency"], [-root2, 0.0, root2], atol=1e-12
+    )
 
 
 def test_plot_svg_structure(tmp_path):
@@ -213,4 +249,27 @@ def test_plot_rejects_a_csv_without_a_needed_column(tmp_path, capsys, column):
     out = tmp_path / "s.svg"
     assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {sweep} has no {column} column\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "budget, w1, message",
+    [
+        ("abc", "0.25", "invalid literal for int() with base 10: 'abc'"),
+        ("50", "", "could not convert string to float: ''"),
+    ],
+    ids=["bad_budget", "empty_w1"],
+)
+def test_plot_names_the_line_of_a_non_numeric_cell(
+    tmp_path, capsys, budget, w1, message
+):
+    sweep = tmp_path / "s.csv"
+    sweep.write_text(
+        "matrix,algorithm,budget,trial,seed,w1,ledger_total\n"
+        "m,slq,50,1,1,0.25,50\n"
+        f"m,slq,{budget},2,2,{w1},50\n"
+    )
+    out = tmp_path / "s.svg"
+    assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {sweep}:3: {message}\n"
     assert not out.exists()
