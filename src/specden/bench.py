@@ -21,6 +21,7 @@ import numpy as np
 
 from . import datasets
 from .metrics import exact_density, wasserstein1
+from .moment_matching import SolverError
 from .randgen import SeededStream
 from .sde import ALGORITHMS, BudgetExhaustedError, SdeConfig, run
 
@@ -60,7 +61,11 @@ def build_matrix(spec, seed=0, normalize_adjacency=True):
 
 
 def read_config_file(path):
-    """Plain key=value lines, each key one of ``_OPTIONS``; '#' starts a comment."""
+    """Plain key=value lines, each key one of ``_OPTIONS``; '#' starts a comment.
+
+    Values come back as text; one that its option's parser rejects is an
+    error naming its line.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -74,6 +79,10 @@ def read_config_file(path):
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
+            try:
+                _OPTIONS[key][0](values[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -247,6 +256,15 @@ def cmd_plot(args):
     return 0
 
 
+def _parse_bool(text):
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+
+
 # Option -> (parser of its flag and config-file value, default when no flag,
 # config file or profile sets it, flag, flag help).  An option without a flag
 # is set by a config file or a profile only; a config file may set these keys
@@ -263,7 +281,7 @@ _OPTIONS = {
     "out": (str, None, "--out", "output file path"),
     "infile": (str, None, "--in", "sweep CSV to plot"),
     "normalize_adjacency": (
-        lambda s: s.lower() in ("1", "true", "yes", "on"), True,
+        _parse_bool, True,
         "--normalize-adjacency", "degree-normalize loaded graphs (default on)",
     ),
 }
@@ -331,7 +349,7 @@ def main(argv=None):
     try:
         args = resolve(args, parser)
         return COMMANDS[args.command][0](args)
-    except (ValueError, OSError, BudgetExhaustedError) as exc:
+    except (ValueError, OSError, BudgetExhaustedError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Atoms closer than this are merged into one location.
-MERGE_TOL = 1e-12
-
 # Largest dimension for which the dense eigendecomposition oracle is allowed.
 EXACT_DENSITY_CAP = 6100
 
@@ -21,8 +18,9 @@ class DistributionError(ValueError):
 class DiscreteDistribution:
     """Finite list of (location, weight) atoms.
 
-    Locations are sorted and near-duplicates merged on construction; weights
-    must be nonnegative and sum to 1 within 1e-9.
+    Locations are sorted on construction, and atoms at equal locations merge
+    into one whose weight is their sum, added in input order.  Weights must
+    be nonnegative and sum to 1 within 1e-9.
     """
 
     locations: np.ndarray
@@ -44,7 +42,8 @@ class DiscreteDistribution:
         if np.any(w < -1e-12):
             raise DistributionError("weights must be nonnegative")
         w = np.clip(w, 0.0, None)
-        loc, w = _merge_atoms(loc, w)
+        loc, inverse = np.unique(loc, return_inverse=True)
+        w = np.bincount(inverse, weights=w)
         if abs(w.sum() - 1.0) > 1e-9:
             raise DistributionError(f"weights sum to {w.sum():.12g}, expected 1")
         self.locations = loc
@@ -59,35 +58,6 @@ class DiscreteDistribution:
 
     def __len__(self):
         return self.locations.size
-
-
-def _merge_atoms(loc, w):
-    """Sort atoms and merge each into the group of the first atom within
-    MERGE_TOL below it; a group keeps its first location.
-
-    Group weights are summed in order, one atom at a time.
-    """
-    order = np.argsort(loc, kind="stable")
-    loc, w = loc[order], w[order]
-    # An atom more than MERGE_TOL above its predecessor starts a group.  In
-    # a run of closer atoms, one more than MERGE_TOL above the group's first
-    # location also starts one, so runs that span more than MERGE_TOL are
-    # walked atom by atom.
-    new = np.diff(loc, prepend=-np.inf) > MERGE_TOL
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], loc.size)
-    wide = loc[ends - 1] - loc[starts] > MERGE_TOL
-    for first, end in zip(starts[wide], ends[wide]):
-        for i in range(first + 1, end):
-            if loc[i] - loc[first] > MERGE_TOL:
-                new[i] = True
-                first = i
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], loc.size)
-    merged = w[starts]
-    for g in np.flatnonzero(ends - starts > 1):
-        merged[g] = np.cumsum(w[starts[g] : ends[g]])[-1]
-    return loc[starts], merged
 
 
 def wasserstein1(p, q):

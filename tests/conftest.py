@@ -162,15 +162,13 @@ def _equal_weight_atoms(dist, n):
 
 
 def merge_atoms_loop(loc, w):
-    """Sort atoms, then merge each into the current group while it lies within
-    MERGE_TOL of the group's first location, one atom at a time."""
-    from specden.metrics import MERGE_TOL
-
+    """Sort atoms, then fold each into the previous group when their locations
+    are equal, one atom at a time."""
     order = np.argsort(loc, kind="stable")
     loc, w = loc[order], w[order]
     keep_loc, keep_w = [loc[0]], [w[0]]
     for x, wx in zip(loc[1:], w[1:]):
-        if x - keep_loc[-1] <= MERGE_TOL:
+        if x == keep_loc[-1]:
             keep_w[-1] += wx
         else:
             keep_loc.append(x)

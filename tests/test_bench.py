@@ -4,7 +4,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from specden import sde
 from specden.bench import build_matrix, main, read_config_file, render_sweep_svg
+from specden.moment_matching import SolverError
 
 
 def run_cli(*argv):
@@ -219,9 +221,10 @@ def test_config_file_with_flag_precedence(tmp_path):
         ("just words\n", "bench.cfg:1: expected key=value"),
         ("matrix = inverse:40\nbudgte = 30\n", "bench.cfg:2: unknown key 'budgte'"),
         ("matrix = inverse:40\nbudget = abc\n", "'abc'"),
+        ("matrix = inverse:40\n\nbudget = abc\n", "bench.cfg:3: budget: "),
         (None, "No such file"),
     ],
-    ids=["malformed_line", "unknown_key", "bad_integer", "missing_file"],
+    ids=["malformed_line", "unknown_key", "bad_integer", "bad_integer_line", "missing_file"],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, config_text, message):
     cfg = tmp_path / "bench.cfg"
@@ -233,6 +236,47 @@ def test_config_file_errors_exit_2(tmp_path, capsys, config_text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert not out.exists()
+
+
+def test_config_normalize_adjacency_takes_only_boolean_words(tmp_path, capsys):
+    graph = tmp_path / "p3.mtx"
+    graph.write_text(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
+    )
+    cfg = tmp_path / "bench.cfg"
+    out = tmp_path / "x.csv"
+    root2 = np.sqrt(2.0)
+    for word, spectrum in [
+        ("Yes", [-1.0, 0.0, 1.0]), ("ON", [-1.0, 0.0, 1.0]),
+        ("False", [-root2, 0.0, root2]), ("0", [-root2, 0.0, root2]),
+    ]:
+        cfg.write_text(f"matrix = {graph}\nnormalize_adjacency = {word}\n")
+        assert run_cli("exact", "--config", str(cfg), "--out", str(out)) == 0
+        with open(out) as fh:
+            got = sorted(float(r["location"]) for r in csv.DictReader(fh))
+        np.testing.assert_allclose(got, spectrum, atol=1e-12)
+    out.unlink()
+    cfg.write_text(f"matrix = {graph}\nnormalize_adjacency = maybe\n")
+    assert run_cli("exact", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: normalize_adjacency: ")
+    assert "'maybe'" in err
+    assert not out.exists()
+
+
+def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise SolverError("moment-matching LP failed (status 15)")
+
+    monkeypatch.setattr(sde, "solve_moment_matching", fail)
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        "estimate", "--matrix", "inverse:60", "--algo", "cmm", "--budget", "60",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: moment-matching LP failed")
     assert not out.exists()
 
 

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specden import DenseOperator, DiagonalOperator, DiscreteDistribution
 from specden.metrics import (
-    MERGE_TOL,
     DistributionError,
-    _merge_atoms,
     average_densities,
     exact_density,
     wasserstein1,
 )
+from specden.sde import ALGORITHMS, SdeConfig, run
 
 from conftest import (
     merge_atoms_loop,
@@ -91,26 +90,32 @@ def test_distribution_validation_and_merging():
 
 def assert_merge_matches_loop(loc, w):
     loc, w = np.asarray(loc, dtype=float), np.asarray(w, dtype=float)
-    got_loc, got_w = _merge_atoms(loc, w)
+    got = DiscreteDistribution(loc, w)
     want_loc, want_w = merge_atoms_loop(loc, w)
-    np.testing.assert_array_equal(got_loc, want_loc)
-    np.testing.assert_array_equal(got_w, want_w)
+    assert got.locations.tobytes() == want_loc.tobytes()
+    assert got.weights.tobytes() == want_w.tobytes()
 
 
-def test_merge_atoms_chain_joins_only_within_tol_of_group_start():
-    # 0.6e-12 is within MERGE_TOL of 0, 1.2e-12 is not: two groups, although
-    # each atom is within MERGE_TOL of the one before it.
-    loc, w = _merge_atoms(np.array([1.2e-12, 0.0, 0.6e-12]), np.array([0.5, 0.2, 0.3]))
-    np.testing.assert_array_equal(loc, [0.0, 1.2e-12])
-    np.testing.assert_array_equal(w, [0.2 + 0.3, 0.5])
-    assert_merge_matches_loop([0.0, 0.6e-12, 1.2e-12, 1.8e-12, 2.4e-12], np.ones(5))
-    # Groups of many atoms sum their weights in sorted order, whether a few
-    # or many of them are long.
+def test_merge_joins_only_equal_locations():
+    # Atoms 0.6e-12 apart stay separate, however close they are.
+    d = DiscreteDistribution(np.array([1.2e-12, 0.0, 0.6e-12]), np.array([0.5, 0.2, 0.3]))
+    np.testing.assert_array_equal(d.locations, [0.0, 0.6e-12, 1.2e-12])
+    np.testing.assert_array_equal(d.weights, [0.2, 0.3, 0.5])
+    # Equal atoms merge into one, their weights summed in input order.
     rng = np.random.default_rng(5)
-    assert_merge_matches_loop(np.zeros(50), rng.uniform(size=50))
+    w = rng.uniform(size=50)
+    w /= w.sum()
+    want = 0.0
+    for wx in w:
+        want += wx
+    d = DiscreteDistribution(np.full(50, 0.25), w)
+    np.testing.assert_array_equal(d.locations, [0.25])
+    assert d.weights.tobytes() == np.array([want]).tobytes()
+    # So do many groups, whether a few or many of them are long.
     for groups in (3, 40):
         loc = np.repeat(np.arange(float(groups)), rng.integers(1, 60, size=groups))
-        assert_merge_matches_loop(rng.permutation(loc), rng.uniform(size=loc.size))
+        w = rng.uniform(size=loc.size)
+        assert_merge_matches_loop(rng.permutation(loc), w / w.sum())
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,11 +131,23 @@ def test_merge_atoms_chain_joins_only_within_tol_of_group_start():
     )
 )
 def test_merge_atoms_matches_sequential_loop(atoms):
-    # Offsets in steps of 0.3 MERGE_TOL build clusters and chains of every
-    # length around a few shared base locations.
-    loc = [base + k * 0.3 * MERGE_TOL for base, k, _ in atoms]
-    w = [wx for _, _, wx in atoms]
-    assert_merge_matches_loop(loc, w)
+    # Offsets in steps of 0.3e-12 build clusters of equal atoms and chains of
+    # close but distinct ones around a few shared base locations.
+    loc = [base + k * 0.3e-12 for base, k, _ in atoms]
+    w = np.array([wx for _, _, wx in atoms])
+    assume(w.sum() > 0.0)
+    assert_merge_matches_loop(loc, w / w.sum())
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_w1_relative_to_the_scale_does_not_depend_on_it(algorithm):
+    # Every estimator divides by its own norm bound, so W1 scales with A.
+    def scaled_w1(c):
+        A = DiagonalOperator(c * np.linspace(-1.0, 1.0, 500))
+        estimate = run(A, SdeConfig(algorithm, budget=300, seed=0))
+        return wasserstein1(estimate.density, exact_density(A)) / c
+
+    assert scaled_w1(1e-13) == pytest.approx(scaled_w1(1.0), rel=1e-9, abs=0.0)
 
 
 def test_exact_density_examples():
