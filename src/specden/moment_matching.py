@@ -1,10 +1,16 @@
 """Density recovery on a grid from approximate Chebyshev moments.
 
-Two reconstructions: a weighted-l1 moment-matching linear program over the
-probability simplex, and the Jackson-damped kernel polynomial method.  Both
-take the moments as a float array tau_1 ... tau_N (tau_0 = 1/sqrt(pi) is
-implicit) and return a grid density: d + 1 nonnegative weights summing to 1
-on ``grid_points(d)``, the evenly spaced grid {-1, -1 + 2/d, ..., 1}.
+Two reconstructions: Chebyshev moment matching, the density on the
+probability simplex whose moments best match the estimates in weighted l1,
+and the Jackson-damped kernel polynomial method.  Moments estimated with
+unit-vector Hutchinson probes are exactly those of a probability measure,
+so moment matching is a feasibility problem: NNLS finds the support of an
+exact match, a linear program on that support polishes it, and only
+moments that no measure has take the linear program on the full grid.
+
+Both take the moments as a float array tau_1 ... tau_N (tau_0 = 1/sqrt(pi)
+is implicit) and return a grid density: d + 1 nonnegative weights summing
+to 1 on ``grid_points(d)``, the evenly spaced grid {-1, -1 + 2/d, ..., 1}.
 """
 
 from __future__ import annotations
@@ -33,13 +39,47 @@ def moment_matrix(N, d):
     return np.vstack([row / i for i, row in enumerate(rows, start=1)])
 
 
-def solve_moment_matching(tau, d):
+# NNLS's moment match is accepted as exact when ||T q - z||_1 is at most
+# this; the moments of a probability measure are matched to round-off.
+EXACT_RESIDUAL = 1e-8
+# Grid neighbours on each side of an NNLS atom that the polishing LP may use.
+POLISH_NEIGHBOURS = 2
+# Iteration cap of every LP solve, so a stalled solve ends the same way on
+# every run; one that reaches it raises SolverError.  Full-grid solves of
+# unrealizable moments took at most 7257 dual simplex iterations (N = 105,
+# d = 20000); a degenerate stall runs ~25000 per second at d = 2000.
+LP_MAXITER = 50_000
+
+
+def solve_moment_matching(tau, d, diagnostics=None):
     """Grid density q minimizing ||T q - z||_1 over the probability simplex.
 
-    T = ``moment_matrix(N, d)`` and z_i = tau_i / i.  Solved by HiGHS as a
-    linear program in (q, t) with auxiliary variables for the absolute
-    values; no tolerance is passed, so the solve stops at HiGHS's default
-    tolerances.
+    T = ``moment_matrix(N, d)`` and z_i = tau_i / i.  When tau comes from
+    unit-vector Hutchinson probes g_j of A / L, (1/b) sum_j g_j^T
+    Tbar_i(A / L) g_j is exactly the i-th moment of the probability measure
+    sum_k w_k delta(lambda_k / L) with w_k = (1/b) sum_j (g_j . v_k)^2, so
+    the optimum is 0 up to the grid: the problem is a degenerate
+    feasibility problem, on which dual simplex stalls.
+    Three steps solve it:
+
+    1. Support: Lawson-Hanson NNLS on [T - z 1^T; 1^T] q = [0; 1], with
+       each column scaled to unit norm, finds a q >= 0 with at most N + 1
+       atoms.  The scaling makes its first pick the single grid atom that
+       best matches the moments.
+    2. Polish: when that q, normalized, matches to EXACT_RESIDUAL, the L1
+       LP is solved by HiGHS's interior point on q's atoms and their
+       POLISH_NEIGHBOURS grid neighbours on each side only, about
+       5(N + 1) columns instead of d + 1.  NNLS's own square solve on
+       adjacent atoms amplifies round-off in tau ~1e8-fold; the LP's
+       solution does not.  It meets each moment to HiGHS's default
+       feasibility tolerance (1e-7), so its residual may exceed NNLS's.
+    3. Fallback: otherwise the moments are not realizable, and the L1 LP
+       is solved on the full grid by dual simplex.
+
+    Both LPs stop after LP_MAXITER iterations; an LP that stops short of
+    optimal raises SolverError.  When ``diagnostics`` is a dict, it receives
+    the step that produced q (``solver``: "nnls" or "lp"), the final
+    ``residual`` ||T q - z||_1 and the atom count ``support``.
     """
     N = tau.size
     if N < 1:
@@ -49,7 +89,47 @@ def solve_moment_matching(tau, d):
     T = moment_matrix(N, d)
     z = tau / np.arange(1, N + 1)
 
-    n_q = d + 1
+    M = np.vstack([T - z[:, None], np.ones(d + 1)])
+    scale = np.linalg.norm(M, axis=0)
+    try:
+        y, _ = scipy.optimize.nnls(M / scale, np.concatenate([np.zeros(N), [1.0]]))
+    except RuntimeError as exc:
+        raise SolverError(f"moment-matching NNLS failed: {exc}; N={N}, d={d}") from exc
+    q = y / scale
+    if np.abs(T @ (q / q.sum()) - z).sum() <= EXACT_RESIDUAL:
+        solver, method = "nnls", "highs-ipm"
+        atoms = np.flatnonzero(q)
+        offsets = np.arange(-POLISH_NEIGHBOURS, POLISH_NEIGHBOURS + 1)
+        columns = np.unique(np.clip(atoms[:, None] + offsets, 0, d))
+    else:
+        solver, method = "lp", "highs-ds"
+        columns = np.arange(d + 1)
+    res = _l1_lp(T[:, columns], z, method)
+    if not res.success:
+        raise SolverError(
+            f"moment-matching LP failed (status {res.status}): {res.message}; "
+            f"N={N}, d={d}, iterations={res.nit}"
+        )
+    q = np.zeros(d + 1)
+    q[columns] = np.clip(res.x[: columns.size], 0.0, None)
+    q /= q.sum()
+    if diagnostics is not None:
+        diagnostics.update(
+            solver=solver,
+            residual=float(np.abs(T @ q - z).sum()),
+            support=int(np.count_nonzero(q)),
+        )
+    return q
+
+
+def _l1_lp(T, z, method):
+    """HiGHS result of min ||T q - z||_1 over the probability simplex.
+
+    The LP is in (q, t), with one auxiliary variable per moment bounding
+    its absolute error; no tolerance is passed, so the solve stops at
+    HiGHS's default tolerances or after LP_MAXITER iterations.
+    """
+    N, n_q = T.shape
     T_sp = sp.csr_matrix(T)
     eye = sp.identity(N, format="csr")
     # [ T  -I ] q,t <= z ;  [ -T  -I ] q,t <= -z
@@ -61,23 +141,16 @@ def solve_moment_matching(tau, d):
         [sp.csr_matrix(np.ones((1, n_q))), sp.csr_matrix((1, N))], format="csr"
     )
     c = np.concatenate([np.zeros(n_q), np.ones(N)])
-    res = scipy.optimize.linprog(
+    return scipy.optimize.linprog(
         c,
         A_ub=A_ub,
         b_ub=b_ub,
         A_eq=A_eq,
         b_eq=np.array([1.0]),
         bounds=[(0, None)] * (n_q + N),
-        method="highs",
+        method=method,
+        options={"maxiter": LP_MAXITER},
     )
-    if not res.success:
-        raise SolverError(
-            f"moment-matching LP failed (status {res.status}): {res.message}; "
-            f"N={N}, d={d}"
-        )
-    q = np.clip(res.x[:n_q], 0.0, None)
-    q /= q.sum()
-    return q
 
 
 def jackson_coefficients(N):

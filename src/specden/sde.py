@@ -209,7 +209,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     it to [-L, L].  A remainder whose L is within the deflation gate
     ||A||_est / n^beta (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.  Returns
-    (density, facts); facts holds L and N, and l and s when l > 0.
+    (density, facts); facts holds L and N, l and s when l > 0, and cmm's
+    solver, residual and support when it solves for a density.
     """
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
@@ -245,7 +246,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         )
         tau = adjust_moments_for_deflation(tau, n, lambdas.size)
         if method == "cmm":
-            q = solve_moment_matching(tau, d)
+            q = solve_moment_matching(tau, d, facts)
         else:
             q = kpm_density(tau, d)
         density = rescale_density(q, L)
@@ -354,7 +355,8 @@ def run(A, config):
     one dict per trial, and is the only place for per-trial facts: Lanczos
     ``m_effective`` and ``reorth_repeats`` (and vr_slq's converged-set size
     ``converged``) or the moment stage's ``L`` and ``N`` (and, with
-    deflation, ``l`` and ``s``).
+    deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
+    ``residual`` and ``support``).
     """
     budget = config.budget
     trials = config.resolved_trials()

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
-from specden import DiscreteDistribution, wasserstein1
+from specden import DiscreteDistribution, moment_matching, wasserstein1
 from specden.metrics import exact_density
 from specden.moment_matching import (
+    SolverError,
     grid_points,
     jackson_coefficients,
     kpm_density,
@@ -86,6 +89,44 @@ def test_objective_never_worsens_with_finer_grid():
         objectives.append(np.abs(moment_matrix(10, d) @ q - z).sum())
     assert objectives[1] <= objectives[0] + 1e-9
     assert objectives[2] <= objectives[1] + 1e-9
+
+
+@pytest.mark.parametrize("x0", [0.3, -0.7, 0.0])
+def test_one_moment_gives_the_nearest_grid_atom(x0):
+    # Unit-norm columns make NNLS pick the atom whose moment is closest;
+    # unscaled NNLS splits the mass between -1 and 1.
+    d = 2000
+    q = solve_moment_matching(np.array([float(cheb_normalized(1, x0))]), d)
+    w1 = wasserstein1(grid_to_distribution(q), DiscreteDistribution.point_mass(x0))
+    assert w1 <= 2 / d
+
+
+def test_exact_moments_are_matched_fast_on_the_paper_grid():
+    N, d = 52, 20000
+    moments = exact_moments(np.linspace(-0.95, 0.95, 64), N)
+    diagnostics = {}
+    start = time.perf_counter()
+    q = solve_moment_matching(moments, d, diagnostics)
+    assert time.perf_counter() - start < 3.0
+    residual = np.abs(moment_matrix(N, d) @ q - moments / np.arange(1, N + 1)).sum()
+    assert residual <= 1e-8
+    assert diagnostics == {
+        "solver": "nnls",
+        "residual": pytest.approx(residual, rel=1e-12, abs=0.0),
+        "support": np.count_nonzero(q),
+    }
+
+
+def test_unrealizable_moments_take_the_full_lp_and_its_iteration_cap(monkeypatch):
+    # E[x] = 0.88 with E[x^2] = 0.06: no probability measure has these moments.
+    moments = np.array([0.7, -0.7, 0.7])
+    diagnostics = {}
+    solve_moment_matching(moments, 40, diagnostics)
+    assert diagnostics["solver"] == "lp"
+    assert diagnostics["residual"] > 0.1
+    monkeypatch.setattr(moment_matching, "LP_MAXITER", 1)
+    with pytest.raises(SolverError, match=r"\(status 1\).*; N=3, d=40, iterations=1$"):
+        solve_moment_matching(moments, 40)
 
 
 def test_kpm_zero_moments_gives_chebyshev_weight_shape():
