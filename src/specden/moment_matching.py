@@ -44,10 +44,16 @@ def moment_matrix(N, d):
 EXACT_RESIDUAL = 1e-8
 # Grid neighbours on each side of an NNLS atom that the polishing LP may use.
 POLISH_NEIGHBOURS = 2
+# HiGHS's primal feasibility tolerance in the polishing LP, 100-fold below
+# EXACT_RESIDUAL: at its default, 1e-7, the polished q met the moments only
+# to 2e-7.  The optimality tolerances stay at their defaults; tightening
+# them moved which of the many exact matches the LP returns with round-off
+# in tau.
+POLISH_FEASIBILITY = 1e-10
 # Iteration cap of every LP solve, so a stalled solve ends the same way on
-# every run; one that reaches it raises SolverError.  Full-grid solves of
-# unrealizable moments took at most 7257 dual simplex iterations (N = 105,
-# d = 20000); a degenerate stall runs ~25000 per second at d = 2000.
+# every run.  Full-grid solves of unrealizable moments took at most 7257
+# dual simplex iterations (N = 105, d = 20000); a degenerate stall runs
+# ~25000 per second at d = 2000.
 LP_MAXITER = 50_000
 
 
@@ -67,19 +73,20 @@ def solve_moment_matching(tau, d, diagnostics=None):
        atoms.  The scaling makes its first pick the single grid atom that
        best matches the moments.
     2. Polish: when that q, normalized, matches to EXACT_RESIDUAL, the L1
-       LP is solved by HiGHS's interior point on q's atoms and their
-       POLISH_NEIGHBOURS grid neighbours on each side only, about
-       5(N + 1) columns instead of d + 1.  NNLS's own square solve on
-       adjacent atoms amplifies round-off in tau ~1e8-fold; the LP's
-       solution does not.  It meets each moment to HiGHS's default
-       feasibility tolerance (1e-7), so its residual may exceed NNLS's.
-    3. Fallback: otherwise the moments are not realizable, and the L1 LP
-       is solved on the full grid by dual simplex.
+       LP is solved by HiGHS's interior point, to POLISH_FEASIBILITY, on
+       q's atoms and their POLISH_NEIGHBOURS grid neighbours on each side
+       only, about 5(N + 1) columns instead of d + 1.  NNLS's own square
+       solve on adjacent atoms amplifies round-off in tau ~1e8-fold; the
+       LP's solution does not.  Should the polishing LP fail, or its q miss
+       EXACT_RESIDUAL, NNLS's q is returned as it is.
+    3. Fallback: otherwise (or if NNLS itself fails) the moments are taken
+       as unrealizable, and the L1 LP is solved on the full grid by dual
+       simplex; one that stops short of optimal raises SolverError.
 
-    Both LPs stop after LP_MAXITER iterations; an LP that stops short of
-    optimal raises SolverError.  When ``diagnostics`` is a dict, it receives
-    the step that produced q (``solver``: "nnls" or "lp"), the final
-    ``residual`` ||T q - z||_1 and the atom count ``support``.
+    Every LP stops after LP_MAXITER iterations.  When ``diagnostics`` is a
+    dict, it receives the step that chose q's support (``solver``: "nnls"
+    for steps 1-2, "lp" for step 3), the final ``residual`` ||T q - z||_1
+    and the atom count ``support``.
     """
     N = tau.size
     if N < 1:
@@ -89,45 +96,62 @@ def solve_moment_matching(tau, d, diagnostics=None):
     T = moment_matrix(N, d)
     z = tau / np.arange(1, N + 1)
 
-    M = np.vstack([T - z[:, None], np.ones(d + 1)])
-    scale = np.linalg.norm(M, axis=0)
-    try:
-        y, _ = scipy.optimize.nnls(M / scale, np.concatenate([np.zeros(N), [1.0]]))
-    except RuntimeError as exc:
-        raise SolverError(f"moment-matching NNLS failed: {exc}; N={N}, d={d}") from exc
-    q = y / scale
-    if np.abs(T @ (q / q.sum()) - z).sum() <= EXACT_RESIDUAL:
-        solver, method = "nnls", "highs-ipm"
-        atoms = np.flatnonzero(q)
+    def residual(q):
+        return float(np.abs(T @ q - z).sum())
+
+    q = _nnls_support(T, z)
+    if q is not None and residual(q) <= EXACT_RESIDUAL:
+        solver = "nnls"
         offsets = np.arange(-POLISH_NEIGHBOURS, POLISH_NEIGHBOURS + 1)
-        columns = np.unique(np.clip(atoms[:, None] + offsets, 0, d))
+        columns = np.unique(np.clip(np.flatnonzero(q)[:, None] + offsets, 0, d))
+        res = _l1_lp(T[:, columns], z, "highs-ipm", POLISH_FEASIBILITY)
+        if res.success:
+            polished = _grid_density(res.x[: columns.size], columns, d)
+            if residual(polished) <= EXACT_RESIDUAL:
+                q = polished
     else:
-        solver, method = "lp", "highs-ds"
-        columns = np.arange(d + 1)
-    res = _l1_lp(T[:, columns], z, method)
-    if not res.success:
-        raise SolverError(
-            f"moment-matching LP failed (status {res.status}): {res.message}; "
-            f"N={N}, d={d}, iterations={res.nit}"
-        )
-    q = np.zeros(d + 1)
-    q[columns] = np.clip(res.x[: columns.size], 0.0, None)
-    q /= q.sum()
+        solver = "lp"
+        res = _l1_lp(T, z, "highs-ds")
+        if not res.success:
+            raise SolverError(
+                f"moment-matching LP failed (status {res.status}): {res.message}; "
+                f"N={N}, d={d}, iterations={res.nit}"
+            )
+        q = _grid_density(res.x[: d + 1], np.arange(d + 1), d)
     if diagnostics is not None:
         diagnostics.update(
-            solver=solver,
-            residual=float(np.abs(T @ q - z).sum()),
-            support=int(np.count_nonzero(q)),
+            solver=solver, residual=residual(q), support=int(np.count_nonzero(q))
         )
     return q
 
 
-def _l1_lp(T, z, method):
+def _nnls_support(T, z):
+    """Normalized column-scaled NNLS solution of T q = z, or None if NNLS fails."""
+    N, n_q = T.shape
+    M = np.vstack([T - z[:, None], np.ones(n_q)])
+    scale = np.linalg.norm(M, axis=0)
+    try:
+        y, _ = scipy.optimize.nnls(M / scale, np.concatenate([np.zeros(N), [1.0]]))
+    except RuntimeError:
+        return None
+    q = y / scale
+    return q / q.sum() if q.sum() > 0 else None
+
+
+def _grid_density(x, columns, d):
+    """Grid weights x on ``columns``, clipped at 0 and summing to 1."""
+    q = np.zeros(d + 1)
+    q[columns] = np.clip(x, 0.0, None)
+    return q / q.sum()
+
+
+def _l1_lp(T, z, method, feasibility=None):
     """HiGHS result of min ||T q - z||_1 over the probability simplex.
 
     The LP is in (q, t), with one auxiliary variable per moment bounding
-    its absolute error; no tolerance is passed, so the solve stops at
-    HiGHS's default tolerances or after LP_MAXITER iterations.
+    its absolute error.  It stops at HiGHS's default tolerances, with the
+    primal feasibility tolerance ``feasibility`` when given, or after
+    LP_MAXITER iterations.
     """
     N, n_q = T.shape
     T_sp = sp.csr_matrix(T)
@@ -149,7 +173,7 @@ def _l1_lp(T, z, method):
         b_eq=np.array([1.0]),
         bounds=[(0, None)] * (n_q + N),
         method=method,
-        options={"maxiter": LP_MAXITER},
+        options={"maxiter": LP_MAXITER, "primal_feasibility_tolerance": feasibility},
     )
 
 
