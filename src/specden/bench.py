@@ -112,7 +112,10 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     exact = exact_density(A)
-    budgets = sorted({int(b) for b in args.budgets.split(",")})
+    try:
+        budgets = sorted({int(b) for b in args.budgets.split(",")})
+    except ValueError as exc:
+        raise ValueError(f"--budgets {args.budgets!r}: {exc}") from None
     algos = args.algo.split(",")
     for algo in algos:
         if algo not in ALGORITHMS:
@@ -246,6 +249,8 @@ def cmd_plot(args):
         for record in reader:
             try:
                 budget, w1 = int(record["budget"]), float(record["w1"])
+                if not 0.0 <= w1 < math.inf:
+                    raise ValueError(f"w1 must be finite and nonnegative, got {w1}")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{args.infile}:{reader.line_num}: {exc}") from None
             rows.append((record["algorithm"], budget, w1))

@@ -3,8 +3,8 @@
 Block Lanczos with full reorthogonalization builds an orthonormal basis Q of
 span{X, A X, ..., A^(2q) X} from a Gaussian start X, keeping every product
 A Q_j it makes.  Ritz pairs come from T = Q^T (A Q) with no further product,
-and only pairs whose residual beats the threshold ||A||_est / n^beta enter
-the deflation set.
+and only pairs whose residual is within ``deflation_gate`` enter the
+deflation set.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import magnitude_order
+from .lanczos import magnitude_order, reorthogonalize
 from .operators import OperatorError, spectral_norm_upper_bound
 from .randgen import SeededStream, gaussian_matrix
 
@@ -22,7 +22,7 @@ from .randgen import SeededStream, gaussian_matrix
 # during orthonormalization are treated as dependent and dropped.
 DROP_TOL = 1e-10
 
-DEFAULT_BETA = 3.0
+DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
 
 
 @dataclass
@@ -48,6 +48,13 @@ def basis_capacity(l, q, n=math.inf):
     """Most columns block Lanczos to depth q from l start vectors builds:
     l per block for 2q + 1 blocks, and no more than the dimension n."""
     return min(n, l * (2 * q + 1))
+
+
+def deflation_gate(norm_estimate, n):
+    """||A||_est / n^beta: the largest residual that admits a Ritz pair to
+    block Krylov's deflation set or vr_slq's set S, and the largest norm of
+    a remainder that def_cmm/def_kpm replace by a point mass at 0."""
+    return norm_estimate / n**DEFAULT_BETA
 
 
 def default_depth(n):
@@ -76,8 +83,9 @@ def orthonormalize_columns(K):
 def build_krylov_block(A, X, q, ledger=None):
     """Orthonormal basis of span{X, A X, ..., A^(2q) X} and its image under A.
 
-    Block Lanczos: each new block is orthonormalized against every earlier
-    basis column (two passes of classical Gram-Schmidt) before A is applied
+    Block Lanczos: each new column is orthonormalized against every earlier
+    basis column (lanczos's DGKS step: one classical Gram-Schmidt pass, and
+    a second when the first cancels most of its norm) before A is applied
     to it, and a column whose projected norm falls below DROP_TOL times its
     norm before projection is dropped as dependent.  The recurrence stops
     after 2q + 1 blocks or once no column is left.  Returns (Q, AQ), both
@@ -98,9 +106,7 @@ def build_krylov_block(A, X, q, ledger=None):
                 break
             w = w.copy()
             before = np.linalg.norm(w)
-            for _ in range(2):
-                w -= (Q[:r] @ w) @ Q[:r]
-            after = np.linalg.norm(w)
+            after, _ = reorthogonalize(Q[:r], w)
             if after > DROP_TOL * before:
                 Q[r] = w / after
                 r += 1
@@ -111,7 +117,7 @@ def build_krylov_block(A, X, q, ledger=None):
     return Q[:r].T, AQ[:r].T
 
 
-def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=None):
+def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
     Charges one application per Krylov basis column, at most
@@ -124,8 +130,6 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
         q = default_depth(n)
     if q < 0:
         raise OperatorError("depth must be nonnegative")
-    if beta <= 0:
-        raise OperatorError("beta must be positive")
     if stream is None:
         stream = SeededStream(0)
 
@@ -141,8 +145,7 @@ def block_krylov_deflation(A, l, q=None, beta=DEFAULT_BETA, stream=None, ledger=
     residual_block = AQ @ vectors - ritz_vecs * values
     residuals = np.linalg.norm(residual_block, axis=0)
 
-    threshold = norm_est / n**beta
-    admitted = np.flatnonzero(residuals <= threshold)
+    admitted = np.flatnonzero(residuals <= deflation_gate(norm_est, n))
     return DeflationResult(
         Z=ritz_vecs[:, admitted],
         lambdas=values[admitted],

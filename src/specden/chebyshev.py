@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .randgen import unit_sphere_vector
 
@@ -22,16 +23,11 @@ TBAR_SCALE = math.sqrt(2.0 / math.pi)
 
 
 def cheb_normalized_rows(N, x):
-    """Yield Tbar_1(x), ..., Tbar_N(x) from one running recurrence.
-
-    T_1 = x and T_k = 2 x T_{k-1} - T_{k-2}, advanced once per degree.
-    """
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.ones_like(x), x.copy()
-    for k in range(1, N + 1):
-        if k > 1:
-            prev, cur = cur, 2.0 * x * cur - prev
-        yield TBAR_SCALE * cur
+    """N x len(x) array whose row k - 1 is Tbar_k(x), k = 1..N; a scalar x
+    counts as one point."""
+    rows = chebvander(x, N)[:, 1:].T
+    rows *= TBAR_SCALE
+    return rows
 
 
 def _quadratic_forms(A, G, N, ledger):
@@ -89,5 +85,5 @@ def adjust_moments_for_deflation(tau, n, s):
     if s == 0:
         # Not the formula: (n tau) / n need not round back to tau.
         return tau.copy()
-    at_zero = np.array(list(cheb_normalized_rows(tau.size, 0.0)))
+    at_zero = cheb_normalized_rows(tau.size, 0.0)[:, 0]
     return (n * tau - s * at_zero) / (n - s)

@@ -82,7 +82,7 @@ def lanczos(A, g, m, ledger=None):
     return lanczos_lockstep(A, g[:, None], m, [ledger])[0]
 
 
-def _reorthogonalize(basis, r):
+def reorthogonalize(basis, r):
     """Remove from r, in place, its components along the rows of basis.
 
     One classical Gram-Schmidt pass, and a second one when the first leaves
@@ -137,7 +137,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
             survivors = []
             for t in active:
                 r = tilde[t]
-                eta_i, repeated = _reorthogonalize(Q[t, :i], r)
+                eta_i, repeated = reorthogonalize(Q[t, :i], r)
                 repeats[t] += repeated
                 if eta_i < BREAKDOWN_RTOL * scale[t]:
                     continue

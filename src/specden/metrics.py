@@ -20,7 +20,7 @@ class DiscreteDistribution:
 
     Locations are sorted on construction, and atoms at equal locations merge
     into one whose weight is their sum, added in input order.  Weights must
-    be nonnegative and sum to 1 within 1e-9.
+    be finite, nonnegative and sum to 1 within 1e-9.
     """
 
     locations: np.ndarray
@@ -37,8 +37,8 @@ class DiscreteDistribution:
             raise DistributionError("locations and weights must have equal length")
         if loc.size == 0:
             raise DistributionError("distribution needs at least one atom")
-        if not np.all(np.isfinite(loc)):
-            raise DistributionError("atom locations must be finite")
+        if not np.all(np.isfinite(loc)) or not np.all(np.isfinite(w)):
+            raise DistributionError("atom locations and weights must be finite")
         if np.any(w < -1e-12):
             raise DistributionError("weights must be nonnegative")
         w = np.clip(w, 0.0, None)

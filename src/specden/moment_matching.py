@@ -35,8 +35,7 @@ def grid_points(d):
 
 def moment_matrix(N, d):
     """N x (d+1) matrix with entries Tbar_i(-1 + 2j/d) / i."""
-    rows = cheb_normalized_rows(N, grid_points(d))
-    return np.vstack([row / i for i, row in enumerate(rows, start=1)])
+    return cheb_normalized_rows(N, grid_points(d)) / np.arange(1, N + 1)[:, None]
 
 
 # NNLS's moment match is accepted as exact when ||T q - z||_1 is at most
@@ -195,10 +194,8 @@ def kpm_density(tau, d):
     """
     N = tau.size
     x = grid_points(d)
-    series = np.full(x.size, TBAR0 / math.sqrt(math.pi))
-    damping = jackson_coefficients(N)
-    for k, row in enumerate(cheb_normalized_rows(N, x), start=1):
-        series += damping[k - 1] * tau[k - 1] * row
+    damped = jackson_coefficients(N) * tau
+    series = TBAR0 / math.sqrt(math.pi) + damped @ cheb_normalized_rows(N, x)
     half_cell = 1.0 / d
     x_w = np.clip(x, -1.0 + half_cell, 1.0 - half_cell)
     values = series / np.sqrt(1.0 - x_w**2)

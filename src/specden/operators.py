@@ -10,7 +10,6 @@ products with the underlying matrix count.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,30 +22,23 @@ class OperatorError(ValueError):
 
 
 class BudgetLedger:
-    """Exact count of operator applications, broken down by stage label.
-
-    Safe for concurrent increments; the final total is exact.
-    """
+    """Exact count of operator applications, broken down by stage label."""
 
     def __init__(self):
         self._counts = {}
-        self._lock = threading.Lock()
 
     def charge(self, stage, amount=1):
         if amount < 0:
             raise ValueError("cannot charge a negative amount")
-        with self._lock:
-            self._counts[stage] = self._counts.get(stage, 0) + amount
+        self._counts[stage] = self._counts.get(stage, 0) + amount
 
     @property
     def counts(self):
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     @property
     def total(self):
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self._counts.values())
 
     def merge(self, other):
         """Fold another ledger's counts into this one."""

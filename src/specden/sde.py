@@ -12,12 +12,13 @@ averaging gives each trial the full budget and reports the merged ledger.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block_krylov import DEFAULT_BETA, basis_capacity, block_krylov_deflation
+from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
 # sde.lanczos has no caller; it stays while perfbench/tracing.py wraps it.
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
@@ -33,9 +34,9 @@ from .operators import (
 from .randgen import SeededStream, unit_sphere_vector
 
 # Benchmark protocol constants: 15 Hutchinson vectors, 15 block-Krylov
-# iterations, the deflation gate ||A||_est / n^DEFAULT_BETA (imported from
-# block_krylov), 15 averaging trials for the Lanczos-based estimators, and a
-# 1:3 split of the budget between moment estimation and block Krylov.
+# iterations, 15 averaging trials for the Lanczos-based estimators, and a
+# 1:3 split of the budget between moment estimation and block Krylov.  The
+# deflation gate is block_krylov.deflation_gate.
 DEFAULT_HUTCHINSON_B = 15
 DEFAULT_KRYLOV_DEPTH = 15
 DEFAULT_SLQ_TRIALS = 15
@@ -63,7 +64,7 @@ class SdeConfig:
     """Settings for one spectral density estimation run.
 
     The Hutchinson vector count, the block-Krylov depth and the deflation
-    gate exponent are the protocol constants above, not settings.
+    gate are protocol constants, not settings.
     """
 
     algorithm: str
@@ -77,6 +78,11 @@ class SdeConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        for name in ("budget", "trials", "grid_d", "seed"):
+            value = getattr(self, name)
+            unset = name == "trials" and value is None
+            if not (unset or isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.trials is not None and self.trials < 1:
@@ -99,14 +105,14 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _vr_density(A, fact, l, beta, ledger):
+def _vr_density(A, fact, l, ledger):
     """vr_slq's density from one Lanczos run, and the size of its set S.
 
     The SLQ density of the run is sum_j w_j^2 delta(x - lambda_j(T)), where
     w_j is the first component of the j-th eigenvector of T.  With l = 0
     (slq) it is returned as is: S is empty and no product is spent.
     Otherwise a top-magnitude Ritz pair (lambda_j, Q v_j) joins S when its
-    residual ||A Q v_j - lambda_j Q v_j|| is at most ||A||_est / n^beta and
+    residual ||A Q v_j - lambda_j Q v_j|| is within ``deflation_gate`` and
     its quadrature weight w_j^2 is at most VR_C sqrt(log(l / VR_DELTA)) / n.
     Atoms in S get mass 1/n; the remaining atoms keep their SLQ weights,
     renormalized to carry the other (n - s)/n, and when every Ritz atom is
@@ -123,8 +129,7 @@ def _vr_density(A, fact, l, beta, ledger):
 
     # The tridiagonal's own norm is a free estimate of ||A|| for the
     # residual threshold; Ritz values never exceed the true norm.
-    norm_est = float(np.abs(values).max())
-    threshold = norm_est / n**beta
+    threshold = deflation_gate(float(np.abs(values).max()), n)
     weight_cap = VR_C * math.sqrt(math.log(l / VR_DELTA)) / n
 
     tested = min(l, k)
@@ -206,11 +211,11 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     N = remaining // b Chebyshev moments of (1/L) A with
     b = DEFAULT_HUTCHINSON_B, removes the contribution of the s deflated
     zero eigenvalues, reconstructs a density on a d-point grid and rescales
-    it to [-L, L].  A remainder whose L is within the deflation gate
-    ||A||_est / n^beta (with l = 0: the zero operator) lies within L of the
-    point mass at 0 in W1, which stands in for it with no moment.  Returns
-    (density, facts); facts holds L and N, l and s when l > 0, and cmm's
-    solver, residual and support when it solves for a density.
+    it to [-L, L].  A remainder whose L is within ``deflation_gate`` of
+    block Krylov's norm estimate (with l = 0: the zero operator) lies within
+    L of the point mass at 0 in W1, which stands in for it with no moment.
+    Returns (density, facts); facts holds L and N, l and s when l > 0, and
+    cmm's solver, residual and support when it solves for a density.
     """
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
@@ -218,8 +223,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     lambdas, zero_below, facts = np.empty(0), 0.0, {}
     if l > 0:
         defl = block_krylov_deflation(
-            A, l, q=DEFAULT_KRYLOV_DEPTH, beta=DEFAULT_BETA,
-            stream=stream.substream(1), ledger=ledger,
+            A, l, q=DEFAULT_KRYLOV_DEPTH, stream=stream.substream(1), ledger=ledger
         )
         lambdas = defl.lambdas
         facts = {"l": l, "s": defl.s}
@@ -227,7 +231,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
             return _with_deflated_atoms(lambdas, None, n), dict(facts, N=0, L=0.0)
         if defl.s > 0:
             A = deflate(A, defl.Z)
-        zero_below = defl.norm_estimate / n**DEFAULT_BETA
+        zero_below = deflation_gate(defl.norm_estimate, n)
 
     remaining = budget - (ledger.total - start) - norm_estimate_cost(n)
     N = remaining // b
@@ -259,13 +263,13 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     return density, facts
 
 
-def _vr_sizing(budget, n):
-    """Largest (m, l) with m + min(m // 2, cap) within budget; l may be 0."""
+def _vr_sizing(budget, n, cap):
+    """Largest m <= n with m + l within budget, where l = min(m // 2, cap)
+    Ritz pairs are tested; slq is the case cap = 0.  Returns (m, l)."""
     for m in range(min(n, budget), 0, -1):
-        l = min(m // 2, VR_L_CAP)
+        l = min(m // 2, cap)
         if m + l <= budget:
             return m, l
-    return 1, 0
 
 
 def _lanczos_trials(A, config, root, ledgers, diagnostics):
@@ -276,12 +280,9 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics):
     and the per-trial diagnostics.
     """
     n = A.dimension
-    if config.algorithm == "slq":
-        m, l = min(config.budget, n), 0
-        diagnostics["m"] = m
-    else:
-        m, l = _vr_sizing(config.budget, n)
-        diagnostics.update(m=m, l=l)
+    cap = VR_L_CAP if config.algorithm == "vr_slq" else 0
+    m, l = _vr_sizing(config.budget, n, cap)
+    diagnostics.update(m=m, l=l)
     trials = len(ledgers)
     per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n))
     densities, per_trial = [], []
@@ -306,7 +307,7 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
     densities, per_trial = [], []
     for fact, ledger in zip(factorizations, group_ledgers):
         facts = {"m_effective": fact.m_effective, "reorth_repeats": fact.reorth_repeats}
-        density, converged = _vr_density(A, fact, l, DEFAULT_BETA, ledger)
+        density, converged = _vr_density(A, fact, l, ledger)
         if config.algorithm == "vr_slq":
             facts["converged"] = converged
         densities.append(density)

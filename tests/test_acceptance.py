@@ -93,7 +93,7 @@ def test_criterion_4_deflation_norm_contract():
         tail = rng.uniform(-0.25, 0.25, n - l)
         A, spectrum = random_symmetric(n, seed=400 + seed, spectrum=np.concatenate([top, tail]))
         sigma = np.sort(np.abs(spectrum))[::-1]
-        res = block_krylov_deflation(A, l=l, q=q, beta=3.0, stream=SeededStream(seed))
+        res = block_krylov_deflation(A, l=l, q=q, stream=SeededStream(seed))
         deflated = deflate(A, res.Z) if res.s else A
         norm = np.max(np.abs(np.linalg.eigvalsh(deflated.to_dense())))
         bound = 2 * sigma[l] + 1e-4 * sigma[0]

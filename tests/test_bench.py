@@ -75,6 +75,19 @@ def test_too_small_budget_is_an_error_not_a_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_names_budgets_when_an_entry_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--matrix", "inverse:30", "--algo", "slq",
+        "--budgets", "60,abc", "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --budgets '60,abc': invalid literal for int() with base 10: 'abc'\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_schema_and_budget_honesty(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(
@@ -301,8 +314,11 @@ def test_plot_rejects_a_csv_without_a_needed_column(tmp_path, capsys, column):
     [
         ("abc", "0.25", "invalid literal for int() with base 10: 'abc'"),
         ("50", "", "could not convert string to float: ''"),
+        ("50", "inf", "w1 must be finite and nonnegative, got inf"),
+        ("50", "nan", "w1 must be finite and nonnegative, got nan"),
+        ("50", "-0.5", "w1 must be finite and nonnegative, got -0.5"),
     ],
-    ids=["bad_budget", "empty_w1"],
+    ids=["bad_budget", "empty_w1", "infinite_w1", "nan_w1", "negative_w1"],
 )
 def test_plot_names_the_line_of_a_non_numeric_cell(
     tmp_path, capsys, budget, w1, message

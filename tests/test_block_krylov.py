@@ -10,6 +10,7 @@ from specden import (
     block_krylov_deflation,
     deflate,
 )
+from specden import block_krylov
 from specden.block_krylov import default_depth, orthonormalize_columns
 from specden.datasets import low_rank
 from specden.operators import OperatorError, norm_estimate_cost
@@ -21,7 +22,7 @@ def test_rank_two_diagonal_fully_deflates():
     entries = np.zeros(20)
     entries[0], entries[1] = 1.0, 0.5
     A = DiagonalOperator(entries)
-    res = block_krylov_deflation(A, l=2, q=5, beta=3.0, stream=SeededStream(1))
+    res = block_krylov_deflation(A, l=2, q=5, stream=SeededStream(1))
     assert res.s >= 2
     np.testing.assert_allclose(sorted(res.lambdas, reverse=True)[:2], [1.0, 0.5], atol=1e-8)
     deflated = deflate(A, res.Z)
@@ -37,21 +38,20 @@ def test_zero_operator():
         assert np.max(np.abs(deflated.to_dense())) == 0.0
 
 
-def test_close_top_pair_resolved():
+def test_close_top_pair_resolved(monkeypatch):
     spectrum = np.concatenate([[1.0, 0.99], np.random.default_rng(3).uniform(-0.5, 0.5, 98)])
     A, _ = random_symmetric(100, seed=3, spectrum=spectrum)
-    res = block_krylov_deflation(
-        A, l=5, q=default_depth(100), beta=4.0, stream=SeededStream(3)
-    )
+    monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 4.0)
+    res = block_krylov_deflation(A, l=5, q=default_depth(100), stream=SeededStream(3))
     top2 = np.sort(np.abs(res.lambdas))[::-1][:2]
     np.testing.assert_allclose(top2, [1.0, 0.99], atol=1e-6)
 
 
-def test_deflation_result_invariants():
+def test_deflation_result_invariants(monkeypatch):
     A, _ = random_symmetric(60, seed=9)
-    res = block_krylov_deflation(A, l=6, q=10, beta=2.0, stream=SeededStream(9))
-    n, beta = 60, 2.0
-    threshold = res.norm_estimate / n**beta
+    monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 2.0)
+    res = block_krylov_deflation(A, l=6, q=10, stream=SeededStream(9))
+    threshold = res.norm_estimate / 60**2.0
     assert np.all(res.residuals <= threshold + 1e-15)
     if res.s:
         np.testing.assert_allclose(res.Z.T @ res.Z, np.eye(res.s), atol=1e-8)
@@ -103,8 +103,6 @@ def test_validation():
         block_krylov_deflation(A, l=6)
     with pytest.raises(OperatorError):
         block_krylov_deflation(A, l=2, q=-1)
-    with pytest.raises(OperatorError):
-        block_krylov_deflation(A, l=2, beta=0.0)
 
 
 def test_orthonormalize_drops_dependent_columns():

@@ -7,7 +7,7 @@ from specden.chebyshev import TBAR_SCALE
 from specden.lanczos import (
     LanczosError,
     TridiagonalFactorization,
-    _reorthogonalize,
+    reorthogonalize,
     lanczos_lockstep,
     magnitude_order,
 )
@@ -120,7 +120,7 @@ def test_reorthogonalize_repeats_the_pass_when_the_first_cancels():
     perp -= basis.T @ (basis @ perp)
     perp /= np.linalg.norm(perp)
     r = basis.T @ rng.standard_normal(k) + 1e-10 * perp
-    eta, repeated = _reorthogonalize(basis, r)
+    eta, repeated = reorthogonalize(basis, r)
     assert repeated
     assert eta == np.linalg.norm(r)
     assert eta == pytest.approx(1e-10, rel=1e-4)
@@ -132,7 +132,7 @@ def test_reorthogonalize_makes_one_pass_for_a_generic_vector():
     basis = random_orthogonal(n, SeededStream(32))[:k]
     r = np.random.default_rng(32).standard_normal(n)
     once = r - basis.T @ (basis @ r)
-    eta, repeated = _reorthogonalize(basis, r)
+    eta, repeated = reorthogonalize(basis, r)
     assert not repeated
     np.testing.assert_array_equal(r, once)
     assert eta == np.linalg.norm(once)

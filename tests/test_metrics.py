@@ -83,6 +83,8 @@ def test_distribution_validation_and_merging():
         DiscreteDistribution(np.array([np.inf]), np.array([1.0]))
     with pytest.raises(DistributionError):
         DiscreteDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
+    with pytest.raises(DistributionError, match="finite"):
+        DiscreteDistribution(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
     merged = DiscreteDistribution(np.array([0.3, 0.3, 1.0]), np.array([0.25, 0.25, 0.5]))
     assert len(merged) == 2
     np.testing.assert_allclose(merged.weights, [0.5, 0.5])

@@ -175,6 +175,19 @@ def test_kpm_valid_for_random_moments(rng):
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_kpm_matches_the_damped_series_summed_degree_by_degree(rng):
+    tau, d = rng.uniform(-0.7, 0.7, 30), 500
+    x = grid_points(d)
+    series = np.full(x.size, cheb_normalized(0, 0.0) / np.sqrt(np.pi))
+    for k, damping in enumerate(jackson_coefficients(tau.size), start=1):
+        series += damping * tau[k - 1] * cheb_normalized(k, x)
+    half = 1.0 / d
+    values = np.clip(series / np.sqrt(1.0 - np.clip(x, -1 + half, 1 - half) ** 2), 0, None)
+    np.testing.assert_allclose(
+        kpm_density(tau, d), values / values.sum(), rtol=1e-12, atol=1e-16
+    )
+
+
 def test_kpm_concentrates_on_exact_atom():
     moments = exact_moments(np.array([0.3]), 40)
     q = kpm_density(moments, 2000)

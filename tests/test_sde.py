@@ -13,7 +13,7 @@ from specden import (
     schatten1_estimate,
     wasserstein1,
 )
-from specden import sde
+from specden import block_krylov, sde
 from specden.bench import build_matrix
 from specden.lanczos import TridiagonalFactorization, lanczos, tridiag_eig
 from specden.metrics import DiscreteDistribution
@@ -41,13 +41,13 @@ def slq_density(A, m, stream, ledger=None):
     """One slq trial's density from the start vector run() draws: vr_slq's
     density at l = 0."""
     fact = lanczos_trial(A, m, stream, ledger)
-    density, _ = _vr_density(A, fact, 0, sde.DEFAULT_BETA, ledger)
+    density, _ = _vr_density(A, fact, 0, ledger)
     return density
 
 
-def vr_slq_density(A, m, l, stream, beta=sde.DEFAULT_BETA, ledger=None):
+def vr_slq_density(A, m, l, stream, ledger=None):
     """One vr_slq trial's density from the start vector run() draws."""
-    density, _ = _vr_density(A, lanczos_trial(A, m, stream, ledger), l, beta, ledger)
+    density, _ = _vr_density(A, lanczos_trial(A, m, stream, ledger), l, ledger)
     return density
 
 
@@ -101,10 +101,11 @@ def test_vr_slq_gates_low_rank_atoms_at_exactly_one_over_n():
     assert f.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_vr_slq_empty_gate_equals_slq():
+def test_vr_slq_empty_gate_equals_slq(monkeypatch):
     A, _ = random_symmetric(40, seed=35)
     # beta huge -> residual threshold below machine precision, nothing admits.
-    f_vr = vr_slq_density(A, 10, 5, SeededStream(8), beta=50.0)
+    monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 50.0)
+    f_vr = vr_slq_density(A, 10, 5, SeededStream(8))
     f_slq = slq_density(A, 10, SeededStream(8))
     np.testing.assert_allclose(f_vr.locations, f_slq.locations)
     np.testing.assert_allclose(f_vr.weights, f_slq.weights)
@@ -132,7 +133,7 @@ def test_vr_slq_every_atom_converged_gives_exact_density():
     np.testing.assert_array_equal(f.weights, np.full(4, 0.25))
 
 
-def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
+def test_vr_slq_spreads_mass_when_unconverged_weight_underflows(monkeypatch):
     # The second Ritz vector's first component squares to 0.0, so the mass
     # left outside S is spread uniformly over the unconverged atoms.
     A = DiagonalOperator(np.array([1.0, 0.5]))
@@ -140,7 +141,8 @@ def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
         alpha=np.array([1.0, 0.5]), eta=np.array([1e-200]), Q=np.eye(2)
     )
     ledger = BudgetLedger()
-    f, converged = _vr_density(A, fact, 1, 1.0, ledger)
+    monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 1.0)
+    f, converged = _vr_density(A, fact, 1, ledger)
     assert converged == 1
     np.testing.assert_allclose(f.locations, [0.5, 1.0])
     np.testing.assert_allclose(f.weights, [0.5, 0.5])
@@ -149,9 +151,10 @@ def test_vr_slq_spreads_mass_when_unconverged_weight_underflows():
 
 def test_vr_sizing_fits_budget():
     for budget in (3, 10, 100, 1000):
-        m, l = _vr_sizing(budget, 500)
+        m, l = _vr_sizing(budget, 500, sde.VR_L_CAP)
         assert m + l <= budget
         assert l == min(m // 2, 100)
+        assert _vr_sizing(budget, 500, 0) == (min(budget, 500), 0)
 
 
 def test_sde_with_deflation_on_exact_low_rank():
@@ -188,7 +191,7 @@ def test_sde_with_deflation_zero_remainder_takes_no_moments():
     defl = block_krylov_deflation(
         A, l, q=sde.DEFAULT_KRYLOV_DEPTH, stream=SeededStream(4).substream(1)
     )
-    gate = defl.norm_estimate / n**sde.DEFAULT_BETA
+    gate = defl.norm_estimate / n**block_krylov.DEFAULT_BETA
     assert facts["L"] <= gate
     assert wasserstein1(density, exact_density(A)) <= gate
 
@@ -196,7 +199,7 @@ def test_sde_with_deflation_zero_remainder_takes_no_moments():
 def test_sde_with_deflation_s_zero_equals_plain_cmm(monkeypatch):
     A, _ = random_symmetric(60, seed=41)
     # beta so strict that no Ritz pair is ever admitted.
-    monkeypatch.setattr(sde, "DEFAULT_BETA", 50.0)
+    monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 50.0)
     budget, d = 300, 2000
     ledger = BudgetLedger()
     density, facts = _moment_estimate(A, 2, "cmm", budget, d, SeededStream(9), ledger)
@@ -236,6 +239,11 @@ def test_config_validation():
         SdeConfig("slq", budget=0)
     with pytest.raises(ValueError):
         SdeConfig("slq", budget=10, trials=0)
+    # A float count fails here, not later inside Lanczos.
+    for name, value in [("budget", 20.5), ("trials", 2.0), ("grid_d", 2e3), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SdeConfig("slq", **{"budget": 20, name: value})
+    SdeConfig("slq", budget=np.int64(20), grid_d=np.int32(50), seed=np.int64(3))
     assert SdeConfig("slq", budget=10).resolved_trials() == 15
     assert SdeConfig("cmm", budget=100).resolved_trials() == 1
 
@@ -268,7 +276,8 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
             # The trial's own ledger, from the same start run on its own.
             ledger = BudgetLedger()
             stream = SeededStream(7).substream(t)
-            m, l = (min(budget, 30), 0) if algo == "slq" else _vr_sizing(budget, 30)
+            m, l = (min(budget, 30), 0) if algo == "slq" else _vr_sizing(budget, 30, 100)
+            assert (est.diagnostics["m"], est.diagnostics["l"]) == (m, l)
             if l == 0:
                 lanczos_trial(A, m, stream, ledger)
             else:
