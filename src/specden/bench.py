@@ -112,10 +112,6 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     exact = exact_density(A)
-    try:
-        budgets = sorted({int(b) for b in args.budgets.split(",")})
-    except ValueError as exc:
-        raise ValueError(f"--budgets {args.budgets!r}: {exc}") from None
     algos = args.algo.split(",")
     for algo in algos:
         if algo not in ALGORITHMS:
@@ -125,7 +121,7 @@ def cmd_sweep(args):
     # competing with BLAS's own.  Rows are written once every cell succeeded.
     rows = [["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"]]
     for algo in sorted(algos):
-        for budget in budgets:
+        for budget in args.budgets:
             for trial in range(1, args.sweep_trials + 1):
                 seed = args.seed * 10_000 + trial
                 config = SdeConfig(algo, budget, args.trials, args.grid_d, seed)
@@ -261,6 +257,14 @@ def cmd_plot(args):
     return 0
 
 
+def _parse_budgets(text):
+    """Distinct budgets of a comma-separated list, ascending, each at least 1."""
+    budgets = sorted({int(b) for b in text.split(",")})
+    if budgets[0] < 1:
+        raise ValueError(f"every budget must be at least 1, got {budgets[0]}")
+    return budgets
+
+
 def _parse_bool(text):
     word = text.lower()
     if word in ("1", "true", "yes", "on"):
@@ -278,7 +282,7 @@ _OPTIONS = {
     "matrix": (str, None, "--matrix", "generator 'name:n' or .mtx path"),
     "algo": (str, None, "--algo", "algorithm name (comma list for sweep)"),
     "budget": (int, None, "--budget", "matvec budget"),
-    "budgets": (str, None, "--budgets", "comma-separated budget list"),
+    "budgets": (_parse_budgets, None, "--budgets", "comma-separated budget list"),
     "trials": (int, None, "--trials", "averaging trials per run"),
     "seed": (int, 0, "--seed", "base random seed"),
     "sweep_trials": (int, None, None, None),
@@ -318,28 +322,37 @@ def build_parser():
         p.add_argument("--profile", choices=sorted(PROFILES), default="ci",
                        help="defaults bundle (default ci)")
         p.add_argument("--config", help="key=value config file (flags win)")
-        for name, (parse, default, flag, help_text) in _OPTIONS.items():
+        for name, (_, default, flag, help_text) in _OPTIONS.items():
             if flag is None or (name == "infile" and name not in needs):
                 continue  # config-only, or --in off plot
+            # Flags stay text until resolve() parses them.
+            kind = {}
             if isinstance(default, bool):
                 kind = {"action": argparse.BooleanOptionalAction}
-            else:
-                kind = {"type": parse}
             p.add_argument(flag, dest=name, help=help_text, **kind)
     return parser
 
 
 def resolve(args, parser):
-    """Fill unset flags from the config file, then the profile, then defaults."""
+    """Parse the flags; fill unset ones from the config file, the profile, defaults.
+
+    A flag's text that its option's parser rejects is an error naming the
+    flag; an empty one is left for the check below.
+    """
     file_values = read_config_file(args.config) if args.config else {}
     profile = PROFILES[args.profile]
-    for name, (parse, default, _, _) in _OPTIONS.items():
-        if getattr(args, name, None) is not None:
-            continue
-        if name in file_values:
-            setattr(args, name, parse(file_values[name]))
-        else:
-            setattr(args, name, profile.get(name, default))
+    for name, (parse, default, flag, _) in _OPTIONS.items():
+        value = getattr(args, name, None)
+        if isinstance(value, str) and value:
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{flag} {value!r}: {exc}") from None
+        elif value is None and name in file_values:
+            value = parse(file_values[name])
+        elif value is None:
+            value = profile.get(name, default)
+        setattr(args, name, value)
 
     for name in COMMANDS[args.command][1]:
         value = getattr(args, name)

@@ -129,39 +129,37 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     m_eff = np.zeros(k, dtype=int)
     repeats = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
-    tilde = np.empty((k, n))
     Q[:, 0] = G.T
     active = list(range(k))
     for i in range(m):
-        if i > 0:
-            survivors = []
-            for t in active:
-                r = tilde[t]
-                eta_i, repeated = reorthogonalize(Q[t, :i], r)
-                repeats[t] += repeated
-                if eta_i < BREAKDOWN_RTOL * scale[t]:
-                    continue
-                Q[t, i] = r / eta_i
-                eta[t, i - 1] = eta_i
-                survivors.append(t)
-            active = survivors
-            if not active:
-                break
-        # Row-major products keep every trial's vector contiguous.
-        W = np.ascontiguousarray(A.apply_block(Q[active, i].T).T)
-        for w, t in zip(W, active):
+        # Row-major products keep every trial's vector contiguous; the copy
+        # is the trials' own, so each residual is formed in place in its row.
+        W = np.array(A.apply_block(Q[active, i].T).T, order="C")
+        survivors = []
+        for r, t in zip(W, active):
             if ledgers[t] is not None:
                 ledgers[t].charge("lanczos")
             q = Q[t, i]
-            a = q @ w
+            a = q @ r
             alpha[t, i] = a
-            if i == 0:
-                tilde[t] = w - a * q
-            else:
-                tilde[t] = w - a * q - eta[t, i - 1] * Q[t, i - 1]
-                scale[t] = max(scale[t], eta[t, i - 1])
             scale[t] = max(scale[t], abs(a))
             m_eff[t] = i + 1
+            if i + 1 == m:
+                continue
+            r -= a * q
+            if i > 0:
+                r -= eta[t, i - 1] * Q[t, i - 1]
+                scale[t] = max(scale[t], eta[t, i - 1])
+            eta_i, repeated = reorthogonalize(Q[t, : i + 1], r)
+            repeats[t] += repeated
+            if eta_i < BREAKDOWN_RTOL * scale[t]:
+                continue
+            Q[t, i + 1] = r / eta_i
+            eta[t, i] = eta_i
+            survivors.append(t)
+        active = survivors
+        if not active:
+            break
     return [
         TridiagonalFactorization(alpha[t, :j], eta[t, : j - 1], Q[t, :j].T, int(r))
         for t, (j, r) in enumerate(zip(m_eff, repeats))

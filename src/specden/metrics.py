@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import DiagonalOperator
+
 # Largest dimension for which the dense eigendecomposition oracle is allowed.
 EXACT_DENSITY_CAP = 6100
 
@@ -86,16 +88,21 @@ def _cdf_at(dist, points):
 def exact_density(A):
     """Uniform distribution over the eigenvalues of a concrete operator.
 
-    Requires a materializable operator of dimension at most
-    ``EXACT_DENSITY_CAP``; beyond that, fall back to sampling-based estimates.
+    A ``DiagonalOperator``'s eigenvalues are its sorted diagonal, at any
+    dimension.  Any other operator is densified and decomposed, which is
+    allowed up to dimension ``EXACT_DENSITY_CAP``; beyond that, fall back to
+    sampling-based estimates.
     """
     n = A.dimension
-    if n > EXACT_DENSITY_CAP:
+    if isinstance(A, DiagonalOperator):
+        eigs = np.sort(A.diagonal)
+    elif n > EXACT_DENSITY_CAP:
         raise DistributionError(
             f"dimension {n} exceeds the dense oracle cap {EXACT_DENSITY_CAP}; "
             "use a sampling estimate instead"
         )
-    eigs = np.linalg.eigvalsh(A.to_dense())
+    else:
+        eigs = np.linalg.eigvalsh(A.to_dense())
     return DiscreteDistribution(eigs, np.full(n, 1.0 / n))
 
 

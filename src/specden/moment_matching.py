@@ -41,14 +41,10 @@ def moment_matrix(N, d):
 # NNLS's moment match is accepted as exact when ||T q - z||_1 is at most
 # this; the moments of a probability measure are matched to round-off.
 EXACT_RESIDUAL = 1e-8
-# Grid neighbours on each side of an NNLS atom that the polishing LP may use.
-POLISH_NEIGHBOURS = 2
-# HiGHS's primal feasibility tolerance in the polishing LP, 100-fold below
-# EXACT_RESIDUAL: at its default, 1e-7, the polished q met the moments only
-# to 2e-7.  The optimality tolerances stay at their defaults; tightening
-# them moved which of the many exact matches the LP returns with round-off
-# in tau.
-POLISH_FEASIBILITY = 1e-10
+# HiGHS's primal feasibility tolerance in every LP, 100-fold below
+# EXACT_RESIDUAL: at its default, 1e-7, an LP's q met the moments only to
+# 2e-7.
+LP_FEASIBILITY = 1e-10
 # Iteration cap of every LP solve, so a stalled solve ends the same way on
 # every run.  Full-grid solves of unrealizable moments took at most 7257
 # dual simplex iterations (N = 105, d = 20000); a degenerate stall runs
@@ -64,28 +60,26 @@ def solve_moment_matching(tau, d, diagnostics=None):
     Tbar_i(A / L) g_j is exactly the i-th moment of the probability measure
     sum_k w_k delta(lambda_k / L) with w_k = (1/b) sum_j (g_j . v_k)^2, so
     the optimum is 0 up to the grid: the problem is a degenerate
-    feasibility problem, on which dual simplex stalls.
-    Three steps solve it:
+    feasibility problem, on which dual simplex over the full grid stalls.
+    Two steps solve it:
 
     1. Support: Lawson-Hanson NNLS on [T - z 1^T; 1^T] q = [0; 1], with
        each column scaled to unit norm, finds a q >= 0 with at most N + 1
        atoms.  The scaling makes its first pick the single grid atom that
        best matches the moments.
-    2. Polish: when that q, normalized, matches to EXACT_RESIDUAL, the L1
-       LP is solved by HiGHS's interior point, to POLISH_FEASIBILITY, on
-       q's atoms and their POLISH_NEIGHBOURS grid neighbours on each side
-       only, about 5(N + 1) columns instead of d + 1.  NNLS's own square
-       solve on adjacent atoms amplifies round-off in tau ~1e8-fold; the
-       LP's solution does not.  Should the polishing LP fail, or its q miss
-       EXACT_RESIDUAL, NNLS's q is returned as it is.
-    3. Fallback: otherwise (or if NNLS itself fails) the moments are taken
-       as unrealizable, and the L1 LP is solved on the full grid by dual
-       simplex; one that stops short of optimal raises SolverError.
+    2. LP: the L1 LP is solved by HiGHS's dual simplex on q's atoms only
+       when q, normalized, matches to EXACT_RESIDUAL, and on the full grid
+       otherwise (or if NNLS itself fails), taking the moments as
+       unrealizable.  NNLS's own square solve on adjacent atoms amplifies
+       round-off in tau ~1e8-fold; the LP's solution does not.  Should the
+       LP on q's atoms fail, or its q miss EXACT_RESIDUAL, NNLS's q is
+       returned as it is; a full-grid LP that stops short of optimal
+       raises SolverError.
 
-    Every LP stops after LP_MAXITER iterations.  When ``diagnostics`` is a
-    dict, it receives the step that chose q's support (``solver``: "nnls"
-    for steps 1-2, "lp" for step 3), the final ``residual`` ||T q - z||_1
-    and the atom count ``support``.
+    Every LP runs to LP_FEASIBILITY and stops after LP_MAXITER iterations.
+    When ``diagnostics`` is a dict, it receives the step that chose q's
+    support (``solver``: "nnls" when NNLS matched, "lp" for the full grid),
+    the final ``residual`` ||T q - z||_1 and the atom count ``support``.
     """
     N = tau.size
     if N < 1:
@@ -100,23 +94,19 @@ def solve_moment_matching(tau, d, diagnostics=None):
 
     q = _nnls_support(T, z)
     if q is not None and residual(q) <= EXACT_RESIDUAL:
-        solver = "nnls"
-        offsets = np.arange(-POLISH_NEIGHBOURS, POLISH_NEIGHBOURS + 1)
-        columns = np.unique(np.clip(np.flatnonzero(q)[:, None] + offsets, 0, d))
-        res = _l1_lp(T[:, columns], z, "highs-ipm", POLISH_FEASIBILITY)
-        if res.success:
-            polished = _grid_density(res.x[: columns.size], columns, d)
-            if residual(polished) <= EXACT_RESIDUAL:
-                q = polished
+        solver, columns = "nnls", np.flatnonzero(q)
     else:
-        solver = "lp"
-        res = _l1_lp(T, z, "highs-ds")
-        if not res.success:
-            raise SolverError(
-                f"moment-matching LP failed (status {res.status}): {res.message}; "
-                f"N={N}, d={d}, iterations={res.nit}"
-            )
-        q = _grid_density(res.x[: d + 1], np.arange(d + 1), d)
+        solver, columns = "lp", np.arange(d + 1)
+    res = _l1_lp(T[:, columns], z)
+    if res.success:
+        matched = _grid_density(res.x[: columns.size], columns, d)
+        if solver == "lp" or residual(matched) <= EXACT_RESIDUAL:
+            q = matched
+    elif solver == "lp":
+        raise SolverError(
+            f"moment-matching LP failed (status {res.status}): {res.message}; "
+            f"N={N}, d={d}, iterations={res.nit}"
+        )
     if diagnostics is not None:
         diagnostics.update(
             solver=solver, residual=residual(q), support=int(np.count_nonzero(q))
@@ -144,13 +134,13 @@ def _grid_density(x, columns, d):
     return q / q.sum()
 
 
-def _l1_lp(T, z, method, feasibility=None):
-    """HiGHS result of min ||T q - z||_1 over the probability simplex.
+def _l1_lp(T, z):
+    """HiGHS dual simplex result of min ||T q - z||_1 over the probability simplex.
 
     The LP is in (q, t), with one auxiliary variable per moment bounding
     its absolute error.  It stops at HiGHS's default tolerances, with the
-    primal feasibility tolerance ``feasibility`` when given, or after
-    LP_MAXITER iterations.
+    primal feasibility tolerance LP_FEASIBILITY, or after LP_MAXITER
+    iterations.
     """
     N, n_q = T.shape
     T_sp = sp.csr_matrix(T)
@@ -171,8 +161,11 @@ def _l1_lp(T, z, method, feasibility=None):
         A_eq=A_eq,
         b_eq=np.array([1.0]),
         bounds=[(0, None)] * (n_q + N),
-        method=method,
-        options={"maxiter": LP_MAXITER, "primal_feasibility_tolerance": feasibility},
+        method="highs-ds",
+        options={
+            "maxiter": LP_MAXITER,
+            "primal_feasibility_tolerance": LP_FEASIBILITY,
+        },
     )
 
 

@@ -88,6 +88,21 @@ def test_sweep_names_budgets_when_an_entry_does_not_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budgets", ["60,-5", "60,0"])
+def test_sweep_names_budgets_when_an_entry_is_below_one(tmp_path, capsys, budgets):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--matrix", "inverse:30", "--algo", "slq",
+        "--budgets", budgets, "--out", str(out),
+    )
+    assert code == 2
+    low = budgets.split(",")[1]
+    assert capsys.readouterr().err == (
+        f"error: --budgets '{budgets}': every budget must be at least 1, got {low}\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_schema_and_budget_honesty(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(
@@ -236,8 +251,19 @@ def test_config_file_with_flag_precedence(tmp_path):
         ("matrix = inverse:40\nbudget = abc\n", "'abc'"),
         ("matrix = inverse:40\n\nbudget = abc\n", "bench.cfg:3: budget: "),
         (None, "No such file"),
+        (
+            "matrix = inverse:40\nbudgets = 60,abc\n",
+            "bench.cfg:2: budgets: invalid literal for int() with base 10: 'abc'\n",
+        ),
+        (
+            "matrix = inverse:40\nbudgets = 60,-5\n",
+            "bench.cfg:2: budgets: every budget must be at least 1, got -5\n",
+        ),
     ],
-    ids=["malformed_line", "unknown_key", "bad_integer", "bad_integer_line", "missing_file"],
+    ids=[
+        "malformed_line", "unknown_key", "bad_integer", "bad_integer_line",
+        "missing_file", "unparsable_budgets", "budgets_below_one",
+    ],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, config_text, message):
     cfg = tmp_path / "bench.cfg"

@@ -343,7 +343,7 @@ def test_run_reports_each_moment_matching_solve():
             assert facts["N"] >= 1
             assert facts["solver"] == "nnls"
             assert facts["residual"] <= EXACT_RESIDUAL
-            assert 1 <= facts["support"] <= 2 * facts["N"] + 1
+            assert 1 <= facts["support"] <= facts["N"] + 1
 
 
 @pytest.mark.parametrize(
@@ -358,7 +358,7 @@ def test_cmm_finishes_where_the_simplex_lp_stalled(spec, matrix_seed, budget, se
     facts = est.diagnostics["per_trial"][0]
     assert facts["solver"] == "nnls"
     assert facts["residual"] <= EXACT_RESIDUAL
-    assert 1 <= facts["support"] <= 5 * (facts["N"] + 1)
+    assert 1 <= facts["support"] <= facts["N"] + 1
 
 
 def test_schatten1_identity_zero_and_harmonic():
