@@ -257,6 +257,13 @@ def cmd_plot(args):
     return 0
 
 
+def _parse_count(text):
+    """A budget, trial count or grid size: an integer of at least 1."""
+    if (value := int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_budgets(text):
     """Distinct budgets of a comma-separated list, ascending, each at least 1."""
     budgets = sorted({int(b) for b in text.split(",")})
@@ -281,12 +288,12 @@ def _parse_bool(text):
 _OPTIONS = {
     "matrix": (str, None, "--matrix", "generator 'name:n' or .mtx path"),
     "algo": (str, None, "--algo", "algorithm name (comma list for sweep)"),
-    "budget": (int, None, "--budget", "matvec budget"),
+    "budget": (_parse_count, None, "--budget", "matvec budget"),
     "budgets": (_parse_budgets, None, "--budgets", "comma-separated budget list"),
-    "trials": (int, None, "--trials", "averaging trials per run"),
+    "trials": (_parse_count, None, "--trials", "averaging trials per run"),
     "seed": (int, 0, "--seed", "base random seed"),
-    "sweep_trials": (int, None, None, None),
-    "grid_d": (int, None, None, None),
+    "sweep_trials": (_parse_count, None, None, None),
+    "grid_d": (_parse_count, None, None, None),
     "out": (str, None, "--out", "output file path"),
     "infile": (str, None, "--in", "sweep CSV to plot"),
     "normalize_adjacency": (
@@ -301,13 +308,6 @@ COMMANDS = {
     "sweep": (cmd_sweep, ("matrix", "algo", "budgets", "out")),
     "exact": (cmd_exact, ("matrix", "out")),
     "plot": (cmd_plot, ("infile", "out")),
-}
-
-# A needed option that is unset, empty or below 1 is an error: its flag, then
-# this text, or "is required" for an option not listed.
-_MISSING = {
-    "budget": "must be a positive integer",
-    "budgets": "is required (comma-separated list)",
 }
 
 
@@ -356,8 +356,8 @@ def resolve(args, parser):
 
     for name in COMMANDS[args.command][1]:
         value = getattr(args, name)
-        if value in (None, "") or (isinstance(value, int) and value < 1):
-            parser.error(f"{_OPTIONS[name][2]} {_MISSING.get(name, 'is required')}")
+        if value in (None, ""):
+            parser.error(f"{_OPTIONS[name][2]} is required")
     return args
 
 

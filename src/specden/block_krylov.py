@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lanczos import magnitude_order, reorthogonalize
+# spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
 from .randgen import SeededStream, gaussian_matrix
 
@@ -30,18 +31,23 @@ class DeflationResult:
     """Converged Ritz pairs from block Krylov.
 
     Z has orthonormal columns Q v_j for the admitted indices; lambdas are the
-    matching Ritz values sorted by descending magnitude.
+    matching Ritz values sorted by descending magnitude.  gate is the
+    deflation_gate that admitted them, formed from norm_estimate.
     """
 
     Z: np.ndarray
     lambdas: np.ndarray
     residuals: np.ndarray
     candidates_examined: int
-    norm_estimate: float
+    gate: float
 
     @property
     def s(self):
         return self.lambdas.size
+
+    @property
+    def norm_estimate(self):
+        return self.gate * self.Z.shape[0] ** DEFAULT_BETA
 
 
 def basis_capacity(l, q, n=math.inf):
@@ -50,11 +56,13 @@ def basis_capacity(l, q, n=math.inf):
     return min(n, l * (2 * q + 1))
 
 
-def deflation_gate(norm_estimate, n):
-    """||A||_est / n^beta: the largest residual that admits a Ritz pair to
-    block Krylov's deflation set or vr_slq's set S, and the largest norm of
-    a remainder that def_cmm/def_kpm replace by a point mass at 0."""
-    return norm_estimate / n**DEFAULT_BETA
+def deflation_gate(ritz_values, n):
+    """||A||_est / n^beta, ||A||_est being the largest |Ritz value| of the
+    Krylov space that produced the pairs (no product; <= ||A|| to round-off):
+    the largest residual that admits a Ritz pair to block Krylov's deflation
+    set or vr_slq's set S, and the largest norm of a remainder that
+    def_cmm/def_kpm replace by a point mass at 0."""
+    return float(np.abs(ritz_values).max()) / n**DEFAULT_BETA
 
 
 def default_depth(n):
@@ -121,7 +129,7 @@ def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
     Charges one application per Krylov basis column, at most
-    min(n, l(2q+1)), plus the norm-estimation cost.
+    min(n, l(2q+1)); the gate reads ||A||_est from the Ritz values.
     """
     n = A.dimension
     if not 1 <= l <= n:
@@ -135,21 +143,20 @@ def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
 
     X = gaussian_matrix(n, l, stream)
     Q, AQ = build_krylov_block(A, X, q, ledger)
-    norm_est = spectral_norm_upper_bound(A, ledger, stream.substream(7919))
     T = Q.T @ AQ
     values, vectors = np.linalg.eigh(0.5 * (T + T.T))
     order = magnitude_order(values)
     values, vectors = values[order], vectors[:, order]
 
     ritz_vecs = Q @ vectors
-    residual_block = AQ @ vectors - ritz_vecs * values
-    residuals = np.linalg.norm(residual_block, axis=0)
+    residuals = np.linalg.norm(AQ @ vectors - ritz_vecs * values, axis=0)
 
-    admitted = np.flatnonzero(residuals <= deflation_gate(norm_est, n))
+    gate = deflation_gate(values, n)
+    admitted = np.flatnonzero(residuals <= gate)
     return DeflationResult(
         Z=ritz_vecs[:, admitted],
         lambdas=values[admitted],
         residuals=residuals[admitted],
         candidates_examined=Q.shape[1],
-        norm_estimate=norm_est,
+        gate=gate,
     )

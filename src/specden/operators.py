@@ -102,6 +102,12 @@ class SymmetricOperator:
         return self.apply_block(np.eye(self._n))
 
 
+def _require_symmetric(matrix):
+    """Reject a dense or sparse M unless max|M - M^T| <= 1e-10 max|M|."""
+    if not abs(matrix - matrix.T).max() <= 1e-10 * abs(matrix).max():
+        raise OperatorError("matrix is not symmetric")
+
+
 class DenseOperator(SymmetricOperator):
     """Full symmetric matrix stored densely."""
 
@@ -109,10 +115,8 @@ class DenseOperator(SymmetricOperator):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise OperatorError(f"expected a square matrix, got shape {matrix.shape}")
-        scale = np.abs(matrix).max() if matrix.size else 0.0
-        if not np.allclose(matrix, matrix.T, atol=1e-10 * max(scale, 1.0)):
-            raise OperatorError("matrix is not symmetric")
         super().__init__(matrix.shape[0])
+        _require_symmetric(matrix)
         # Bitwise symmetric, since a + b == b + a in floating point.
         self.matrix = 0.5 * (matrix + matrix.T)
 
@@ -145,11 +149,8 @@ class SparseOperator(SymmetricOperator):
         matrix = sp.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise OperatorError(f"expected a square matrix, got shape {matrix.shape}")
-        diff = abs(matrix - matrix.T)
-        scale = abs(matrix).max() if matrix.nnz else 0.0
-        if diff.nnz and diff.max() > 1e-10 * max(scale, 1.0):
-            raise OperatorError("sparse matrix is not symmetric")
         super().__init__(matrix.shape[0])
+        _require_symmetric(matrix)
         self.matrix = matrix
 
     def _matmat(self, V):

@@ -80,15 +80,12 @@ class SdeConfig:
             )
         for name in ("budget", "trials", "grid_d", "seed"):
             value = getattr(self, name)
-            unset = name == "trials" and value is None
-            if not (unset or isinstance(value, numbers.Integral)):
+            if name == "trials" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.grid_d < 1:
-            raise ValueError("grid resolution must be positive")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def resolved_trials(self):
         if self.trials is not None:
@@ -127,9 +124,7 @@ def _vr_density(A, fact, l, ledger):
         return DiscreteDistribution(values.copy(), weights), 0
     k = values.size
 
-    # The tridiagonal's own norm is a free estimate of ||A|| for the
-    # residual threshold; Ritz values never exceed the true norm.
-    threshold = deflation_gate(float(np.abs(values).max()), n)
+    threshold = deflation_gate(values, n)
     weight_cap = VR_C * math.sqrt(math.log(l / VR_DELTA)) / n
 
     tested = min(l, k)
@@ -171,14 +166,11 @@ def _deflated_trial_cost(n, l, N):
     """Most applications a rank-l deflated moment trial with N moments spends.
 
     Block Lanczos to depth q spends one application per basis column, at
-    most min(n, l(2q + 1)); both norm estimates and the N moments of b
-    Hutchinson vectors each come on top.
+    most min(n, l(2q + 1)); the remainder's norm estimate and the N moments
+    of b Hutchinson vectors each come on top.
     """
-    return (
-        2 * norm_estimate_cost(n)
-        + basis_capacity(l, DEFAULT_KRYLOV_DEPTH, n)
-        + N * DEFAULT_HUTCHINSON_B
-    )
+    q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
+    return norm_estimate_cost(n) + basis_capacity(l, q, n) + N * b
 
 
 def _allocate_block_size(n, budget):
@@ -196,7 +188,7 @@ def _allocate_block_size(n, budget):
     raise BudgetExhaustedError(
         f"budget {budget} cannot fund even a rank-1 Krylov block at depth "
         f"{q} ({per_column} applications per column) plus norm estimation "
-        f"({2 * norm_estimate_cost(n)}) and one moment ({b})"
+        f"({norm_estimate_cost(n)}) and one moment ({b})"
     )
 
 
@@ -211,9 +203,9 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     N = remaining // b Chebyshev moments of (1/L) A with
     b = DEFAULT_HUTCHINSON_B, removes the contribution of the s deflated
     zero eigenvalues, reconstructs a density on a d-point grid and rescales
-    it to [-L, L].  A remainder whose L is within ``deflation_gate`` of
-    block Krylov's norm estimate (with l = 0: the zero operator) lies within
-    L of the point mass at 0 in W1, which stands in for it with no moment.
+    it to [-L, L].  A remainder whose L is within block Krylov's
+    ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
+    point mass at 0 in W1, which stands in for it with no moment.
     Returns (density, facts); facts holds L and N, l and s when l > 0, and
     cmm's solver, residual and support when it solves for a density.
     """
@@ -231,7 +223,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
             return _with_deflated_atoms(lambdas, None, n), dict(facts, N=0, L=0.0)
         if defl.s > 0:
             A = deflate(A, defl.Z)
-        zero_below = deflation_gate(defl.norm_estimate, n)
+        zero_below = defl.gate
 
     remaining = budget - (ledger.total - start) - norm_estimate_cost(n)
     N = remaining // b

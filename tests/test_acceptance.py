@@ -25,7 +25,7 @@ from specden.datasets import inverse_spectrum, low_rank, power_law_spectrum
 from specden.lanczos import lanczos, tridiag_eig
 from specden.metrics import DiscreteDistribution, exact_density
 from specden.moment_matching import moment_matrix, solve_moment_matching
-from specden.operators import deflate, norm_estimate_cost
+from specden.operators import deflate
 from specden.randgen import unit_sphere_vector
 
 from conftest import (
@@ -223,7 +223,7 @@ def test_criterion_10_budget_honesty():
     # One application per basis column; l(2q + 1) = 52 columns exhaust n = 50.
     krylov = min(50, l * (2 * q + 1))
     assert res.candidates_examined == krylov
-    assert ledger.total == res.candidates_examined + norm_estimate_cost(50)
+    assert ledger.total == res.candidates_examined
 
     ledger = BudgetLedger()
     N, b = 7, 3

@@ -38,13 +38,15 @@ def test_estimate_writes_atoms_and_is_deterministic(tmp_path, capsys):
     assert len(rows) <= 60 * 15  # at most m atoms per averaging trial
 
 
-def test_estimate_rejects_bad_flags(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run_cli(
-            "estimate", "--matrix", "inverse:50", "--algo", "slq",
-            "--budget", "0", "--out", str(tmp_path / "x.csv"),
+def test_estimate_rejects_bad_flags(tmp_path, capsys):
+    # A count below 1 is an error naming its flag.
+    for flag, budget, trials in [("--budget", "0", "1"), ("--trials", "10", "0")]:
+        code = run_cli(
+            "estimate", "--matrix", "inverse:50", "--algo", "slq", "--budget", budget,
+            "--trials", trials, "--out", str(tmp_path / "x.csv"),
         )
-    assert err.value.code == 2
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} '0': must be at least 1, got 0\n"
     assert (
         run_cli(
             "estimate", "--matrix", "inverse:50", "--algo", "bogus",
@@ -259,10 +261,22 @@ def test_config_file_with_flag_precedence(tmp_path):
             "matrix = inverse:40\nbudgets = 60,-5\n",
             "bench.cfg:2: budgets: every budget must be at least 1, got -5\n",
         ),
+        ("matrix = inverse:40\nbudget = 0\n", "bench.cfg:2: budget: must be at least 1, got 0\n"),
+        (
+            "matrix = inverse:40\nbudget = 30\ntrials = -1\n",
+            "bench.cfg:3: trials: must be at least 1, got -1\n",
+        ),
+        (
+            "matrix = inverse:40\nbudget = 30\nsweep_trials = 0\n",
+            "bench.cfg:3: sweep_trials: must be at least 1, got 0\n",
+        ),
+        ("grid_d = 0\nmatrix = inverse:40\n", "bench.cfg:1: grid_d: must be at least 1, got 0\n"),
     ],
     ids=[
         "malformed_line", "unknown_key", "bad_integer", "bad_integer_line",
         "missing_file", "unparsable_budgets", "budgets_below_one",
+        "budget_below_one", "trials_below_one", "sweep_trials_below_one",
+        "grid_d_below_one",
     ],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, config_text, message):

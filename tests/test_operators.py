@@ -90,6 +90,26 @@ def test_dimension_and_symmetry_validation():
         A.apply(np.ones(4))
 
 
+@pytest.mark.parametrize("build", [DenseOperator, lambda M: SparseOperator(sp.csr_matrix(M))])
+def test_symmetry_check_is_relative_to_the_matrix_scale(build):
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+    # Scaling a non-symmetric matrix down does not make it symmetric.
+    with pytest.raises(OperatorError, match="not symmetric"):
+        build(1e-12 * skew)
+    # A relative asymmetry of 1e-7 is far above round-off at any scale.
+    slightly = np.array([[1.0, 1.0], [1.0 + 1e-7, 1.0]])
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(OperatorError, match="not symmetric"):
+            build(scale * slightly)
+    # Round-off asymmetry, and the zero matrix, are accepted.
+    M = np.random.default_rng(4).standard_normal((6, 6))
+    M = M @ M.T
+    M[0, 1] *= 1.0 + 1e-14
+    for scale in (1e-12, 1.0, 1e12):
+        assert build(scale * M).dimension == 6
+    assert build(np.zeros((3, 3))).dimension == 3
+
+
 def test_ledger_counts_every_apply():
     A = DiagonalOperator(np.arange(1.0, 6.0))
     ledger = BudgetLedger()

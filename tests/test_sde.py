@@ -205,8 +205,7 @@ def test_sde_with_deflation_s_zero_equals_plain_cmm(monkeypatch):
     density, facts = _moment_estimate(A, 2, "cmm", budget, d, SeededStream(9), ledger)
     assert facts["s"] == 0
     assert "rayleigh_ritz" not in ledger.counts
-    spent_on_krylov = ledger.counts["krylov_subspace"] + norm_estimate_cost(60)
-    remaining = budget - spent_on_krylov
+    remaining = budget - ledger.counts["krylov_subspace"]
     plain, _ = _moment_estimate(A, 0, "cmm", remaining, d, SeededStream(9), BudgetLedger())
     np.testing.assert_allclose(density.locations, plain.locations)
     np.testing.assert_allclose(density.weights, plain.weights)
@@ -230,6 +229,54 @@ def test_moment_trial_too_small_for_one_moment_spends_nothing():
     with pytest.raises(BudgetExhaustedError):
         run(A, SdeConfig("kpm", budget=least - 1))
     assert run(A, SdeConfig("kpm", budget=least)).diagnostics["per_trial"][0]["N"] == 1
+
+
+def test_block_krylov_and_vr_slq_gate_on_the_largest_ritz_value(monkeypatch):
+    # One rule, max|Ritz value| / n^beta, each over every Ritz value of its
+    # own Krylov space; no |Ritz value| exceeds ||A||, and with a separated
+    # top eigenvalue both come within 1e-6 of it.
+    spectrum = np.concatenate([[1.0, -0.9], np.random.default_rng(44).uniform(-0.5, 0.5, 58)])
+    A, _ = random_symmetric(60, seed=44, spectrum=spectrum)
+    n, norm = A.dimension, np.abs(spectrum).max()
+    gate, seen = block_krylov.deflation_gate, []
+
+    def recording_gate(values, n):
+        seen.append(np.array(values))
+        return gate(values, n)
+
+    monkeypatch.setattr(block_krylov, "deflation_gate", recording_gate)
+    monkeypatch.setattr(sde, "deflation_gate", recording_gate)
+    defl = block_krylov_deflation(A, 3, q=4, stream=SeededStream(44))
+    fact = lanczos_trial(A, 30, SeededStream(45))
+    _vr_density(A, fact, 5, BudgetLedger())
+
+    krylov_ritz, lanczos_ritz = seen
+    assert krylov_ritz.size == defl.candidates_examined
+    np.testing.assert_array_equal(lanczos_ritz, tridiag_eig(fact).values)
+    for ritz in seen:
+        top = np.abs(ritz).max()
+        assert gate(ritz, n) == top / n**block_krylov.DEFAULT_BETA
+        assert norm * (1 - 1e-6) <= top <= norm * (1 + 1e-12)
+    assert defl.gate == gate(krylov_ritz, n)
+    assert defl.norm_estimate == pytest.approx(np.abs(krylov_ritz).max(), rel=1e-14)
+
+
+def test_def_kpm_least_budget_is_one_norm_estimate_one_column_one_moment():
+    # A rank-1 block of depth q, the remainder's one norm estimate and one
+    # moment: block Krylov spends nothing on a norm estimate of its own.
+    n, q, b = 200, sde.DEFAULT_KRYLOV_DEPTH, sde.DEFAULT_HUTCHINSON_B
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, n))
+    least = norm_estimate_cost(n) + block_krylov.basis_capacity(1, q, n) + b
+    est = run(A, SdeConfig("def_kpm", budget=least, seed=0))
+    assert est.ledger.counts == {
+        "krylov_subspace": block_krylov.basis_capacity(1, q, n),
+        "norm_estimate": norm_estimate_cost(n),
+        "moments": b,
+    }
+    assert est.diagnostics["per_trial"][0]["l"] == 1
+    assert est.diagnostics["per_trial"][0]["N"] == 1
+    with pytest.raises(BudgetExhaustedError, match="rank-1 Krylov block"):
+        run(A, SdeConfig("def_kpm", budget=least - 1, seed=0))
 
 
 def test_config_validation():
@@ -395,9 +442,9 @@ PINNED_RUNS = [
     ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995, "residual_test": 990}),
     ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30}),
     ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180}),
-    # Block size 4 deflates all six large eigenvalues, leaving N = 2 moments.
-    ("def_kpm", 200, 0.14307026626140412,
-     {"krylov_subspace": 124, "norm_estimate": 32, "moments": 30}),
+    # Block size 4 deflates all six large eigenvalues, leaving N = 4 moments.
+    ("def_kpm", 200, 0.08436047988803,
+     {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60}),
 ]
 
 
