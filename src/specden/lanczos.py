@@ -40,13 +40,20 @@ class TridiagonalFactorization:
     """Lanczos output: T (alpha diagonal, eta off-diagonal) and basis Q.
 
     ``m_effective`` counts iterations completed before breakdown; alpha has
-    length m_effective and eta one less.  ``reorth_repeats`` counts the
-    steps that needed a second Gram-Schmidt pass.
+    length m_effective and eta one less.  ``beta`` is the norm of the last
+    step's residual r in A Q = Q T + r e_m^T: the three-term residual after
+    m steps, the breakdown eta after a breakdown.  The Ritz pair
+    (theta_j, Q s_j) of T s_j = theta_j s_j then has residual
+    ||A Q s_j - theta_j Q s_j|| = beta |e_m^T s_j| (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, section 13.1).  It is nan when unknown, as for
+    a hand-built T.  ``reorth_repeats`` counts the steps that needed a
+    second Gram-Schmidt pass.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
     Q: np.ndarray
+    beta: float = math.nan
     reorth_repeats: int = 0
 
     @property
@@ -104,10 +111,12 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     The k recurrences are independent: each step applies A once to the
     current vectors of every trial that has not broken down, and trial t's
     applications are charged to ``ledgers[t]`` (m each, fewer on
-    breakdown).  Outside the block product, every reduction is a dot or
-    matrix-vector product on one trial's contiguous rows, as in a
-    single-vector run.  Returns one ``TridiagonalFactorization`` per column
-    of G, each a view into storage the k runs share.
+    breakdown).  The last step forms its three-term residual only for its
+    norm beta, with no product and no reorthogonalization.  Outside the
+    block product, every reduction is a dot or matrix-vector product on one
+    trial's contiguous rows, as in a single-vector run.  Returns one
+    ``TridiagonalFactorization`` per column of G, each a view into storage
+    the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -125,7 +134,8 @@ def lanczos_lockstep(A, G, m, ledgers=None):
 
     Q = np.empty((k, m, n))
     alpha = np.empty((k, m))
-    eta = np.empty((k, max(m - 1, 0)))
+    # Row t holds trial t's m_effective - 1 off-diagonals, then its beta.
+    eta = np.empty((k, m))
     m_eff = np.zeros(k, dtype=int)
     repeats = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
@@ -144,24 +154,28 @@ def lanczos_lockstep(A, G, m, ledgers=None):
             alpha[t, i] = a
             scale[t] = max(scale[t], abs(a))
             m_eff[t] = i + 1
-            if i + 1 == m:
-                continue
             r -= a * q
             if i > 0:
                 r -= eta[t, i - 1] * Q[t, i - 1]
                 scale[t] = max(scale[t], eta[t, i - 1])
+            if i + 1 == m:
+                eta[t, i] = np.linalg.norm(r)
+                continue
             eta_i, repeated = reorthogonalize(Q[t, : i + 1], r)
             repeats[t] += repeated
+            eta[t, i] = eta_i
             if eta_i < BREAKDOWN_RTOL * scale[t]:
                 continue
             Q[t, i + 1] = r / eta_i
-            eta[t, i] = eta_i
             survivors.append(t)
         active = survivors
         if not active:
             break
     return [
-        TridiagonalFactorization(alpha[t, :j], eta[t, : j - 1], Q[t, :j].T, int(r))
+        TridiagonalFactorization(
+            alpha[t, :j], eta[t, : j - 1], Q[t, :j].T,
+            beta=float(eta[t, j - 1]), reorth_repeats=int(r),
+        )
         for t, (j, r) in enumerate(zip(m_eff, repeats))
     ]
 

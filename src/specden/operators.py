@@ -185,8 +185,8 @@ class DeflatedOperator(SymmetricOperator):
             raise OperatorError(
                 f"Z has shape {Z.shape}, operator dimension is {base.dimension}"
             )
-        gram = Z.T @ Z
-        if not np.allclose(gram, np.eye(Z.shape[1]), atol=1e-10):
+        # max|Z^T Z - I| <= 1e-10, with no relative slack on the diagonal.
+        if not np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0) <= 1e-10:
             raise OperatorError("columns of Z are not orthonormal")
         super().__init__(base.dimension)
         self.base = base

@@ -215,7 +215,7 @@ def test_criterion_10_budget_honesty():
 
     est = run(A, SdeConfig("vr_slq", budget=30, trials=1, seed=1000))
     assert (est.diagnostics["m"], est.diagnostics["l"]) == (20, 10)
-    assert est.ledger.total == 20 + 10  # m + |tested|, no breakdown on dense A
+    assert est.ledger.total == 20  # m, no breakdown on dense A; residuals are free
 
     ledger = BudgetLedger()
     l, q = 4, 6

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from specden import BudgetLedger, DiagonalOperator, SeededStream, lanczos, tridiag_eig
+from specden import (
+    BudgetLedger,
+    DiagonalOperator,
+    SeededStream,
+    SparseOperator,
+    deflate,
+    lanczos,
+    tridiag_eig,
+)
 from specden.bench import build_matrix
 from specden.chebyshev import TBAR_SCALE
 from specden.lanczos import (
@@ -151,6 +160,42 @@ def test_lockstep_basis_stays_orthonormal_up_to_m_equal_n(spec):
         m = fact.m_effective
         assert np.abs(fact.Q.T @ fact.Q - np.eye(m)).max() <= 1e-12
         assert 0 <= fact.reorth_repeats < m
+
+
+def _residual_cases():
+    dense, _ = random_symmetric(60, seed=51)
+    M = sp.random(60, 60, density=0.1, random_state=52)
+    sparse = SparseOperator(sp.csr_matrix(M + M.T))
+    diagonal = DiagonalOperator(np.random.default_rng(53).uniform(-2.0, 2.0, 60))
+    Z = random_orthogonal(60, SeededStream(54))[:4].T
+    # Four distinct eigenvalues: the Krylov space has dimension 4, so a
+    # 20-step run breaks down after 4 steps.
+    low_rank = DiagonalOperator(np.repeat([3.0, -1.0, 0.5, 0.0], 15))
+    return {
+        "dense": dense,
+        "sparse": sparse,
+        "diagonal": diagonal,
+        "deflated": deflate(dense, Z),
+        "breakdown": low_rank,
+    }
+
+
+@pytest.mark.parametrize("case", list(_residual_cases()))
+def test_ritz_residuals_come_from_the_recurrence(case):
+    # ||A Q s_j - theta_j Q s_j|| = beta |e_m^T s_j| for every Ritz pair.
+    A = _residual_cases()[case]
+    dense = A.to_dense()
+    norm = np.abs(np.linalg.eigvalsh(dense)).max()
+    G = np.column_stack(
+        [unit_sphere_vector(A.dimension, SeededStream(55).substream(t)) for t in range(2)]
+    )
+    for fact in lanczos_lockstep(A, G, 20):
+        assert fact.m_effective == (4 if case == "breakdown" else 20)
+        ritz = tridiag_eig(fact)
+        Y = fact.Q @ ritz.vectors
+        explicit = np.linalg.norm(dense @ Y - Y * ritz.values, axis=0)
+        recurrence = fact.beta * np.abs(ritz.vectors[-1])
+        assert np.abs(recurrence - explicit).max() <= 1e-12 * norm
 
 
 def test_budget_is_exactly_m():

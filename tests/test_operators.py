@@ -110,6 +110,25 @@ def test_symmetry_check_is_relative_to_the_matrix_scale(build):
     assert build(np.zeros((3, 3))).dimension == 3
 
 
+def test_deflation_basis_must_be_orthonormal_to_1e_10_on_the_diagonal_too():
+    base = DiagonalOperator(np.linspace(-1.0, 1.0, 8))
+    Z = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 3)))[0]
+    # A first column of norm 1 + 4e-6 would leave the projector I - ZZ^T
+    # idempotent only to ~8e-6.
+    long_first = Z.copy()
+    long_first[:, 0] *= 1.0 + 4e-6
+    P = np.eye(8) - long_first @ long_first.T
+    assert np.abs(P @ P - P).max() > 1e-6
+    with pytest.raises(OperatorError, match="not orthonormal"):
+        DeflatedOperator(base, long_first)
+    skewed = Z.copy()
+    skewed[:, 1] += 1e-9 * Z[:, 0]
+    with pytest.raises(OperatorError, match="not orthonormal"):
+        DeflatedOperator(base, skewed)
+    # Round-off is accepted.
+    assert DeflatedOperator(base, Z * (1.0 + 1e-14)).dimension == 8
+
+
 def test_ledger_counts_every_apply():
     A = DiagonalOperator(np.arange(1.0, 6.0))
     ledger = BudgetLedger()
