@@ -200,7 +200,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.
     Returns (density, facts); facts holds L and N, l and s when l > 0, and
-    cmm's solver, residual and support when it solves for a density.
+    cmm's solver, residual, support and nnls_columns when it solves for a
+    density.
     """
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
@@ -349,7 +350,8 @@ def run(A, config):
     ``m_effective`` and ``reorth_repeats`` (and vr_slq's converged-set size
     ``converged``) or the moment stage's ``L`` and ``N`` (and, with
     deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
-    ``residual`` and ``support``).
+    ``residual``, ``support`` and ``nnls_columns``, the column count of
+    its last NNLS solve).
     """
     budget = config.budget
     trials = config.resolved_trials()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from specden import DiscreteDistribution, moment_matching, wasserstein1
 from specden.metrics import exact_density
@@ -100,9 +101,24 @@ def test_one_moment_gives_the_nearest_grid_atom(x0):
     assert w1 <= 2 / d
 
 
-def test_exact_moments_are_matched_on_the_paper_grid_by_nnls():
+def record_nnls_widths(monkeypatch):
+    """Column counts of every NNLS solve from here on, in call order."""
+    widths = []
+    nnls = moment_matching.scipy.optimize.nnls
+
+    def recording_nnls(A, b, **kwargs):
+        widths.append(A.shape[1])
+        return nnls(A, b, **kwargs)
+
+    monkeypatch.setattr(moment_matching.scipy.optimize, "nnls", recording_nnls)
+    return widths
+
+
+def test_exact_moments_are_matched_on_the_paper_grid_by_nnls(monkeypatch):
     # A full-grid LP at d = 20000 would take seconds to minutes; "nnls"
-    # shows that only the LP on NNLS's atoms ran.
+    # shows that only the LP on NNLS's atoms ran.  NNLS itself must stay on
+    # its screened columns: on all 20001 it took most of this test's time.
+    widths = record_nnls_widths(monkeypatch)
     N, d = 52, 20000
     moments = exact_moments(np.linspace(-0.95, 0.95, 64), N)
     diagnostics = {}
@@ -113,8 +129,99 @@ def test_exact_moments_are_matched_on_the_paper_grid_by_nnls():
         "solver": "nnls",
         "residual": pytest.approx(residual, rel=1e-12, abs=0.0),
         "support": np.count_nonzero(q),
+        "nnls_columns": widths[-1],
     }
     assert diagnostics["support"] <= N + 1
+    assert max(widths) <= (d + 1) / 10
+
+
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [([1], [1.0]), ([1, 1001], [0.5, 0.5]), ([1, 500, 1999], [0.2, 0.3, 0.5])],
+    ids=["point_mass", "two_atoms", "three_atoms"],
+)
+def test_grid_atoms_off_the_strided_columns_are_matched_by_nnls(
+    monkeypatch, atoms, weights
+):
+    # N = 12, d = 2000 starts NNLS on every 19th column; these atoms are not
+    # among them, and all but the point mass need the gradient to add them.
+    widths = record_nnls_widths(monkeypatch)
+    N, d = 12, 2000
+    moments = moment_matrix(N, d)[:, atoms] @ np.array(weights) * np.arange(1, N + 1)
+    diagnostics = {}
+    q = solve_moment_matching(moments, d, diagnostics)
+    assert diagnostics["solver"] == "nnls"
+    assert diagnostics["support"] == len(atoms)
+    np.testing.assert_allclose(q[atoms], weights, rtol=0, atol=1e-12)
+    assert diagnostics["nnls_columns"] == widths[-1]
+    assert max(widths) <= (d + 1) / 10
+
+
+def full_grid_nnls_matches(T, z):
+    """Whether column-scaled NNLS on all d + 1 columns matches T q = z exactly."""
+    N, n_q = T.shape
+    M = np.vstack([T - z[:, None], np.ones(n_q)])
+    scale = np.linalg.norm(M, axis=0)
+    try:
+        y, _ = scipy.optimize.nnls(M / scale, np.concatenate([np.zeros(N), [1.0]]))
+    except RuntimeError:
+        return False
+    q = y / scale
+    return q.sum() > 0 and np.abs(T @ (q / q.sum()) - z).sum() <= EXACT_RESIDUAL
+
+
+def random_moment_problems(kind, count=30, seed=17):
+    """(tau, d) pairs with N = 1-12 and d in {40, 200, 2000}."""
+    rng = np.random.default_rng([seed, ["grid", "off_grid", "random"].index(kind)])
+    for _ in range(count):
+        N = int(rng.integers(1, 13))
+        d = int(rng.choice([40, 200, 2000]))
+        if kind == "random":
+            yield rng.uniform(-0.6, 0.6, N), d
+            continue
+        k = int(rng.integers(1, 8))
+        if kind == "grid":
+            x = grid_points(d)[rng.choice(d + 1, k, replace=False)]
+        else:
+            x = rng.uniform(-1.0, 1.0, k)
+        w = rng.dirichlet(np.ones(k))
+        yield np.array([w @ cheb_normalized(i, x) for i in range(1, N + 1)]), d
+
+
+def seven_grid_atoms():
+    # Stopping once no column outside the set has a gradient above 1e-15
+    # leaves ||T q - z||_1 = 3.2e-8 here, where full-grid NNLS reaches 4e-16:
+    # adjacent grid columns are nearly parallel.
+    N, d = 12, 2000
+    rng = np.random.default_rng(4)
+    atoms = np.sort(rng.choice(d + 1, 7, replace=False))
+    weights = rng.dirichlet(np.ones(7))
+    return [(moment_matrix(N, d)[:, atoms] @ weights * np.arange(1, N + 1), d)]
+
+
+@pytest.mark.parametrize(
+    "problems",
+    [
+        pytest.param(lambda: random_moment_problems("grid"), id="grid_atoms"),
+        pytest.param(lambda: random_moment_problems("off_grid"), id="off_grid_atoms"),
+        pytest.param(lambda: random_moment_problems("random"), id="random_moments"),
+        pytest.param(seven_grid_atoms, id="vanishing_gradient"),
+    ],
+)
+def test_screened_nnls_matches_whenever_full_grid_nnls_does(problems):
+    for tau, d in problems():
+        N = tau.size
+        T, z = moment_matrix(N, d), tau / np.arange(1, N + 1)
+        expected = full_grid_nnls_matches(T, z)
+        q, columns = moment_matching._nnls_support(T, z)
+        if expected:
+            assert q is not None, (N, d)
+        if q is not None:
+            assert np.abs(T @ q - z).sum() <= EXACT_RESIDUAL
+        assert 1 <= columns <= d + 1
+        diagnostics = {}
+        solve_moment_matching(tau, d, diagnostics)
+        assert diagnostics["solver"] == ("nnls" if expected else "lp"), (N, d)
 
 
 def test_a_failed_polish_returns_the_nnls_match(monkeypatch):

@@ -387,6 +387,7 @@ def test_run_reports_each_moment_matching_solve():
             assert facts["solver"] == "nnls"
             assert facts["residual"] <= EXACT_RESIDUAL
             assert 1 <= facts["support"] <= facts["N"] + 1
+            assert 1 <= facts["nnls_columns"] <= SdeConfig.grid_d + 1
 
 
 @pytest.mark.parametrize(
