@@ -32,22 +32,18 @@ class DeflationResult:
 
     Z has orthonormal columns Q v_j for the admitted indices; lambdas are the
     matching Ritz values sorted by descending magnitude.  gate is the
-    deflation_gate that admitted them, formed from norm_estimate.
+    deflation_gate that admitted them: every admitted pair has residual
+    ||A z - lambda z|| <= gate.
     """
 
     Z: np.ndarray
     lambdas: np.ndarray
-    residuals: np.ndarray
     candidates_examined: int
     gate: float
 
     @property
     def s(self):
         return self.lambdas.size
-
-    @property
-    def norm_estimate(self):
-        return self.gate * self.Z.shape[0] ** DEFAULT_BETA
 
 
 def basis_capacity(l, q, n=math.inf):
@@ -156,7 +152,6 @@ def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
     return DeflationResult(
         Z=ritz_vecs[:, admitted],
         lambdas=values[admitted],
-        residuals=residuals[admitted],
         candidates_examined=Q.shape[1],
         gate=gate,
     )

@@ -59,20 +59,24 @@ def _quadratic_forms(A, G, N, ledger):
     return out
 
 
-def estimate_moments(A, N, b, stream, ledger=None):
-    """Hutchinson estimate tau_1 ... tau_N of the spectral-density moments of A.
+def probe_moments(A, N, G, ledger=None):
+    """tau_i = (1/b) sum_j g_j^T Tbar_i(A) g_j, i = 1..N, over the b rows g_j
+    of G, run in lockstep: exactly N * b operator applications.  With unit
+    g_j these are the moments of a probability measure."""
+    acc = _quadratic_forms(A, G, N, ledger).sum(axis=0)
+    acc /= G.shape[0]
+    return acc[1:]
 
-    tau_i ~= (1/b) sum_j g_j^T Tbar_i(A) g_j with g_j uniform on the unit
-    sphere; the b probes run in lockstep and consume exactly N * b operator
-    applications.
-    """
+
+def estimate_moments(A, N, b, stream, ledger=None):
+    """Hutchinson estimate tau_1 ... tau_N of the spectral-density moments of A:
+    ``probe_moments`` of b probes g_j uniform on the unit sphere, drawn from
+    ``stream.substream(j)``; consumes exactly N * b operator applications."""
     if b < 1:
         raise ValueError("need at least one Hutchinson vector")
     n = A.dimension
     G = np.stack([unit_sphere_vector(n, stream.substream(j)) for j in range(b)])
-    acc = _quadratic_forms(A, G, N, ledger).sum(axis=0)
-    acc /= b
-    return acc[1:]
+    return probe_moments(A, N, G, ledger)
 
 
 def adjust_moments_for_deflation(tau, n, s):

@@ -182,12 +182,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
 
 def tridiag_eig(fact):
     """Exact eigendecomposition of the tridiagonal T with first-row weights."""
-    m = fact.m_effective
-    if m == 1:
-        values = fact.alpha.copy()
-        vectors = np.ones((1, 1))
-    else:
-        values, vectors = scipy.linalg.eigh_tridiagonal(fact.alpha, fact.eta)
+    values, vectors = scipy.linalg.eigh_tridiagonal(fact.alpha, fact.eta)
     order = magnitude_order(values)
     values = values[order]
     vectors = vectors[:, order]

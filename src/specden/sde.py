@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
-from .chebyshev import adjust_moments_for_deflation, estimate_moments
-# sde.lanczos has no caller; it stays while perfbench/tracing.py wraps it.
+# sde.adjust_moments_for_deflation, sde.estimate_moments and sde.lanczos have
+# no caller; they stay while perfbench/tracing.py wraps them.
+from .chebyshev import adjust_moments_for_deflation, estimate_moments, probe_moments
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
 from .metrics import DiscreteDistribution, average_densities
 from .moment_matching import kpm_density, rescale_density, solve_moment_matching
@@ -193,10 +194,10 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     1/n each, and the deflated remainder carries the other (n - s)/n of the
     mass.  l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
     estimates the remainder's norm bound L, spends the rest of ``budget`` on
-    N = remaining // b Chebyshev moments of (1/L) A with
-    b = DEFAULT_HUTCHINSON_B, removes the contribution of the s deflated
-    zero eigenvalues, reconstructs a density on a d-point grid and rescales
-    it to [-L, L].  A remainder whose L is within block Krylov's
+    N = remaining // b Chebyshev moments of (1/L) A on b = DEFAULT_HUTCHINSON_B
+    unit probes, projected off the deflated eigenvectors so that they are the
+    moments of the remainder alone, reconstructs a density on a d-point grid
+    and rescales it to [-L, L].  A remainder whose L is within block Krylov's
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.
     Returns (density, facts); facts holds L and N, l and s when l > 0, and
@@ -206,7 +207,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
     start = ledger.total
-    lambdas, zero_below, facts = np.empty(0), 0.0, {}
+    lambdas, Z, zero_below, facts = np.empty(0), None, 0.0, {}
     if l > 0:
         defl = block_krylov_deflation(
             A, l, q=DEFAULT_KRYLOV_DEPTH, stream=stream.substream(1), ledger=ledger
@@ -216,7 +217,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         if defl.s == n:
             return _with_deflated_atoms(lambdas, None, n), dict(facts, N=0, L=0.0)
         if defl.s > 0:
-            A = deflate(A, defl.Z)
+            Z = defl.Z
+            A = deflate(A, Z)
         zero_below = defl.gate
 
     remaining = budget - (ledger.total - start) - norm_estimate_cost(n)
@@ -231,10 +233,13 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     if L <= zero_below:
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
-        tau = estimate_moments(
-            ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger
-        )
-        tau = adjust_moments_for_deflation(tau, n, lambdas.size)
+        probes = stream.substream(3)
+        G = np.stack([unit_sphere_vector(n, probes.substream(j)) for j in range(b)])
+        if Z is not None:
+            # Projecting and renormalizing the probes is free.
+            G -= (G @ Z) @ Z.T
+            G /= np.linalg.norm(G, axis=1, keepdims=True)
+        tau = probe_moments(ScaledOperator(A, 1.0 / L), N, G, ledger)
         if method == "cmm":
             q = solve_moment_matching(tau, d, facts)
         else:

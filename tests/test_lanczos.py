@@ -211,6 +211,12 @@ def test_tridiag_eig_hand_case():
     ritz = tridiag_eig(fact)
     np.testing.assert_allclose(ritz.values, [1.0, -1.0], atol=1e-14)
     np.testing.assert_allclose(ritz.weights, [0.5, 0.5], atol=1e-14)
+    # One step: T is 1 x 1, its one Ritz pair (alpha, e_1) has all the weight.
+    fact = TridiagonalFactorization(alpha=np.array([-0.5]), eta=np.empty(0), Q=np.eye(1))
+    ritz = tridiag_eig(fact)
+    np.testing.assert_array_equal(ritz.values, [-0.5])
+    np.testing.assert_array_equal(ritz.vectors, [[1.0]])
+    np.testing.assert_array_equal(ritz.weights, [1.0])
 
 
 def test_tridiag_eig_diagonal_case():

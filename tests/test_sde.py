@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specden import (
     BudgetLedger,
@@ -15,6 +16,7 @@ from specden import (
 )
 from specden import block_krylov, sde
 from specden.bench import build_matrix
+from specden.chebyshev import cheb_normalized_rows
 from specden.lanczos import TridiagonalFactorization, lanczos, tridiag_eig
 from specden.metrics import DiscreteDistribution
 from specden.moment_matching import EXACT_RESIDUAL
@@ -183,11 +185,11 @@ def test_sde_with_deflation_zero_remainder_takes_no_moments():
     assert facts["N"] == 0
     assert "moments" not in ledger.counts
     assert ledger.total <= budget
-    # The same deflation, rerun on its own, gives the gate's norm estimate.
+    # The same deflation, rerun on its own, gives the gate.
     defl = block_krylov_deflation(
         A, l, q=sde.DEFAULT_KRYLOV_DEPTH, stream=SeededStream(4).substream(1)
     )
-    gate = defl.norm_estimate / n**block_krylov.DEFAULT_BETA
+    gate = defl.gate
     assert facts["L"] <= gate
     assert wasserstein1(density, exact_density(A)) <= gate
 
@@ -205,6 +207,57 @@ def test_sde_with_deflation_s_zero_equals_plain_cmm(monkeypatch):
     plain, _ = _moment_estimate(A, 0, "cmm", remaining, d, SeededStream(9), BudgetLedger())
     np.testing.assert_allclose(density.locations, plain.locations)
     np.testing.assert_allclose(density.weights, plain.weights)
+
+
+def test_deflated_moments_are_those_of_a_probability_measure(monkeypatch):
+    # The probes are drawn as for any moment trial, then projected off the
+    # deflated eigenvectors Z and renormalized.  tau is then exactly the
+    # moments of (1/b) sum_j sum_i (g_j . v_i)^2 delta(lambda_i / L) over the
+    # eigenpairs of the remainder on the complement of span Z.
+    n, b = 80, sde.DEFAULT_HUTCHINSON_B
+    spectrum = np.concatenate(
+        [[1.0, -0.9, 0.8], np.random.default_rng(5).uniform(-0.3, 0.3, n - 3)]
+    )
+    A, _ = random_symmetric(n, seed=5, spectrum=spectrum)
+    seen = {}
+
+    def recording_kpm(tau, d):
+        seen["tau"] = tau
+        return kpm_density(tau, d)
+
+    def recording_deflate(base, Z):
+        seen["Z"] = Z
+        return deflate(base, Z)
+
+    kpm_density, deflate = sde.kpm_density, sde.deflate
+    monkeypatch.setattr(sde, "kpm_density", recording_kpm)
+    monkeypatch.setattr(sde, "deflate", recording_deflate)
+    stream = SeededStream(7)
+    _, facts = _moment_estimate(A, 1, "kpm", 200, 2000, stream, BudgetLedger())
+    Z, tau, L = seen["Z"], seen["tau"], facts["L"]
+    assert 1 <= facts["s"] == Z.shape[1] < n and facts["N"] == tau.size >= 5
+
+    G = np.stack([unit_sphere_vector(n, stream.substream(3).substream(j)) for j in range(b)])
+    G -= G @ Z @ Z.T
+    G /= np.linalg.norm(G, axis=1, keepdims=True)
+    W = scipy.linalg.null_space(Z.T)
+    lam, V = np.linalg.eigh(W.T @ A.to_dense() @ W)
+    mass = ((G @ W @ V) ** 2).sum(axis=0) / b
+    assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+    expected = cheb_normalized_rows(tau.size, lam / L) @ mass
+    np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [400, 600])
+def test_def_cmm_matches_the_remainder_moments_on_nnls_columns(budget):
+    # These two cells ran the full-grid LP ("lp") when the probes spanned the
+    # whole space and the moments were then corrected for the s deflated
+    # zero eigenvalues: no measure had the corrected moments.
+    A = build_matrix("inverse:500")
+    facts = run(A, SdeConfig("def_cmm", budget=budget, seed=1)).diagnostics["per_trial"][0]
+    assert facts["s"] >= 1 and facts["N"] >= 1
+    assert facts["solver"] == "nnls"
+    assert facts["residual"] <= EXACT_RESIDUAL
 
 
 def test_sde_with_deflation_budget_exhaustion():
@@ -254,7 +307,8 @@ def test_block_krylov_and_vr_slq_gate_on_the_largest_ritz_value(monkeypatch):
         assert gate(ritz, n) == top / n**block_krylov.DEFAULT_BETA
         assert norm * (1 - 1e-6) <= top <= norm * (1 + 1e-12)
     assert defl.gate == gate(krylov_ritz, n)
-    assert defl.norm_estimate == pytest.approx(np.abs(krylov_ritz).max(), rel=1e-14)
+    norm_estimate = defl.gate * n**block_krylov.DEFAULT_BETA
+    assert norm_estimate == pytest.approx(np.abs(krylov_ritz).max(), rel=1e-14)
 
 
 def test_def_kpm_least_budget_is_one_norm_estimate_one_column_one_moment():
@@ -439,8 +493,9 @@ PINNED_RUNS = [
     ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995}),
     ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30}),
     ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180}),
-    # Block size 4 deflates all six large eigenvalues, leaving N = 4 moments.
-    ("def_kpm", 200, 0.08436047988803,
+    # Block size 4 deflates all six large eigenvalues, leaving N = 4 moments
+    # of the remainder, taken on probes projected off the six eigenvectors.
+    ("def_kpm", 200, 0.08430908716688122,
      {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60}),
 ]
 
