@@ -1,12 +1,16 @@
-"""Lanczos tridiagonalization with full reorthogonalization.
+"""Lanczos tridiagonalization with partial reorthogonalization.
 
-The three-term recurrence builds an orthonormal basis Q of the Krylov space
-of (A, g) together with the tridiagonal T = Q^T A Q.  Every new vector is
-reorthogonalized by a classical Gram-Schmidt pass against all previous
-columns, and by a second pass only when the first one cancels most of its
-norm (the Daniel-Gragg-Kaufman-Stewart test: "twice is enough").  Without
-reorthogonalization the computed basis loses orthogonality long before
-m = n.
+The three-term recurrence builds a basis Q of the Krylov space of (A, g)
+together with the tridiagonal T = Q^T A Q.  In floating point the basis
+loses orthogonality as Ritz values converge, long before m = n.  Gauss
+quadrature and the Ritz values need it only semi-orthogonal: while every
+|q_i^T q_j| <= sqrt(eps), T is, to working accuracy, the tridiagonal of an
+exactly orthogonal basis (Simon, Math. Comp. 42, 1984).  Each run therefore
+tracks the estimates omega_ij of q_i^T q_j by Simon's recurrence, at O(m)
+cost per step, and reorthogonalizes only when the largest one passes
+sqrt(eps): that step and the next run a classical Gram-Schmidt pass against
+all previous columns, repeated only when the first cancels most of its
+norm (the Daniel-Gragg-Kaufman-Stewart test: "twice is enough").
 
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
@@ -29,6 +33,10 @@ BREAKDOWN_RTOL = 1e-12
 # A Gram-Schmidt pass that leaves less than REPEAT_RATIO of the vector's norm
 # has cancelled enough to lose orthogonality, so it is repeated once.
 REPEAT_RATIO = 1.0 / math.sqrt(2.0)
+
+EPS = np.finfo(float).eps
+# Largest estimated |q_i^T q_j| a run lets pass before it reorthogonalizes.
+SEMI_ORTHOGONALITY = math.sqrt(EPS)
 
 
 class LanczosError(ValueError):
@@ -55,6 +63,7 @@ class TridiagonalFactorization:
     Q: np.ndarray
     beta: float = math.nan
     reorth_repeats: int = 0
+    reorthogonalized: int = 0
 
     @property
     def m_effective(self):
@@ -105,18 +114,40 @@ def reorthogonalize(basis, r):
     return np.linalg.norm(r), True
 
 
+def _omega_numerators(alpha, eta, prev, cur):
+    """eta_i (q_{i+1}^T q_k) for k < i by Simon's recurrence, noise left out.
+
+    alpha and eta hold alpha_0..alpha_i and eta_0..eta_{i-1}; ``cur`` holds
+    the estimates q_i^T q_k for k <= i and ``prev`` q_{i-1}^T q_k for
+    k <= i - 1 (each ending in 1).
+    """
+    i = alpha.size - 1
+    if i == 0:
+        return np.empty(0)
+    num = eta * cur[1:] + (alpha[:i] - alpha[i]) * cur[:i] - eta[i - 1] * prev
+    num[1:] += eta[:-1] * cur[: i - 1]
+    return num
+
+
 def lanczos_lockstep(A, G, m, ledgers=None):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
     current vectors of every trial that has not broken down, and trial t's
     applications are charged to ``ledgers[t]`` (m each, fewer on
-    breakdown).  The last step forms its three-term residual only for its
-    norm beta, with no product and no reorthogonalization.  Outside the
-    block product, every reduction is a dot or matrix-vector product on one
-    trial's contiguous rows, as in a single-vector run.  Returns one
-    ``TridiagonalFactorization`` per column of G, each a view into storage
-    the k runs share.
+    breakdown).  Each trial carries two rows of omega estimates, for q_i and
+    q_{i-1}.  A step whose new row would pass SEMI_ORTHOGONALITY runs the
+    DGKS step ``reorthogonalize`` on its residual, so does the step after
+    it, and each such step resets its row to eps.  The recurrence's
+    rounding term is eps sqrt(n) scale(T), scale(T) being the running max
+    of |alpha| and eta: with eps (eta_k + eta_i) the estimate fell behind
+    the true loss on ``gaussian:500`` at m = n, which then grew to 1.
+    Breakdown is tested after any reorthogonalization.  The last step forms
+    its three-term residual only for its norm beta, with no product and no
+    reorthogonalization.  Outside the block product, every reduction is a
+    dot or matrix-vector product on one trial's contiguous rows, as in a
+    single-vector run.  Returns one ``TridiagonalFactorization`` per column
+    of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -138,7 +169,13 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     eta = np.empty((k, m))
     m_eff = np.zeros(k, dtype=int)
     repeats = np.zeros(k, dtype=int)
+    reorths = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
+    # Trial t's omega rows for q_{i-1} and q_i, and whether step i must
+    # reorthogonalize because step i - 1 found the basis slipping.
+    omega = [(None, np.ones(1)) for _ in range(k)]
+    forced = np.zeros(k, dtype=bool)
+    noise_unit = EPS * math.sqrt(n)
     Q[:, 0] = G.T
     active = list(range(k))
     for i in range(m):
@@ -158,11 +195,30 @@ def lanczos_lockstep(A, G, m, ledgers=None):
             if i > 0:
                 r -= eta[t, i - 1] * Q[t, i - 1]
                 scale[t] = max(scale[t], eta[t, i - 1])
+            eta_i = np.linalg.norm(r)
             if i + 1 == m:
-                eta[t, i] = np.linalg.norm(r)
+                eta[t, i] = eta_i
                 continue
-            eta_i, repeated = reorthogonalize(Q[t, : i + 1], r)
-            repeats[t] += repeated
+            noise = noise_unit * scale[t]
+            prev, cur = omega[t]
+            reorth = forced[t]
+            if not reorth:
+                num = _omega_numerators(alpha[t, : i + 1], eta[t, :i], prev, cur)
+                # |num_k + sign(num_k) noise| / eta_i, and noise / eta_i for k = i.
+                worst = np.abs(num).max(initial=0.0) + noise
+                reorth = worst > SEMI_ORTHOGONALITY * eta_i
+            if reorth:
+                eta_i, repeated = reorthogonalize(Q[t, : i + 1], r)
+                repeats[t] += repeated
+                reorths[t] += 1
+                row = np.full(i + 2, EPS)
+                forced[t] = not forced[t]
+            else:
+                row = np.empty(i + 2)
+                row[:i] = (num + np.copysign(noise, num)) / eta_i
+                row[i] = noise / eta_i
+            row[i + 1] = 1.0
+            omega[t] = (cur, row)
             eta[t, i] = eta_i
             if eta_i < BREAKDOWN_RTOL * scale[t]:
                 continue
@@ -174,9 +230,10 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     return [
         TridiagonalFactorization(
             alpha[t, :j], eta[t, : j - 1], Q[t, :j].T,
-            beta=float(eta[t, j - 1]), reorth_repeats=int(r),
+            beta=float(eta[t, j - 1]), reorth_repeats=int(repeats[t]),
+            reorthogonalized=int(reorths[t]),
         )
-        for t, (j, r) in enumerate(zip(m_eff, repeats))
+        for t, j in enumerate(m_eff)
     ]
 
 

@@ -49,10 +49,10 @@ VR_L_CAP = 100
 
 # Most memory the Lanczos bases of one lockstep group of trials may take;
 # more trials run as further, equal-sized groups, each still sharing one
-# block product per step.  This bounds the peak footprint, and it keeps
-# reorthogonalization's working set small: on a 2-core Xeon, 15 bases at
-# n = 3000, m = 400 (144 MB) in one group raised peak memory by 8% and ran
-# slower than two groups.
+# block product per step.  This bounds the peak footprint: on a 2-core
+# Xeon, 15 bases at n = 3000, m = 400 (144 MB) in one group raised the
+# sparse-graph benchmark's peak memory by 7% (223 to 239 MB) and sped its
+# ~3.3 s pass up by at most 10%.
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
 
@@ -260,10 +260,10 @@ def _vr_sizing(budget, n, cap):
 
     vr_slq reads the l residuals from the Lanczos recurrence, so the l
     products reserved here go unspent.  Spending them as more Lanczos steps
-    (m = budget, as slq does) would add their full reorthogonalization:
-    by the slq and vr_slq call times on the benchmark's sparse-graph
-    workload, about 1.1 s on a ~6 s pass on a 2-core Xeon.  The sizing
-    stays until reorthogonalization is cheaper."""
+    (m = budget, as slq does) would change vr_slq's ledger and W1 and, by
+    the slq and vr_slq call times on the benchmark's sparse-graph workload,
+    cost about 0.7 s of a ~3.4 s pass on a 2-core Xeon (1.2 s of ~5.8 s
+    when every Lanczos step was reorthogonalized)."""
     for m in range(min(n, budget), 0, -1):
         l = min(m // 2, cap)
         if m + l <= budget:
@@ -304,7 +304,11 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
     factorizations = lanczos_lockstep(A, starts, m, ledgers=group_ledgers)
     densities, per_trial = [], []
     for fact in factorizations:
-        facts = {"m_effective": fact.m_effective, "reorth_repeats": fact.reorth_repeats}
+        facts = {
+            "m_effective": fact.m_effective,
+            "reorthogonalized": fact.reorthogonalized,
+            "reorth_repeats": fact.reorth_repeats,
+        }
         density, converged = _vr_density(fact, l)
         if config.algorithm == "vr_slq":
             facts["converged"] = converged
@@ -352,11 +356,11 @@ def run(A, config):
     Each trial receives the full budget (enforced per trial); the returned
     ledger is the merge across trials.  ``diagnostics["per_trial"]`` holds
     one dict per trial, and is the only place for per-trial facts: Lanczos
-    ``m_effective`` and ``reorth_repeats`` (and vr_slq's converged-set size
-    ``converged``) or the moment stage's ``L`` and ``N`` (and, with
-    deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
-    ``residual``, ``support`` and ``nnls_columns``, the column count of
-    its last NNLS solve).
+    ``m_effective``, ``reorthogonalized`` and ``reorth_repeats`` (and
+    vr_slq's converged-set size ``converged``) or the moment stage's ``L``
+    and ``N`` (and, with deflation, ``l`` and ``s``; for cmm, the
+    moment-matching ``solver``, ``residual``, ``support`` and
+    ``nnls_columns``, the column count of its last NNLS solve).
     """
     budget = config.budget
     trials = config.resolved_trials()

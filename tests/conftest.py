@@ -13,7 +13,12 @@ import scipy.optimize
 
 from specden import DenseOperator, DiscreteDistribution, SeededStream
 from specden.chebyshev import TBAR0, TBAR_SCALE
-from specden.lanczos import lanczos, tridiag_eig
+from specden.lanczos import (
+    BREAKDOWN_RTOL,
+    TridiagonalFactorization,
+    lanczos,
+    tridiag_eig,
+)
 from specden.metrics import DistributionError
 from specden.operators import OperatorError
 from specden.randgen import random_orthogonal, unit_sphere_vector
@@ -74,6 +79,40 @@ def equal_weight_ritz_density(A, m, stream):
     g = unit_sphere_vector(A.dimension, stream)
     values = tridiag_eig(lanczos(A, g, m)).values
     return DiscreteDistribution(values.copy(), np.full(values.size, 1.0 / values.size))
+
+
+def full_reorthogonalization_lanczos(A, g, m):
+    """Lanczos from unit g with two classical Gram-Schmidt passes against
+    every earlier vector at every step: the fully orthogonal reference run.
+
+    It stops on the library's breakdown rule, eta < BREAKDOWN_RTOL * scale
+    with scale the running max of |alpha| and eta, and forms only the norm
+    of the last step's residual, so its m_effective and beta mean what the
+    library's do.
+    """
+    n = A.dimension
+    Q = np.zeros((n, m))
+    Q[:, 0] = g
+    alpha, eta, scale = [], [], 1e-300
+    for i in range(m):
+        r = A.apply(Q[:, i])
+        alpha.append(Q[:, i] @ r)
+        scale = max(scale, abs(alpha[-1]))
+        r -= alpha[-1] * Q[:, i]
+        if i > 0:
+            r -= eta[-1] * Q[:, i - 1]
+            scale = max(scale, eta[-1])
+        if i + 1 < m:
+            for _ in range(2):
+                r -= Q[:, : i + 1] @ (Q[:, : i + 1].T @ r)
+        eta.append(np.linalg.norm(r))
+        if i + 1 == m or eta[-1] < BREAKDOWN_RTOL * scale:
+            break
+        Q[:, i + 1] = r / eta[-1]
+    j = len(alpha)
+    return TridiagonalFactorization(
+        np.array(alpha), np.array(eta[: j - 1]), Q[:, :j], beta=float(eta[-1])
+    )
 
 
 def tridiagonal(fact):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from specden import (
 from specden.bench import build_matrix
 from specden.chebyshev import TBAR_SCALE
 from specden.lanczos import (
+    EPS,
     LanczosError,
     TridiagonalFactorization,
     reorthogonalize,
@@ -21,9 +24,11 @@ from specden.lanczos import (
     magnitude_order,
 )
 from specden.randgen import random_orthogonal, unit_sphere_vector
+from specden.sde import VR_L_CAP, _vr_density
 
 from conftest import (
     cheb_normalized,
+    full_reorthogonalization_lanczos,
     polynomial_identity_check,
     random_symmetric,
     tridiagonal,
@@ -147,19 +152,60 @@ def test_reorthogonalize_makes_one_pass_for_a_generic_vector():
     assert eta == np.linalg.norm(once)
 
 
-@pytest.mark.parametrize("spec", ["power_law:500", "low_rank:500", "uniform:500"])
+@pytest.mark.parametrize(
+    "spec", ["power_law:500", "low_rank:500", "uniform:500", "inverse:500", "gaussian:500"]
+)
 def test_lockstep_basis_stays_orthonormal_up_to_m_equal_n(spec):
+    # Partial reorthogonalization keeps the basis semi-orthogonal: every
+    # |q_i^T q_j| within sqrt(eps), the level at which T is the tridiagonal
+    # of an orthonormal basis to working accuracy, and every eta within
+    # 2 ||A||.  gaussian:500 at m = n is where an omega recurrence with too
+    # small a rounding term missed the loss, which then grew to 1.
     A = build_matrix(spec, seed=1)
     n = A.dimension
+    norm = np.abs(np.linalg.eigvalsh(A.to_dense())).max()
     G = np.column_stack(
         [unit_sphere_vector(n, SeededStream(1).substream(t)) for t in range(2)]
     )
-    block = lanczos_lockstep(A, G, n)
-    for t in range(2):
-        fact = block[t]
-        m = fact.m_effective
-        assert np.abs(fact.Q.T @ fact.Q - np.eye(m)).max() <= 1e-12
-        assert 0 <= fact.reorth_repeats < m
+    for m in (n, 200):
+        for fact in lanczos_lockstep(A, G, m):
+            k = fact.m_effective
+            assert np.abs(fact.Q.T @ fact.Q - np.eye(k)).max() <= math.sqrt(EPS)
+            assert fact.eta.max() <= 2.0 * norm
+            assert 0 <= fact.reorth_repeats <= fact.reorthogonalized < k
+
+
+def _reference_cases():
+    M = sp.random(500, 500, density=0.01, random_state=61)
+    return {
+        "dense": build_matrix("gaussian:500", seed=1),
+        "sparse": SparseOperator(sp.csr_matrix(M + M.T)),
+        # 101 distinct eigenvalues; every run breaks down at step 102.
+        "diagonal": build_matrix("low_rank:500", seed=1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_partial_reorthogonalization_matches_the_full_reference(case):
+    # The semi-orthogonal run gives the fully reorthogonalized run's
+    # breakdown, Ritz values, quadrature weights and vr_slq set S.
+    A = _reference_cases()[case]
+    n = A.dimension
+    norm = np.abs(np.linalg.eigvalsh(A.to_dense())).max()
+    G = np.column_stack(
+        [unit_sphere_vector(n, SeededStream(62).substream(t)) for t in range(2)]
+    )
+    for m in (n, 200):
+        for t, fact in enumerate(lanczos_lockstep(A, G, m)):
+            ref = full_reorthogonalization_lanczos(A, G[:, t], m)
+            assert fact.m_effective == ref.m_effective
+            if case == "diagonal":
+                assert fact.m_effective == 102
+            ritz, ritz_ref = tridiag_eig(fact), tridiag_eig(ref)
+            assert np.abs(ritz.values - ritz_ref.values).max() <= 1e-10 * norm
+            assert np.abs(ritz.weights - ritz_ref.weights).max() <= 1e-8
+            l = min(fact.m_effective // 2, VR_L_CAP)
+            assert _vr_density(fact, l)[1] == _vr_density(ref, l)[1]
 
 
 def _residual_cases():
