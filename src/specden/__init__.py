@@ -1,15 +1,11 @@
 """Matrix-free spectral density estimation under an exact matvec budget."""
 
-from .block_krylov import DeflationResult, block_krylov_deflation
-from .chebyshev import estimate_moments
-from .lanczos import lanczos, tridiag_eig
 from .metrics import (
     DiscreteDistribution,
     average_densities,
     exact_density,
     wasserstein1,
 )
-from .moment_matching import kpm_density, solve_moment_matching
 from .operators import (
     BudgetLedger,
     DenseOperator,
@@ -17,7 +13,6 @@ from .operators import (
     SparseOperator,
     SymmetricOperator,
     deflate,
-    spectral_norm_upper_bound,
 )
 from .randgen import SeededStream
 from .sde import (
@@ -33,7 +28,6 @@ __all__ = [
     "ALGORITHMS",
     "BudgetExhaustedError",
     "BudgetLedger",
-    "DeflationResult",
     "DenseOperator",
     "DiagonalOperator",
     "DiscreteDistribution",
@@ -43,17 +37,10 @@ __all__ = [
     "SparseOperator",
     "SymmetricOperator",
     "average_densities",
-    "block_krylov_deflation",
     "deflate",
-    "estimate_moments",
     "exact_density",
-    "kpm_density",
-    "lanczos",
     "run",
     "schatten1_estimate",
-    "solve_moment_matching",
-    "spectral_norm_upper_bound",
-    "tridiag_eig",
     "wasserstein1",
 ]
 

@@ -17,7 +17,7 @@ import numpy as np
 from .lanczos import magnitude_order, reorthogonalize
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
-from .randgen import SeededStream, gaussian_matrix
+from .randgen import gaussian_matrix
 
 # Columns whose norm drops below this fraction of their pre-projection norm
 # during orthonormalization are treated as dependent and dropped.
@@ -61,12 +61,7 @@ def deflation_gate(ritz_values, n):
     return float(np.abs(ritz_values).max()) / n**DEFAULT_BETA
 
 
-def default_depth(n):
-    return math.ceil(2.0 * math.log2(max(n, 2)))
-
-
-# No estimator calls this; it stays while perfbench/tracing.py wraps it by
-# name.
+# No estimator calls this; it stays while perfbench/tracing.py wraps it.
 def orthonormalize_columns(K):
     """Rank-revealing orthonormal basis of the column span.
 
@@ -84,7 +79,7 @@ def orthonormalize_columns(K):
     return Q[:, :r]
 
 
-def build_krylov_block(A, X, q, ledger=None):
+def build_krylov_block(A, X, q, ledger):
     """Orthonormal basis of span{X, A X, ..., A^(2q) X} and its image under A.
 
     Block Lanczos: each new column is orthonormalized against every earlier
@@ -121,7 +116,7 @@ def build_krylov_block(A, X, q, ledger=None):
     return Q[:r].T, AQ[:r].T
 
 
-def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
+def block_krylov_deflation(A, l, q, stream, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
     Charges one application per Krylov basis column, at most
@@ -130,12 +125,8 @@ def block_krylov_deflation(A, l, q=None, stream=None, ledger=None):
     n = A.dimension
     if not 1 <= l <= n:
         raise OperatorError(f"block size {l} outside 1..{n}")
-    if q is None:
-        q = default_depth(n)
     if q < 0:
         raise OperatorError("depth must be nonnegative")
-    if stream is None:
-        stream = SeededStream(0)
 
     X = gaussian_matrix(n, l, stream)
     Q, AQ = build_krylov_block(A, X, q, ledger)

@@ -134,7 +134,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
 
     The k recurrences are independent: each step applies A once to the
     current vectors of every trial that has not broken down, and trial t's
-    applications are charged to ``ledgers[t]`` (m each, fewer on
+    applications are charged to ``ledgers[t]`` at the end (m each, fewer on
     breakdown).  Each trial carries two rows of omega estimates, for q_i and
     q_{i-1}.  A step whose new row would pass SEMI_ORTHOGONALITY runs the
     DGKS step ``reorthogonalize`` on its residual, so does the step after
@@ -184,8 +184,6 @@ def lanczos_lockstep(A, G, m, ledgers=None):
         W = np.array(A.apply_block(Q[active, i].T).T, order="C")
         survivors = []
         for r, t in zip(W, active):
-            if ledgers[t] is not None:
-                ledgers[t].charge("lanczos")
             q = Q[t, i]
             a = q @ r
             alpha[t, i] = a
@@ -227,6 +225,9 @@ def lanczos_lockstep(A, G, m, ledgers=None):
         active = survivors
         if not active:
             break
+    for ledger, j in zip(ledgers, m_eff):
+        if ledger is not None:
+            ledger.charge("lanczos", int(j))
     return [
         TridiagonalFactorization(
             alpha[t, :j], eta[t, : j - 1], Q[t, :j].T,

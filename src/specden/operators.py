@@ -14,8 +14,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .randgen import SeededStream
-
 
 class OperatorError(ValueError):
     """Raised on dimension mismatches or invalid operator construction."""
@@ -209,7 +207,7 @@ def norm_estimate_cost(n):
     return 2 * max(1, math.ceil(math.log2(n + 2)))
 
 
-def spectral_norm_upper_bound(A, ledger=None, stream=None):
+def spectral_norm_upper_bound(A, ledger, stream):
     """Factor-2 upper bound on the spectral norm: ||A||_2 <= L <= 2 ||A||_2.
 
     Power iteration on A^2 from a random Gaussian start (A^2 rather than A so
@@ -217,8 +215,6 @@ def spectral_norm_upper_bound(A, ledger=None, stream=None):
     ||A v|| as the readout, then doubled.  Deterministic given the stream.
     Returns 0.0 for the zero operator.
     """
-    if stream is None:
-        stream = SeededStream(0, stream_id=991)
     n = A.dimension
     rng = stream.generator()
     v = rng.standard_normal(n)

@@ -274,8 +274,7 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics):
     """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
-    charges ``ledgers[t]``.  Returns the densities
-    and the per-trial diagnostics.
+    charges ``ledgers[t]``.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
     cap = VR_L_CAP if config.algorithm == "vr_slq" else 0

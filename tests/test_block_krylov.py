@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,11 +5,10 @@ from specden import (
     BudgetLedger,
     DiagonalOperator,
     SeededStream,
-    block_krylov_deflation,
     deflate,
 )
 from specden import block_krylov
-from specden.block_krylov import default_depth, orthonormalize_columns
+from specden.block_krylov import block_krylov_deflation, orthonormalize_columns
 from specden.datasets import low_rank
 from specden.operators import OperatorError
 
@@ -42,7 +39,7 @@ def test_close_top_pair_resolved(monkeypatch):
     spectrum = np.concatenate([[1.0, 0.99], np.random.default_rng(3).uniform(-0.5, 0.5, 98)])
     A, _ = random_symmetric(100, seed=3, spectrum=spectrum)
     monkeypatch.setattr(block_krylov, "DEFAULT_BETA", 4.0)
-    res = block_krylov_deflation(A, l=5, q=default_depth(100), stream=SeededStream(3))
+    res = block_krylov_deflation(A, l=5, q=14, stream=SeededStream(3))
     top2 = np.sort(np.abs(res.lambdas))[::-1][:2]
     np.testing.assert_allclose(top2, [1.0, 0.99], atol=1e-6)
 
@@ -76,7 +73,7 @@ def test_budget_formula_exact():
 
 def test_low_rank_range_fully_deflated():
     A = low_rank(500, stream=SeededStream(78))
-    res = block_krylov_deflation(A, l=7, q=15)
+    res = block_krylov_deflation(A, l=7, q=15, stream=SeededStream(0))
     nonzero = A.diagonal[A.diagonal != 0.0]
     assert nonzero.size == 100
     found = res.lambdas[np.abs(res.lambdas) > 1e-8]
@@ -101,9 +98,9 @@ def test_exhausted_space_charges_n_columns():
 def test_validation():
     A = DiagonalOperator(np.ones(5))
     with pytest.raises(OperatorError):
-        block_krylov_deflation(A, l=6)
+        block_krylov_deflation(A, l=6, q=14, stream=SeededStream(0))
     with pytest.raises(OperatorError):
-        block_krylov_deflation(A, l=2, q=-1)
+        block_krylov_deflation(A, l=2, q=-1, stream=SeededStream(0))
 
 
 def test_orthonormalize_drops_dependent_columns():
@@ -114,8 +111,3 @@ def test_orthonormalize_drops_dependent_columns():
     assert Q.shape == (10, 3)
     np.testing.assert_allclose(Q.T @ Q, np.eye(3), atol=1e-10)
     assert orthonormalize_columns(np.zeros((4, 2))).shape == (4, 0)
-
-
-def test_default_depth():
-    assert default_depth(200) == math.ceil(2 * math.log2(200))
-    assert default_depth(1) == 2

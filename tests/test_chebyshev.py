@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from specden import BudgetLedger, DiagonalOperator, SeededStream, estimate_moments
+from specden import BudgetLedger, DiagonalOperator, SeededStream
 from specden.chebyshev import (
     TBAR0,
     TBAR_SCALE,
     _quadratic_forms,
     adjust_moments_for_deflation,
     cheb_normalized_rows,
+    estimate_moments,
 )
 from specden.randgen import unit_sphere_vector
 

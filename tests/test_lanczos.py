@@ -10,8 +10,6 @@ from specden import (
     SeededStream,
     SparseOperator,
     deflate,
-    lanczos,
-    tridiag_eig,
 )
 from specden.bench import build_matrix
 from specden.chebyshev import TBAR_SCALE
@@ -19,9 +17,11 @@ from specden.lanczos import (
     EPS,
     LanczosError,
     TridiagonalFactorization,
-    reorthogonalize,
+    lanczos,
     lanczos_lockstep,
     magnitude_order,
+    reorthogonalize,
+    tridiag_eig,
 )
 from specden.randgen import random_orthogonal, unit_sphere_vector
 from specden.sde import VR_L_CAP, _vr_density

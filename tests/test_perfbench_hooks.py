@@ -36,8 +36,8 @@ def test_every_traced_name_is_in_its_owner_dict(tracing):
 
 
 def test_traced_deflation_reports_the_depth_it_ran(tracing):
-    # The span reads q from the call's arguments, falling back to
-    # block_krylov's default depth (14 at n = 100) when the call omits it.
+    # The span reads q from the call's arguments; block_krylov_deflation
+    # takes q as a required argument, so every call names it.
     tracer = tracing.Tracer()
     tracer.install()
     try:

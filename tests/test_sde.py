@@ -8,13 +8,13 @@ from specden import (
     SdeConfig,
     SeededStream,
     average_densities,
-    block_krylov_deflation,
     exact_density,
     run,
     schatten1_estimate,
     wasserstein1,
 )
 from specden import block_krylov, sde
+from specden.block_krylov import block_krylov_deflation
 from specden.bench import build_matrix
 from specden.chebyshev import cheb_normalized_rows
 from specden.lanczos import TridiagonalFactorization, lanczos, tridiag_eig
@@ -523,3 +523,27 @@ def test_public_names_resolve():
 
     assert [name for name in specden.__all__ if not hasattr(specden, name)] == []
     assert len(set(specden.__all__)) == len(specden.__all__)
+    # run() and what it takes and returns; internals come from their modules.
+    assert sorted(specden.__all__) == [
+        "ALGORITHMS",
+        "BudgetExhaustedError",
+        "BudgetLedger",
+        "DenseOperator",
+        "DiagonalOperator",
+        "DiscreteDistribution",
+        "SdeConfig",
+        "SdeEstimate",
+        "SeededStream",
+        "SparseOperator",
+        "SymmetricOperator",
+        "average_densities",
+        "deflate",
+        "exact_density",
+        "run",
+        "schatten1_estimate",
+        "wasserstein1",
+    ]
+    # No exported function shadows the submodule of the same name.
+    import specden.lanczos as module
+
+    assert callable(module.lanczos_lockstep)
