@@ -30,42 +30,21 @@ def cheb_normalized_rows(N, x):
     return rows
 
 
-def _quadratic_forms(A, G, N, ledger):
-    """Row j holds g_j^T Tbar_i(A) g_j, i = 0..N, for the rows g_j of G.
-
-    All rows advance through the recurrence together, one block product per
-    degree, so the block costs N * rows applications.
-    """
-    if N < 0:
-        raise ValueError("number of moments must be nonnegative")
-
-    def rowdot(X, Y):
-        # One dot product per row, the same arithmetic as a single vector.
-        return np.array([x @ y for x, y in zip(X, Y)])
-
-    def step(U):
-        return np.ascontiguousarray(A.apply_block(U.T, ledger, stage="moments").T)
-
-    out = np.empty((G.shape[0], N + 1))
-    out[:, 0] = TBAR0 * rowdot(G, G)
-    if N == 0:
-        return out
-    U_prev = G
-    U = step(G)
-    out[:, 1] = TBAR_SCALE * rowdot(G, U)
-    for k in range(2, N + 1):
-        U_prev, U = U, 2.0 * step(U) - U_prev
-        out[:, k] = TBAR_SCALE * rowdot(G, U)
-    return out
-
-
 def probe_moments(A, N, G, ledger=None):
     """tau_i = (1/b) sum_j g_j^T Tbar_i(A) g_j, i = 1..N, over the b rows g_j
-    of G, run in lockstep: exactly N * b operator applications.  With unit
-    g_j these are the moments of a probability measure."""
-    acc = _quadratic_forms(A, G, N, ledger).sum(axis=0)
-    acc /= G.shape[0]
-    return acc[1:]
+    of G.  All rows advance through the recurrence together, one block
+    product per degree: exactly N * b operator applications.  With unit g_j
+    these are the moments of a probability measure."""
+    if N < 0:
+        raise ValueError("number of moments must be nonnegative")
+    tau = np.empty(N)
+    U_prev, U = None, G
+    for k in range(N):
+        AU = np.ascontiguousarray(A.apply_block(U.T, ledger, stage="moments").T)
+        U_prev, U = U, (AU if k == 0 else 2.0 * AU - U_prev)
+        # One dot product per contiguous row, added in probe order.
+        tau[k] = sum(TBAR_SCALE * (g @ u) for g, u in zip(G, U)) / G.shape[0]
+    return tau
 
 
 def estimate_moments(A, N, b, stream, ledger=None):

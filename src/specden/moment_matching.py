@@ -61,6 +61,12 @@ LP_MAXITER = 50_000
 SCREEN_POINTS_PER_MOMENT = 8
 
 
+def check_grid(N, d):
+    """Moment matching needs at least as many grid intervals as moments."""
+    if d < N:
+        raise ValueError(f"grid resolution d={d} must be >= N={N}")
+
+
 def solve_moment_matching(tau, d, diagnostics=None):
     """Grid density q minimizing ||T q - z||_1 over the probability simplex.
 
@@ -99,8 +105,7 @@ def solve_moment_matching(tau, d, diagnostics=None):
     N = tau.size
     if N < 1:
         raise ValueError("need at least one moment")
-    if d < N:
-        raise ValueError(f"grid resolution d={d} must be >= N={N}")
+    check_grid(N, d)
     T = moment_matrix(N, d)
     z = tau / np.arange(1, N + 1)
 

@@ -24,7 +24,12 @@ from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
 from .chebyshev import adjust_moments_for_deflation, estimate_moments, probe_moments
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
 from .metrics import DiscreteDistribution, average_densities
-from .moment_matching import kpm_density, rescale_density, solve_moment_matching
+from .moment_matching import (
+    check_grid,
+    kpm_density,
+    rescale_density,
+    solve_moment_matching,
+)
 from .operators import (
     BudgetLedger,
     ScaledOperator,
@@ -199,7 +204,9 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     moments of the remainder alone, reconstructs a density on a d-point grid
     and rescales it to [-L, L].  A remainder whose L is within block Krylov's
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
-    point mass at 0 in W1, which stands in for it with no moment.
+    point mass at 0 in W1, which stands in for it with no moment.  Any other
+    cmm remainder is checked against the grid (``check_grid``) before its
+    probes are drawn, so a grid too coarse for N spends no moment.
     Returns (density, facts); facts holds L and N, l and s when l > 0, and
     cmm's solver, residual, support and nnls_columns when it solves for a
     density.
@@ -233,6 +240,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     if L <= zero_below:
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
+        if method == "cmm":
+            check_grid(N, d)
         probes = stream.substream(3)
         G = np.stack([unit_sphere_vector(n, probes.substream(j)) for j in range(b)])
         if Z is not None:

@@ -7,10 +7,10 @@ from specden import BudgetLedger, DiagonalOperator, SeededStream
 from specden.chebyshev import (
     TBAR0,
     TBAR_SCALE,
-    _quadratic_forms,
     adjust_moments_for_deflation,
     cheb_normalized_rows,
     estimate_moments,
+    probe_moments,
 )
 from specden.randgen import unit_sphere_vector
 
@@ -77,29 +77,29 @@ def test_orthonormality_under_chebyshev_weight():
 def test_quadratic_form_identity_and_zero_operator():
     g = unit_sphere_vector(15, SeededStream(2))
     ident = DiagonalOperator(np.ones(15))
-    vals = _quadratic_forms(ident, g[None, :], 3, None)[0]
-    assert vals[1] == pytest.approx(TBAR_SCALE)
+    tau = probe_moments(ident, 3, g[None, :])
+    assert tau[0] == pytest.approx(TBAR_SCALE)
     zero = DiagonalOperator(np.zeros(15))
-    vals = _quadratic_forms(zero, g[None, :], 3, None)[0]
-    assert vals[2] == pytest.approx(-TBAR_SCALE)
+    tau = probe_moments(zero, 3, g[None, :])
+    assert tau[1] == pytest.approx(-TBAR_SCALE)
     with pytest.raises(ValueError):
-        _quadratic_forms(ident, g[None, :], -1, None)
+        probe_moments(ident, -1, g[None, :])
 
 
 def test_quadratic_form_matches_matrix_function_oracle():
     A, _ = random_symmetric(20, seed=5)
     scaled = DiagonalOperator(np.linalg.eigvalsh(A.to_dense()))
     g = unit_sphere_vector(20, SeededStream(9))
-    ours = _quadratic_forms(scaled, g[None, :], 8, None)[0]
+    ours = probe_moments(scaled, 8, g[None, :])
     oracle = dense_cheb_quadratic_form(scaled.to_dense(), g, 8)
-    np.testing.assert_allclose(ours, oracle, atol=1e-10)
+    np.testing.assert_allclose(ours, oracle[1:], atol=1e-10)
 
 
 def test_quadratic_form_budget_is_exact():
     A = DiagonalOperator(np.linspace(-1, 1, 10))
     g = unit_sphere_vector(10, SeededStream(0))
     ledger = BudgetLedger()
-    _quadratic_forms(A, g[None, :], 7, ledger)
+    probe_moments(A, 7, g[None, :], ledger)
     assert ledger.counts == {"moments": 7}
 
 
@@ -113,8 +113,8 @@ def test_estimate_moments_identity_and_b1():
     stream = SeededStream(6)
     single = estimate_moments(A2, 5, 1, stream)
     g = unit_sphere_vector(12, stream.substream(0))
-    direct = _quadratic_forms(A2, g[None, :], 5, None)[0]
-    np.testing.assert_allclose(single, direct[1:], atol=1e-14)
+    direct = probe_moments(A2, 5, g[None, :])
+    np.testing.assert_allclose(single, direct, atol=1e-14)
 
 
 def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
@@ -125,11 +125,11 @@ def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
     ours = estimate_moments(A, N, b, stream, ledger)
     assert ledger.counts == {"moments": N * b}
     probes = [unit_sphere_vector(20, stream.substream(j)) for j in range(b)]
-    loop = np.mean([_quadratic_forms(A, g[None, :], N, None)[0] for g in probes], axis=0)
+    loop = np.mean([probe_moments(A, N, g[None, :]) for g in probes], axis=0)
     oracle = np.mean(
         [dense_cheb_quadratic_form(A.to_dense(), g, N) for g in probes], axis=0
     )
-    np.testing.assert_allclose(ours, loop[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ours, loop, rtol=0, atol=1e-14)
     np.testing.assert_allclose(ours, oracle[1:], rtol=0, atol=1e-10)
 
 

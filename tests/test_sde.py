@@ -280,6 +280,35 @@ def test_moment_trial_too_small_for_one_moment_spends_nothing():
     assert run(A, SdeConfig("kpm", budget=least)).diagnostics["per_trial"][0]["N"] == 1
 
 
+def test_cmm_grid_too_coarse_for_N_spends_no_moment():
+    # N = (327 - 12) // 15 = 21 > d = 20: the trial raises once L is known,
+    # before any probe is drawn, with the same message moment matching gives.
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 50))
+    ledger = BudgetLedger()
+    with pytest.raises(ValueError, match="grid resolution d=20 must be >= N=21"):
+        _moment_estimate(A, 0, "cmm", 327, 20, SeededStream(0), ledger)
+    assert ledger.counts == {"norm_estimate": 12}
+
+
+def test_def_cmm_grid_too_coarse_for_N_spends_no_moment():
+    # Only the Krylov block and the remainder's norm estimate are spent.
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 50))
+    ledger = BudgetLedger()
+    with pytest.raises(ValueError, match="grid resolution d=5 must be >= N="):
+        _moment_estimate(A, 1, "cmm", 400, 5, SeededStream(0), ledger)
+    assert set(ledger.counts) == {"krylov_subspace", "norm_estimate"}
+
+
+def test_zero_remainder_needs_no_grid():
+    # Block Krylov deflates all of a rank-2 diagonal: the point mass at 0
+    # stands in for the remainder whatever N the budget would fund.
+    A = DiagonalOperator([1.0, 0.5] + [0.0] * 48)
+    ledger = BudgetLedger()
+    _, facts = _moment_estimate(A, 4, "cmm", 2000, 5, SeededStream(0), ledger)
+    assert facts["s"] == 6 and facts["N"] == 0
+    assert ledger.counts == {"krylov_subspace": 6, "norm_estimate": 12}
+
+
 def test_block_krylov_and_vr_slq_gate_on_the_largest_ritz_value(monkeypatch):
     # One rule, max|Ritz value| / n^beta, each over every Ritz value of its
     # own Krylov space; no |Ritz value| exceeds ||A||, and with a separated
