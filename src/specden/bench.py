@@ -336,14 +336,14 @@ def build_parser():
 def resolve(args, parser):
     """Parse the flags; fill unset ones from the config file, the profile, defaults.
 
-    A flag's text that its option's parser rejects is an error naming the
-    flag; an empty one is left for the check below.
+    A flag's text that its option's parser rejects, empty text included, is
+    an error naming the flag; a required text flag left empty is missing.
     """
     file_values = read_config_file(args.config) if args.config else {}
     profile = PROFILES[args.profile]
     for name, (parse, default, flag, _) in _OPTIONS.items():
         value = getattr(args, name, None)
-        if isinstance(value, str) and value:
+        if isinstance(value, str):
             try:
                 value = parse(value)
             except ValueError as exc:

@@ -15,7 +15,9 @@ norm (the Daniel-Gragg-Kaufman-Stewart test: "twice is enough").
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
 products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
-is its k = 1 case.
+is its k = 1 case.  The omega estimates are arrays over the block of trials,
+updated for all running trials at once; only the trials flagged to
+reorthogonalize run the Gram-Schmidt pass, one at a time.
 """
 
 from __future__ import annotations
@@ -114,40 +116,28 @@ def reorthogonalize(basis, r):
     return np.linalg.norm(r), True
 
 
-def _omega_numerators(alpha, eta, prev, cur):
-    """eta_i (q_{i+1}^T q_k) for k < i by Simon's recurrence, noise left out.
-
-    alpha and eta hold alpha_0..alpha_i and eta_0..eta_{i-1}; ``cur`` holds
-    the estimates q_i^T q_k for k <= i and ``prev`` q_{i-1}^T q_k for
-    k <= i - 1 (each ending in 1).
-    """
-    i = alpha.size - 1
-    if i == 0:
-        return np.empty(0)
-    num = eta * cur[1:] + (alpha[:i] - alpha[i]) * cur[:i] - eta[i - 1] * prev
-    num[1:] += eta[:-1] * cur[: i - 1]
-    return num
-
-
 def lanczos_lockstep(A, G, m, ledgers=None):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
     current vectors of every trial that has not broken down, and trial t's
     applications are charged to ``ledgers[t]`` at the end (m each, fewer on
-    breakdown).  Each trial carries two rows of omega estimates, for q_i and
-    q_{i-1}.  A step whose new row would pass SEMI_ORTHOGONALITY runs the
-    DGKS step ``reorthogonalize`` on its residual, so does the step after
-    it, and each such step resets its row to eps.  The recurrence's
-    rounding term is eps sqrt(n) scale(T), scale(T) being the running max
-    of |alpha| and eta: with eps (eta_k + eta_i) the estimate fell behind
-    the true loss on ``gaussian:500`` at m = n, which then grew to 1.
-    Breakdown is tested after any reorthogonalization.  The last step forms
-    its three-term residual only for its norm beta, with no product and no
-    reorthogonalization.  Outside the block product, every reduction is a
-    dot or matrix-vector product on one trial's contiguous rows, as in a
-    single-vector run.  Returns one ``TridiagonalFactorization`` per column
-    of G, each a view into storage the k runs share.
+    breakdown).  The omega estimates for q_i and q_{i-1} are two k x m
+    arrays, one row per trial, and each step updates the rows of the running
+    trials as one array expression.  A trial whose new row would pass
+    SEMI_ORTHOGONALITY runs the DGKS step ``reorthogonalize`` on its
+    residual, one flagged trial at a time; so does its next step, and each
+    such step resets its row to eps.  The recurrence's rounding term is
+    eps sqrt(n) scale(T), scale(T) being the running max of |alpha| and
+    eta: with eps (eta_k + eta_i) the estimate fell behind the true loss on
+    ``gaussian:500`` at m = n, which then grew to 1.  Breakdown is tested
+    after any reorthogonalization.  The last step forms its three-term
+    residual only for its norm beta, with no product and no
+    reorthogonalization.  Outside the block product, every sum is a dot or
+    matrix-vector product on one trial's contiguous rows, as in a
+    single-vector run, so each trial is bit for bit its single run.
+    Returns one ``TridiagonalFactorization`` per column of G, each a view
+    into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -171,60 +161,65 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     repeats = np.zeros(k, dtype=int)
     reorths = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
-    # Trial t's omega rows for q_{i-1} and q_i, and whether step i must
+    # Row t of cur holds trial t's omega estimates q_i^T q_j for j <= i, and
+    # of prev those for q_{i-1}; forced marks the trials whose step i must
     # reorthogonalize because step i - 1 found the basis slipping.
-    omega = [(None, np.ones(1)) for _ in range(k)]
+    prev = np.empty((k, m))
+    cur = np.ones((k, m))
     forced = np.zeros(k, dtype=bool)
     noise_unit = EPS * math.sqrt(n)
     Q[:, 0] = G.T
-    active = list(range(k))
+    act = np.arange(k)
     for i in range(m):
         # Row-major products keep every trial's vector contiguous; the copy
         # is the trials' own, so each residual is formed in place in its row.
-        W = np.array(A.apply_block(Q[active, i].T).T, order="C")
-        survivors = []
-        for r, t in zip(W, active):
-            q = Q[t, i]
-            a = q @ r
-            alpha[t, i] = a
-            scale[t] = max(scale[t], abs(a))
-            m_eff[t] = i + 1
-            r -= a * q
-            if i > 0:
-                r -= eta[t, i - 1] * Q[t, i - 1]
-                scale[t] = max(scale[t], eta[t, i - 1])
-            eta_i = np.linalg.norm(r)
-            if i + 1 == m:
-                eta[t, i] = eta_i
-                continue
-            noise = noise_unit * scale[t]
-            prev, cur = omega[t]
-            reorth = forced[t]
-            if not reorth:
-                num = _omega_numerators(alpha[t, : i + 1], eta[t, :i], prev, cur)
-                # |num_k + sign(num_k) noise| / eta_i, and noise / eta_i for k = i.
-                worst = np.abs(num).max(initial=0.0) + noise
-                reorth = worst > SEMI_ORTHOGONALITY * eta_i
-            if reorth:
-                eta_i, repeated = reorthogonalize(Q[t, : i + 1], r)
-                repeats[t] += repeated
-                reorths[t] += 1
-                row = np.full(i + 2, EPS)
-                forced[t] = not forced[t]
-            else:
-                row = np.empty(i + 2)
-                row[:i] = (num + np.copysign(noise, num)) / eta_i
-                row[i] = noise / eta_i
-            row[i + 1] = 1.0
-            omega[t] = (cur, row)
-            eta[t, i] = eta_i
-            if eta_i < BREAKDOWN_RTOL * scale[t]:
-                continue
-            Q[t, i + 1] = r / eta_i
-            survivors.append(t)
-        active = survivors
-        if not active:
+        U = Q[act, i]
+        W = np.array(A.apply_block(U.T).T, order="C")
+        a = np.array([u @ r for u, r in zip(U, W)])
+        alpha[act, i] = a
+        scale[act] = np.maximum(scale[act], np.abs(a))
+        m_eff[act] = i + 1
+        W -= a[:, None] * U
+        if i > 0:
+            W -= eta[act, i - 1, None] * Q[act, i - 1]
+            scale[act] = np.maximum(scale[act], eta[act, i - 1])
+        eta_i = np.array([np.linalg.norm(r) for r in W])
+        if i + 1 == m:
+            eta[act, i] = eta_i
             break
+        noise = noise_unit * scale[act]
+        # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise left out.
+        e, c = eta[act, :i], cur[act, : i + 1]
+        num = (
+            e * c[:, 1:] + (alpha[act, :i] - a[:, None]) * c[:, :-1]
+            - eta[act, i - 1, None] * prev[act, :i]
+        )
+        num[:, 1:] += e[:, :-1] * c[:, :-2]
+        # |num_j + sign(num_j) noise| / eta_i, and noise / eta_i for j = i.
+        worst = np.abs(num).max(axis=1, initial=0.0) + noise
+        reorth = forced[act] | (worst > SEMI_ORTHOGONALITY * eta_i)
+        row = np.full((act.size, i + 2), EPS)
+        keep = ~reorth
+        row[keep, :i] = (
+            num[keep] + np.copysign(noise[keep, None], num[keep])
+        ) / eta_i[keep, None]
+        row[keep, i] = noise[keep] / eta_i[keep]
+        row[:, i + 1] = 1.0
+        prev[act, : i + 2] = row
+        prev, cur = cur, prev
+        # A step that reorthogonalizes forces the next, unless it was forced.
+        forced[act] = reorth & ~forced[act]
+        for j in np.flatnonzero(reorth):
+            t = act[j]
+            eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
+            repeats[t] += repeated
+            reorths[t] += 1
+        eta[act, i] = eta_i
+        alive = eta_i >= BREAKDOWN_RTOL * scale[act]
+        act = act[alive]
+        if not act.size:
+            break
+        Q[act, i + 1] = W[alive] / eta_i[alive, None]
     for ledger, j in zip(ledgers, m_eff):
         if ledger is not None:
             ledger.charge("lanczos", int(j))

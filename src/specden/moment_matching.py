@@ -62,7 +62,12 @@ SCREEN_POINTS_PER_MOMENT = 8
 
 
 def check_grid(N, d):
-    """Moment matching needs at least as many grid intervals as moments."""
+    """cmm and kpm need at least as many grid intervals as moments.
+
+    Moment matching cannot resolve N moments on fewer points, and kpm's
+    density on d points gets no better, and its N x (d + 1) table larger,
+    past N = d.
+    """
     if d < N:
         raise ValueError(f"grid resolution d={d} must be >= N={N}")
 

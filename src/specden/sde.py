@@ -205,8 +205,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     and rescales it to [-L, L].  A remainder whose L is within block Krylov's
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.  Any other
-    cmm remainder is checked against the grid (``check_grid``) before its
-    probes are drawn, so a grid too coarse for N spends no moment.
+    remainder is checked against the grid (``check_grid``) before its probes
+    are drawn, so a grid too coarse for N spends no moment.
     Returns (density, facts); facts holds L and N, l and s when l > 0, and
     cmm's solver, residual, support and nnls_columns when it solves for a
     density.
@@ -240,8 +240,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     if L <= zero_below:
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
-        if method == "cmm":
-            check_grid(N, d)
+        check_grid(N, d)
         probes = stream.substream(3)
         G = np.stack([unit_sphere_vector(n, probes.substream(j)) for j in range(b)])
         if Z is not None:

@@ -47,6 +47,18 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys):
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag} '0': must be at least 1, got 0\n"
+    # Empty text goes through its flag's parser too, which names the flag;
+    # a required text flag left empty is missing.
+    base = ["estimate", "--matrix", "inverse:50", "--algo", "slq", "--budget", "10"]
+    for flag in ("--trials", "--seed", "--budget"):
+        assert run_cli(*base, flag, "", "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} '': "), err
+    for flag in ("--out", "--matrix", "--algo"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*base, "--out", str(tmp_path / "x.csv"), flag, "")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {flag} is required\n")
     assert (
         run_cli(
             "estimate", "--matrix", "inverse:50", "--algo", "bogus",

@@ -126,6 +126,39 @@ def test_lockstep_matches_separate_runs_on_dense():
         lanczos_lockstep(A, 2.0 * G, 20)
 
 
+def _bit_for_bit_cases():
+    # A normalized random graph: each vertex joined to ~8 others.
+    M = sp.random(3000, 3000, density=4.0 / 3000, random_state=7, data_rvs=np.ones)
+    M = sp.csr_matrix(((M + M.T) > 0).astype(float))
+    scale = sp.diags(1.0 / np.sqrt(np.maximum(M.sum(axis=1).A.ravel(), 1.0)))
+    return {
+        # 101 distinct eigenvalues: every run breaks down after 101 steps.
+        "low_rank": (build_matrix("low_rank:500", seed=0), 200),
+        "inverse": (build_matrix("inverse:500", seed=0), 200),
+        "graph": (SparseOperator(sp.csr_matrix(scale @ M @ scale)), 150),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bit_for_bit_cases()))
+def test_lockstep_trial_is_its_single_run_bit_for_bit(case):
+    # Each trial of a block does exactly its single run's arithmetic, so
+    # its tridiagonal, beta and reorthogonalization counts are equal to the
+    # bit; omega fires 17 to 90 times per trial on these cases.
+    A, m = _bit_for_bit_cases()[case]
+    n = A.dimension
+    G = np.column_stack(
+        [unit_sphere_vector(n, SeededStream(5).substream(t)) for t in range(5)]
+    )
+    for t, fact in enumerate(lanczos_lockstep(A, G, m)):
+        single = lanczos(A, G[:, t], m)
+        assert fact.m_effective == single.m_effective == (101 if case == "low_rank" else m)
+        np.testing.assert_array_equal(fact.alpha, single.alpha)
+        np.testing.assert_array_equal(fact.eta, single.eta)
+        assert fact.beta == single.beta
+        assert fact.reorthogonalized == single.reorthogonalized >= 17
+        assert fact.reorth_repeats == single.reorth_repeats
+
+
 def test_reorthogonalize_repeats_the_pass_when_the_first_cancels():
     n, k = 200, 30
     basis = random_orthogonal(n, SeededStream(31))[:k]

@@ -290,6 +290,15 @@ def test_cmm_grid_too_coarse_for_N_spends_no_moment():
     assert ledger.counts == {"norm_estimate": 12}
 
 
+def test_kpm_grid_too_coarse_for_N_spends_no_moment():
+    # kpm obeys cmm's grid rule: N = 21 > d = 20 spends only the norm estimate.
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 50))
+    ledger = BudgetLedger()
+    with pytest.raises(ValueError, match="grid resolution d=20 must be >= N=21"):
+        _moment_estimate(A, 0, "kpm", 327, 20, SeededStream(0), ledger)
+    assert ledger.counts == {"norm_estimate": 12}
+
+
 def test_def_cmm_grid_too_coarse_for_N_spends_no_moment():
     # Only the Krylov block and the remainder's norm estimate are spent.
     A = DiagonalOperator(np.linspace(-1.0, 1.0, 50))
@@ -426,18 +435,28 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
 
 
 def test_run_lockstep_groups_do_not_change_results(monkeypatch):
-    A = DiagonalOperator(np.linspace(-1.0, 1.0, 40))
-    for algo in ("slq", "vr_slq"):
-        config = SdeConfig(algo, budget=30, trials=5, seed=3)
-        whole = run(A, config)
-        # Room for two slq bases per group: slq runs groups of 2, 2 and 1.
-        monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * 8 * 30 * 40)
-        grouped = run(A, config)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(whole.density.locations, grouped.density.locations)
-        np.testing.assert_array_equal(whole.density.weights, grouped.density.weights)
-        assert whole.ledger.counts == grouped.ledger.counts
-        assert whole.diagnostics == grouped.diagnostics
+    cases = [
+        (DiagonalOperator(np.linspace(-1.0, 1.0, 40)), 30),
+        # Reorthogonalization fires in every trial, and each breaks down.
+        (build_matrix("low_rank:500", 0), 200),
+    ]
+    for A, budget in cases:
+        for algo in ("slq", "vr_slq"):
+            config = SdeConfig(algo, budget=budget, trials=5, seed=3)
+            whole = run(A, config)
+            # Room for two slq bases per group: slq runs groups of 2, 2 and 1.
+            monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * 8 * budget * A.dimension)
+            grouped = run(A, config)
+            monkeypatch.undo()
+            if budget == 200:
+                per_trial = whole.diagnostics["per_trial"]
+                assert all(t["reorthogonalized"] > 0 for t in per_trial)
+            np.testing.assert_array_equal(
+                whole.density.locations, grouped.density.locations
+            )
+            np.testing.assert_array_equal(whole.density.weights, grouped.density.weights)
+            assert whole.ledger.counts == grouped.ledger.counts
+            assert whole.diagnostics == grouped.diagnostics
 
 
 def test_run_per_trial_diagnostics_for_moment_methods():
