@@ -95,7 +95,6 @@ def _write_atoms(path, density):
 
 
 def cmd_estimate(args):
-    A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     config = SdeConfig(
         algorithm=args.algo,
         budget=args.budget,
@@ -103,6 +102,7 @@ def cmd_estimate(args):
         grid_d=args.grid_d,
         seed=args.seed,
     )
+    A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     estimate = run(A, config)
     _write_atoms(args.out, estimate.density)
     print(estimate.ledger.report())
@@ -110,12 +110,12 @@ def cmd_estimate(args):
 
 
 def cmd_sweep(args):
-    A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
-    exact = exact_density(A)
     algos = args.algo.split(",")
     for algo in algos:
         if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
+            raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
+    exact = exact_density(A)
 
     # Cells run one after another: a thread pool measured slower, its threads
     # competing with BLAS's own.  Rows are written once every cell succeeded.

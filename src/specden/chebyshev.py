@@ -47,14 +47,18 @@ def probe_moments(A, N, G, ledger=None):
     return tau
 
 
-def estimate_moments(A, N, b, stream, ledger=None):
+def estimate_moments(A, N, b, stream, ledger=None, Z=None):
     """Hutchinson estimate tau_1 ... tau_N of the spectral-density moments of A:
     ``probe_moments`` of b probes g_j uniform on the unit sphere, drawn from
-    ``stream.substream(j)``; consumes exactly N * b operator applications."""
+    ``stream.substream(j)``, then projected off Z's orthonormal columns and
+    renormalized if Z is given; consumes exactly N * b operator applications."""
     if b < 1:
         raise ValueError("need at least one Hutchinson vector")
     n = A.dimension
     G = np.stack([unit_sphere_vector(n, stream.substream(j)) for j in range(b)])
+    if Z is not None:
+        G -= (G @ Z) @ Z.T
+        G /= np.linalg.norm(G, axis=1, keepdims=True)
     return probe_moments(A, N, G, ledger)
 
 

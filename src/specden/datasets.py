@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -115,6 +117,8 @@ def load_matrix_market(path, normalize_adjacency=True):
             v = float(parts[2]) if field != "pattern" else 1.0
         except (ValueError, IndexError):
             raise MatrixMarketError(f"malformed entry {line.strip()!r}", lineno)
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"non-finite value {parts[2]!r}", lineno)
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
         if symmetry == "symmetric" and i < j:

@@ -1,9 +1,9 @@
 """Matrix-free symmetric linear operators with exact matvec accounting.
 
 Every algorithm in this package touches its input matrix only through
-``SymmetricOperator.apply`` and ``apply_block``, and every application is
-charged to a ``BudgetLedger``: one unit per vector, however many vectors
-share one product.  Projections and other vector arithmetic are free; only
+``SymmetricOperator.apply_block``, and every application is charged to a
+``BudgetLedger``: one unit per vector, however many vectors share one
+product.  Projections and other vector arithmetic are free; only
 products with the underlying matrix count.
 """
 
@@ -56,8 +56,8 @@ class SymmetricOperator:
     """Abstract n x n symmetric linear map.
 
     Subclasses implement ``_matmat``, one product with an n x k block.
-    ``apply`` and ``apply_block`` never mutate their input and charge exactly
-    one ledger unit per column.
+    ``apply_block`` never mutates its input and charges exactly one ledger
+    unit per column; ``apply`` is its one-column case.
     """
 
     def __init__(self, n):
@@ -78,10 +78,7 @@ class SymmetricOperator:
             raise OperatorError(
                 f"vector has shape {v.shape}, operator dimension is {self._n}"
             )
-        out = self._matmat(v[:, None])[:, 0]
-        if ledger is not None:
-            ledger.charge(stage)
-        return out
+        return self.apply_block(v[:, None], ledger, stage)[:, 0]
 
     def apply_block(self, V, ledger=None, stage="apply"):
         """Apply to every column of an n x k block in one product; charges k units."""
@@ -100,6 +97,11 @@ class SymmetricOperator:
         return self.apply_block(np.eye(self._n))
 
 
+def _require_finite(values):
+    if not np.isfinite(values).all():
+        raise OperatorError("matrix has a non-finite entry")
+
+
 def _require_symmetric(matrix):
     """Reject a dense or sparse M unless max|M - M^T| <= 1e-10 max|M|."""
     if not abs(matrix - matrix.T).max() <= 1e-10 * abs(matrix).max():
@@ -114,6 +116,7 @@ class DenseOperator(SymmetricOperator):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise OperatorError(f"expected a square matrix, got shape {matrix.shape}")
         super().__init__(matrix.shape[0])
+        _require_finite(matrix)
         _require_symmetric(matrix)
         # Bitwise symmetric, since a + b == b + a in floating point.
         self.matrix = 0.5 * (matrix + matrix.T)
@@ -133,6 +136,7 @@ class DiagonalOperator(SymmetricOperator):
         if diagonal.ndim != 1:
             raise OperatorError("diagonal must be a vector")
         super().__init__(diagonal.shape[0])
+        _require_finite(diagonal)
         self.diagonal = diagonal.copy()
 
     def _matmat(self, V):
@@ -148,6 +152,7 @@ class SparseOperator(SymmetricOperator):
         if matrix.shape[0] != matrix.shape[1]:
             raise OperatorError(f"expected a square matrix, got shape {matrix.shape}")
         super().__init__(matrix.shape[0])
+        _require_finite(matrix.data)
         _require_symmetric(matrix)
         self.matrix = matrix
 
@@ -217,16 +222,16 @@ def spectral_norm_upper_bound(A, ledger, stream):
     """
     n = A.dimension
     rng = stream.generator()
-    v = rng.standard_normal(n)
+    v = rng.standard_normal((n, 1))
     v /= np.linalg.norm(v)
     steps = norm_estimate_cost(n) // 2
     readout = 0.0
     for _ in range(steps):
-        w = A.apply(v, ledger, "norm_estimate")
+        w = A.apply_block(v, ledger, "norm_estimate")
         readout = np.linalg.norm(w)
         if readout == 0.0:
             return 0.0
-        u = A.apply(w, ledger, "norm_estimate")
+        u = A.apply_block(w, ledger, "norm_estimate")
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return 2.0 * readout

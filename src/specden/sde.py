@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
-# sde.adjust_moments_for_deflation, sde.estimate_moments and sde.lanczos have
-# no caller; they stay while perfbench/tracing.py wraps them.
-from .chebyshev import adjust_moments_for_deflation, estimate_moments, probe_moments
+# sde.adjust_moments_for_deflation and sde.lanczos have no caller; they stay
+# while perfbench/tracing.py wraps them.
+from .chebyshev import adjust_moments_for_deflation, estimate_moments
 from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
 from .metrics import DiscreteDistribution, average_densities
 from .moment_matching import (
@@ -241,13 +241,9 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
         check_grid(N, d)
-        probes = stream.substream(3)
-        G = np.stack([unit_sphere_vector(n, probes.substream(j)) for j in range(b)])
-        if Z is not None:
-            # Projecting and renormalizing the probes is free.
-            G -= (G @ Z) @ Z.T
-            G /= np.linalg.norm(G, axis=1, keepdims=True)
-        tau = probe_moments(ScaledOperator(A, 1.0 / L), N, G, ledger)
+        tau = estimate_moments(
+            ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger, Z
+        )
         if method == "cmm":
             q = solve_moment_matching(tau, d, facts)
         else:

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from specden import sde
+from specden import bench, sde
 from specden.bench import build_matrix, main, read_config_file, render_sweep_svg
 from specden.moment_matching import SolverError
 
@@ -66,6 +66,27 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_unknown_algorithm_is_rejected_before_the_matrix_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("build_matrix called")
+
+    monkeypatch.setattr(bench, "build_matrix", refuse)
+    out = tmp_path / "x.csv"
+    choices = str(sde.ALGORITHMS)
+    for command, flag in (("estimate", "--budget"), ("sweep", "--budgets")):
+        code = run_cli(
+            command, "--matrix", "uniform:3000", "--algo", "kpmm", flag, "100",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown algorithm 'kpmm'; choose from {choices}\n"
+        )
+    assert not out.exists()
 
 
 def test_too_small_budget_is_an_error_not_a_traceback(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specden import BudgetLedger, DiagonalOperator, SeededStream
+from specden import BudgetLedger, DiagonalOperator, SeededStream, deflate
 from specden.chebyshev import (
     TBAR0,
     TBAR_SCALE,
@@ -131,6 +131,21 @@ def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
     )
     np.testing.assert_allclose(ours, loop, rtol=0, atol=1e-14)
     np.testing.assert_allclose(ours, oracle[1:], rtol=0, atol=1e-10)
+
+
+def test_estimate_moments_projects_its_probes_off_Z():
+    A, _ = random_symmetric(20, seed=9)
+    Z = np.linalg.qr(np.random.default_rng(2).standard_normal((20, 3)))[0]
+    A = deflate(A, Z)
+    N, b = 7, 5
+    stream = SeededStream(4)
+    ledger = BudgetLedger()
+    ours = estimate_moments(A, N, b, stream, ledger, Z)
+    assert ledger.counts == {"moments": N * b}
+    G = np.stack([unit_sphere_vector(20, stream.substream(j)) for j in range(b)])
+    G -= (G @ Z) @ Z.T
+    G /= np.linalg.norm(G, axis=1, keepdims=True)
+    np.testing.assert_array_equal(ours, probe_moments(A, N, G))
 
 
 def test_estimate_moments_budget_and_validation():

@@ -188,6 +188,19 @@ def test_loader_honors_symmetry_qualifier(tmp_path):
     assert err.value.line_number == 1
 
 
+def test_non_finite_value_is_an_error_naming_its_line(tmp_path):
+    # Normalization would hide the value: a NaN degree zeroes its row, and
+    # the file would load as the zero matrix.
+    for value in ("nan", "inf", "-inf"):
+        entries = [(1, 1, 1.0), (2, 1, value), (3, 2, 2.0)]
+        path = mtx_file(tmp_path, f"{value}.mtx", "symmetric", entries)
+        for normalize in (True, False):
+            with pytest.raises(MatrixMarketError) as err:
+                load_matrix_market(path, normalize)
+            assert err.value.line_number == 4
+            assert str(err.value) == f"line 4: non-finite value '{value}'"
+
+
 ERDOS_PATH = os.environ.get("SPECDEN_ERDOS992", "data/Erdos992.mtx")
 
 

@@ -6,17 +6,21 @@ import pytest
 import scipy.sparse as sp
 
 from specden import (
+    ALGORITHMS,
     BudgetLedger,
     DenseOperator,
     DiagonalOperator,
+    SdeConfig,
     SeededStream,
     SparseOperator,
     deflate,
+    run,
 )
 from specden.operators import (
     DeflatedOperator,
     OperatorError,
     ScaledOperator,
+    SymmetricOperator,
     norm_estimate_cost,
     spectral_norm_upper_bound,
 )
@@ -66,6 +70,15 @@ def test_apply_block_matches_column_loop_and_charges_per_column(A):
         np.testing.assert_allclose(block, loop, rtol=0, atol=1e-12)
         assert ledger.counts == {"block": V.shape[1]}
     np.testing.assert_array_equal(rows, before)
+
+
+@pytest.mark.parametrize("A", backends())
+def test_apply_is_the_one_column_case_of_apply_block(A):
+    v = np.random.default_rng(13).standard_normal(A.dimension)
+    ledger = BudgetLedger()
+    out = A.apply(v, ledger, stage="one")
+    np.testing.assert_array_equal(out, A.apply_block(v[:, None])[:, 0])
+    assert ledger.counts == {"one": 1}
 
 
 @pytest.mark.parametrize("A", backends())
@@ -140,6 +153,29 @@ def test_ledger_counts_every_apply():
     A.apply_block(np.ones((5, 4)), ledger, stage="block")
     assert ledger.counts["block"] == 4
     assert ledger.total == 11
+
+
+def test_no_estimator_calls_apply(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("SymmetricOperator.apply called")
+
+    monkeypatch.setattr(SymmetricOperator, "apply", refuse)
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, 100))
+    for algorithm in ALGORITHMS:
+        estimate = run(A, SdeConfig(algorithm, budget=200))
+        assert estimate.ledger.total > 0
+
+
+def test_non_finite_entries_are_rejected_before_the_symmetry_test():
+    for bad in (math.nan, math.inf, -math.inf):
+        M = np.eye(3)
+        M[1, 0] = bad  # also asymmetric: the finite check must come first
+        with pytest.raises(OperatorError, match="^matrix has a non-finite entry$"):
+            DenseOperator(M)
+        with pytest.raises(OperatorError, match="^matrix has a non-finite entry$"):
+            SparseOperator(sp.csr_matrix(M))
+        with pytest.raises(OperatorError, match="^matrix has a non-finite entry$"):
+            DiagonalOperator([1.0, bad, 0.5])
 
 
 def test_deflated_apply_charges_one_base_application():

@@ -53,6 +53,24 @@ def test_traced_deflation_reports_the_depth_it_ran(tracing):
     assert infos[0][1] == sde.DEFAULT_KRYLOV_DEPTH
 
 
+def test_traced_kpm_reports_its_moment_count(tracing):
+    # The moment stage draws its probes in chebyshev.estimate_moments, the
+    # one name the tracer wraps for it; its span's info is N.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        estimate = run(DiagonalOperator(np.linspace(-1.0, 1.0, 100)), SdeConfig("kpm", budget=200))
+    finally:
+        tracer.uninstall()
+    infos = [
+        span[tracing.INFO]
+        for span in tracer.reset()
+        if span[tracing.NAME] == "chebyshev.estimate_moments"
+    ]
+    assert infos == [estimate.diagnostics["per_trial"][0]["N"]]
+    assert infos[0] > 0
+
+
 def test_product_cost_prices_every_operator_class(tracing):
     base = operators.DiagonalOperator(np.arange(1.0, 5.0))
     instances = {
