@@ -1,4 +1,4 @@
-"""Lanczos tridiagonalization with partial reorthogonalization.
+"""Lanczos tridiagonalization, with partial reorthogonalization or none.
 
 The three-term recurrence builds a basis Q of the Krylov space of (A, g)
 together with the tridiagonal T = Q^T A Q.  In floating point the basis
@@ -12,12 +12,26 @@ sqrt(eps): that step and the next run a classical Gram-Schmidt pass against
 all previous columns, repeated only when the first cancels most of its
 norm (the Daniel-Gragg-Kaufman-Stewart test: "twice is enough").
 
+Gauss quadrature itself needs no orthogonality: finite-precision Lanczos
+acts like exact Lanczos on a matrix whose eigenvalues lie in tiny clusters
+around A's, and the ghost copies of a converged Ritz value share its
+weight (Greenbaum, Linear Algebra Appl. 113, 1989).  A run asked for no
+basis therefore keeps only each recurrence's last two vectors, with no
+omega estimates and no Gram-Schmidt pass.  Up to the first step at which
+the kept-basis run reorthogonalizes, it does that run's arithmetic bit for
+bit.  Past it, it can miss an invariant subspace: on ``low_rank:500`` (101
+distinct eigenvalues) the plain residual never fell below the breakdown
+threshold, so the run took all m steps where the kept-basis run stops
+after 101.
+
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
 products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
 is its k = 1 case.  The omega estimates are arrays over the block of trials,
 updated for all running trials at once; only the trials flagged to
-reorthogonalize run the Gram-Schmidt pass, one at a time.
+reorthogonalize run the Gram-Schmidt pass, one at a time.  With no basis
+there is no ``Q`` to fit in memory, so any number of recurrences can share
+the block product.
 """
 
 from __future__ import annotations
@@ -57,12 +71,12 @@ class TridiagonalFactorization:
     ||A Q s_j - theta_j Q s_j|| = beta |e_m^T s_j| (Parlett, The Symmetric
     Eigenvalue Problem, 1998, section 13.1).  It is nan when unknown, as for
     a hand-built T.  ``reorth_repeats`` counts the steps that needed a
-    second Gram-Schmidt pass.
+    second Gram-Schmidt pass.  ``Q`` is None for a run that kept no basis.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
-    Q: np.ndarray
+    Q: np.ndarray = None
     beta: float = math.nan
     reorth_repeats: int = 0
     reorthogonalized: int = 0
@@ -116,7 +130,7 @@ def reorthogonalize(basis, r):
     return np.linalg.norm(r), True
 
 
-def lanczos_lockstep(A, G, m, ledgers=None):
+def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
@@ -136,8 +150,10 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     reorthogonalization.  Outside the block product, every sum is a dot or
     matrix-vector product on one trial's contiguous rows, as in a
     single-vector run, so each trial is bit for bit its single run.
-    Returns one ``TridiagonalFactorization`` per column of G, each a view
-    into storage the k runs share.
+    With ``basis`` false the runs keep only q_i and q_{i-1}, track no omega
+    and never reorthogonalize; the breakdown test, the last step's beta and
+    the ledger charges are as above.  Returns one ``TridiagonalFactorization``
+    per column of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -153,7 +169,7 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     if len(ledgers) != k:
         raise LanczosError(f"got {len(ledgers)} ledgers for {k} starting vectors")
 
-    Q = np.empty((k, m, n))
+    Q = np.empty((k, m, n)) if basis else None
     alpha = np.empty((k, m))
     # Row t holds trial t's m_effective - 1 off-diagonals, then its beta.
     eta = np.empty((k, m))
@@ -168,12 +184,14 @@ def lanczos_lockstep(A, G, m, ledgers=None):
     cur = np.ones((k, m))
     forced = np.zeros(k, dtype=bool)
     noise_unit = EPS * math.sqrt(n)
-    Q[:, 0] = G.T
+    # Rows of U and U_prev are q_i and q_{i-1} of the running trials act.
+    U, U_prev = np.array(G.T, order="C"), None
+    if basis:
+        Q[:, 0] = U
     act = np.arange(k)
     for i in range(m):
         # Row-major products keep every trial's vector contiguous; the copy
         # is the trials' own, so each residual is formed in place in its row.
-        U = Q[act, i]
         W = np.array(A.apply_block(U.T).T, order="C")
         a = np.array([u @ r for u, r in zip(U, W)])
         alpha[act, i] = a
@@ -181,51 +199,56 @@ def lanczos_lockstep(A, G, m, ledgers=None):
         m_eff[act] = i + 1
         W -= a[:, None] * U
         if i > 0:
-            W -= eta[act, i - 1, None] * Q[act, i - 1]
+            W -= eta[act, i - 1, None] * U_prev
             scale[act] = np.maximum(scale[act], eta[act, i - 1])
         eta_i = np.array([np.linalg.norm(r) for r in W])
         if i + 1 == m:
             eta[act, i] = eta_i
             break
-        noise = noise_unit * scale[act]
-        # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise left out.
-        e, c = eta[act, :i], cur[act, : i + 1]
-        num = (
-            e * c[:, 1:] + (alpha[act, :i] - a[:, None]) * c[:, :-1]
-            - eta[act, i - 1, None] * prev[act, :i]
-        )
-        num[:, 1:] += e[:, :-1] * c[:, :-2]
-        # |num_j + sign(num_j) noise| / eta_i, and noise / eta_i for j = i.
-        worst = np.abs(num).max(axis=1, initial=0.0) + noise
-        reorth = forced[act] | (worst > SEMI_ORTHOGONALITY * eta_i)
-        row = np.full((act.size, i + 2), EPS)
-        keep = ~reorth
-        row[keep, :i] = (
-            num[keep] + np.copysign(noise[keep, None], num[keep])
-        ) / eta_i[keep, None]
-        row[keep, i] = noise[keep] / eta_i[keep]
-        row[:, i + 1] = 1.0
-        prev[act, : i + 2] = row
-        prev, cur = cur, prev
-        # A step that reorthogonalizes forces the next, unless it was forced.
-        forced[act] = reorth & ~forced[act]
-        for j in np.flatnonzero(reorth):
-            t = act[j]
-            eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
-            repeats[t] += repeated
-            reorths[t] += 1
+        if basis:
+            noise = noise_unit * scale[act]
+            # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise
+            # left out.
+            e, c = eta[act, :i], cur[act, : i + 1]
+            num = (
+                e * c[:, 1:] + (alpha[act, :i] - a[:, None]) * c[:, :-1]
+                - eta[act, i - 1, None] * prev[act, :i]
+            )
+            num[:, 1:] += e[:, :-1] * c[:, :-2]
+            # |num_j + sign(num_j) noise| / eta_i, and noise / eta_i for j = i.
+            worst = np.abs(num).max(axis=1, initial=0.0) + noise
+            reorth = forced[act] | (worst > SEMI_ORTHOGONALITY * eta_i)
+            row = np.full((act.size, i + 2), EPS)
+            keep = ~reorth
+            row[keep, :i] = (
+                num[keep] + np.copysign(noise[keep, None], num[keep])
+            ) / eta_i[keep, None]
+            row[keep, i] = noise[keep] / eta_i[keep]
+            row[:, i + 1] = 1.0
+            prev[act, : i + 2] = row
+            prev, cur = cur, prev
+            # A step that reorthogonalizes forces the next, unless it was
+            # forced.
+            forced[act] = reorth & ~forced[act]
+            for j in np.flatnonzero(reorth):
+                t = act[j]
+                eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
+                repeats[t] += repeated
+                reorths[t] += 1
         eta[act, i] = eta_i
         alive = eta_i >= BREAKDOWN_RTOL * scale[act]
         act = act[alive]
         if not act.size:
             break
-        Q[act, i + 1] = W[alive] / eta_i[alive, None]
+        U_prev, U = U[alive], W[alive] / eta_i[alive, None]
+        if basis:
+            Q[act, i + 1] = U
     for ledger, j in zip(ledgers, m_eff):
         if ledger is not None:
             ledger.charge("lanczos", int(j))
     return [
         TridiagonalFactorization(
-            alpha[t, :j], eta[t, : j - 1], Q[t, :j].T,
+            alpha[t, :j], eta[t, : j - 1], Q[t, :j].T if basis else None,
             beta=float(eta[t, j - 1]), reorth_repeats=int(repeats[t]),
             reorthogonalized=int(reorths[t]),
         )

@@ -52,12 +52,12 @@ VR_C = 5.0
 VR_DELTA = 0.01
 VR_L_CAP = 100
 
-# Most memory the Lanczos bases of one lockstep group of trials may take;
-# more trials run as further, equal-sized groups, each still sharing one
-# block product per step.  This bounds the peak footprint: on a 2-core
+# Most memory the Lanczos bases of one lockstep group of vr_slq trials may
+# take; more trials run as further, equal-sized groups, each still sharing
+# one block product per step.  This bounds the peak footprint: on a 2-core
 # Xeon, 15 bases at n = 3000, m = 400 (144 MB) in one group raised the
 # sparse-graph benchmark's peak memory by 7% (223 to 239 MB) and sped its
-# ~3.3 s pass up by at most 10%.
+# ~3.3 s pass up by at most 10%.  slq keeps no basis and runs in one group.
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
 
@@ -88,7 +88,8 @@ class SdeConfig:
             value = getattr(self, name)
             if name == "trials" and value is None:
                 continue
-            if not isinstance(value, numbers.Integral):
+            # bool is an Integral: True would pass as a budget of 1.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -108,8 +109,9 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _vr_density(fact, l):
-    """vr_slq's density from one Lanczos run, and the size of its set S.
+def _vr_density(fact, l, n):
+    """vr_slq's density from one Lanczos run on an n x n operator, and the
+    size of its set S.
 
     The SLQ density of the run is sum_j w_j^2 delta(x - lambda_j(T)), where
     w_j is the first component of the j-th eigenvector s_j of T.  With
@@ -121,7 +123,6 @@ def _vr_density(fact, l):
     remaining atoms keep their SLQ weights, renormalized to carry the other
     (n - s)/n, and when every Ritz atom is in S that mass sits at 0.
     """
-    n = fact.Q.shape[0]
     ritz = tridiag_eig(fact)
     values, weights = ritz.values, ritz.weights
     if l == 0:
@@ -264,10 +265,9 @@ def _vr_sizing(budget, n, cap):
 
     vr_slq reads the l residuals from the Lanczos recurrence, so the l
     products reserved here go unspent.  Spending them as more Lanczos steps
-    (m = budget, as slq does) would change vr_slq's ledger and W1 and, by
-    the slq and vr_slq call times on the benchmark's sparse-graph workload,
-    cost about 0.7 s of a ~3.4 s pass on a 2-core Xeon (1.2 s of ~5.8 s
-    when every Lanczos step was reorthogonalized)."""
+    (m = budget, as slq does) would change vr_slq's ledger and W1, and make
+    its kept basis, and with it each Gram-Schmidt pass, up to half as long
+    again."""
     for m in range(min(n, budget), 0, -1):
         l = min(m // 2, cap)
         if m + l <= budget:
@@ -278,14 +278,17 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics):
     """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
-    charges ``ledgers[t]``.  Returns the densities and per-trial diagnostics.
+    charges ``ledgers[t]``.  vr_slq's residual test needs semi-orthogonal
+    bases; slq (l = 0) reads only Gauss quadrature, which survives the loss
+    of orthogonality, so its runs keep no basis and all its trials share
+    one group.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
     cap = VR_L_CAP if config.algorithm == "vr_slq" else 0
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
     trials = len(ledgers)
-    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n))
+    per_group = trials if l == 0 else max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n))
     densities, per_trial = [], []
     for group in np.array_split(np.arange(trials), math.ceil(trials / per_group)):
         # One group's basis at a time: it is freed when the call returns.
@@ -304,7 +307,9 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
         [unit_sphere_vector(n, root.substream(int(t))) for t in group]
     )
     group_ledgers = [ledgers[t] for t in group]
-    factorizations = lanczos_lockstep(A, starts, m, ledgers=group_ledgers)
+    factorizations = lanczos_lockstep(
+        A, starts, m, ledgers=group_ledgers, basis=l > 0
+    )
     densities, per_trial = [], []
     for fact in factorizations:
         facts = {
@@ -312,7 +317,7 @@ def _lanczos_group(A, config, m, l, root, group, ledgers):
             "reorthogonalized": fact.reorthogonalized,
             "reorth_repeats": fact.reorth_repeats,
         }
-        density, converged = _vr_density(fact, l)
+        density, converged = _vr_density(fact, l, n)
         if config.algorithm == "vr_slq":
             facts["converged"] = converged
         densities.append(density)

@@ -148,6 +148,18 @@ def test_estimate_moments_projects_its_probes_off_Z():
     np.testing.assert_array_equal(ours, probe_moments(A, N, G))
 
 
+def test_estimate_moments_with_half_the_degrees_is_a_prefix():
+    # The recurrence for degree k reads only degrees below it, so N/2
+    # moments are the first N/2 of N, bit for bit, on every probe block.
+    spectrum = np.random.default_rng(8).uniform(-1.0, 1.0, 300)
+    A, _ = random_symmetric(300, seed=8, spectrum=spectrum)
+    for op in (A, DiagonalOperator(spectrum)):
+        for N in (2, 40, 161):
+            tau = estimate_moments(op, N, 15, SeededStream(9))
+            half = estimate_moments(op, N // 2, 15, SeededStream(9))
+            np.testing.assert_array_equal(half, tau[: N // 2])
+
+
 def test_estimate_moments_budget_and_validation():
     A = DiagonalOperator(np.linspace(-1, 1, 10))
     ledger = BudgetLedger()

@@ -11,6 +11,7 @@ from specden import (
     SparseOperator,
     deflate,
 )
+import specden.lanczos as lanczos_module
 from specden.bench import build_matrix
 from specden.chebyshev import TBAR_SCALE
 from specden.lanczos import (
@@ -159,6 +160,64 @@ def test_lockstep_trial_is_its_single_run_bit_for_bit(case):
         assert fact.reorth_repeats == single.reorth_repeats
 
 
+def basis_free(A, g, m):
+    """One Lanczos run from g that keeps no basis, as slq's trials run."""
+    return lanczos_lockstep(A, g[:, None], m, basis=False)[0]
+
+
+@pytest.mark.parametrize("case", list(_bit_for_bit_cases()))
+def test_basis_free_lockstep_trial_is_its_single_run_bit_for_bit(case):
+    # Without a basis the runs never reorthogonalize, and the plain
+    # recurrence on low_rank finds no invariant subspace, so every run
+    # takes all m steps.
+    A, m = _bit_for_bit_cases()[case]
+    n = A.dimension
+    G = np.column_stack(
+        [unit_sphere_vector(n, SeededStream(5).substream(t)) for t in range(5)]
+    )
+    for t, fact in enumerate(lanczos_lockstep(A, G, m, basis=False)):
+        single = basis_free(A, G[:, t], m)
+        assert fact.Q is single.Q is None
+        assert fact.m_effective == single.m_effective == m
+        np.testing.assert_array_equal(fact.alpha, single.alpha)
+        np.testing.assert_array_equal(fact.eta, single.eta)
+        assert fact.beta == single.beta
+        assert fact.reorthogonalized == fact.reorth_repeats == 0
+
+
+@pytest.mark.parametrize("case", list(_bit_for_bit_cases()))
+def test_basis_free_run_is_a_prefix_of_the_kept_basis_run(case, monkeypatch):
+    # Up to the first step i at which the kept-basis run reorthogonalizes,
+    # the basis-free run does its arithmetic: alpha_0..alpha_i and
+    # eta_0..eta_{i-1} are equal to the bit, and alpha_{i+1} is not.  A
+    # basis-free run to m/2 is in turn the leading part of one to m, its
+    # beta being the longer run's eta_{m/2-1}.
+    A, m = _bit_for_bit_cases()[case]
+    n = A.dimension
+    reorthogonalize_once = lanczos_module.reorthogonalize
+    first = []
+
+    def recording(basis, r):
+        first.append(basis.shape[0] - 1)
+        return reorthogonalize_once(basis, r)
+
+    for t in range(5):
+        g = unit_sphere_vector(n, SeededStream(5).substream(t))
+        first.clear()
+        monkeypatch.setattr(lanczos_module, "reorthogonalize", recording)
+        kept = lanczos(A, g, m)
+        monkeypatch.undo()
+        i = first[0]
+        free = basis_free(A, g, m)
+        np.testing.assert_array_equal(free.alpha[: i + 1], kept.alpha[: i + 1])
+        np.testing.assert_array_equal(free.eta[:i], kept.eta[:i])
+        assert free.alpha[i + 1] != kept.alpha[i + 1]
+        half = basis_free(A, g, m // 2)
+        np.testing.assert_array_equal(half.alpha, free.alpha[: m // 2])
+        np.testing.assert_array_equal(half.eta, free.eta[: m // 2 - 1])
+        assert half.beta == free.eta[m // 2 - 1]
+
+
 def test_reorthogonalize_repeats_the_pass_when_the_first_cancels():
     n, k = 200, 30
     basis = random_orthogonal(n, SeededStream(31))[:k]
@@ -238,7 +297,7 @@ def test_partial_reorthogonalization_matches_the_full_reference(case):
             assert np.abs(ritz.values - ritz_ref.values).max() <= 1e-10 * norm
             assert np.abs(ritz.weights - ritz_ref.weights).max() <= 1e-8
             l = min(fact.m_effective // 2, VR_L_CAP)
-            assert _vr_density(fact, l)[1] == _vr_density(ref, l)[1]
+            assert _vr_density(fact, l, n)[1] == _vr_density(ref, l, n)[1]
 
 
 def _residual_cases():
