@@ -19,10 +19,13 @@ weight (Greenbaum, Linear Algebra Appl. 113, 1989).  A run asked for no
 basis therefore keeps only each recurrence's last two vectors, with no
 omega estimates and no Gram-Schmidt pass.  Up to the first step at which
 the kept-basis run reorthogonalizes, it does that run's arithmetic bit for
-bit.  Past it, it can miss an invariant subspace: on ``low_rank:500`` (101
-distinct eigenvalues) the plain residual never fell below the breakdown
-threshold, so the run took all m steps where the kept-basis run stops
-after 101.
+bit.  Past it, where the ghost copies appear depends on round-off, so a
+change of A by one unit in the last place moves the quadrature: slq's W1
+on 500 evenly spaced eigenvalues moved by 1.5e-5 relative where the
+kept-basis run's moved by 1e-14.  It can also miss an invariant
+subspace: on ``low_rank:500`` (101 distinct eigenvalues) the plain
+residual never fell below the breakdown threshold, so the run took all m
+steps where the kept-basis run stops after 101.
 
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
@@ -177,13 +180,14 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     repeats = np.zeros(k, dtype=int)
     reorths = np.zeros(k, dtype=int)
     scale = np.full(k, 1e-300)
-    # Row t of cur holds trial t's omega estimates q_i^T q_j for j <= i, and
-    # of prev those for q_{i-1}; forced marks the trials whose step i must
-    # reorthogonalize because step i - 1 found the basis slipping.
-    prev = np.empty((k, m))
-    cur = np.ones((k, m))
-    forced = np.zeros(k, dtype=bool)
-    noise_unit = EPS * math.sqrt(n)
+    if basis:
+        # Row t of cur holds trial t's omega estimates q_i^T q_j for j <= i,
+        # and of prev those for q_{i-1}; forced marks the trials whose step
+        # i must reorthogonalize because step i - 1 found the basis slipping.
+        prev = np.empty((k, m))
+        cur = np.ones((k, m))
+        forced = np.zeros(k, dtype=bool)
+        noise_unit = EPS * math.sqrt(n)
     # Rows of U and U_prev are q_i and q_{i-1} of the running trials act.
     U, U_prev = np.array(G.T, order="C"), None
     if basis:

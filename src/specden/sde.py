@@ -52,12 +52,13 @@ VR_C = 5.0
 VR_DELTA = 0.01
 VR_L_CAP = 100
 
-# Most memory the Lanczos bases of one lockstep group of vr_slq trials may
-# take; more trials run as further, equal-sized groups, each still sharing
-# one block product per step.  This bounds the peak footprint: on a 2-core
+# Most memory the Lanczos bases of one lockstep group of trials may take;
+# more vr_slq trials run as further, equal-sized groups, each still sharing
+# one block product per step, and slq trials whose bases would not fit
+# together run with no basis.  This bounds the peak footprint: on a 2-core
 # Xeon, 15 bases at n = 3000, m = 400 (144 MB) in one group raised the
 # sparse-graph benchmark's peak memory by 7% (223 to 239 MB) and sped its
-# ~3.3 s pass up by at most 10%.  slq keeps no basis and runs in one group.
+# ~3.3 s pass up by at most 10%.
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
 
@@ -278,38 +279,49 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics):
     """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
-    charges ``ledgers[t]``.  vr_slq's residual test needs semi-orthogonal
-    bases; slq (l = 0) reads only Gauss quadrature, which survives the loss
-    of orthogonality, so its runs keep no basis and all its trials share
-    one group.  Returns the densities and per-trial diagnostics.
+    charges ``ledgers[t]``.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
     cap = VR_L_CAP if config.algorithm == "vr_slq" else 0
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
     trials = len(ledgers)
-    per_group = trials if l == 0 else max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n))
+    basis = _keeps_basis(l, trials, m, n)
+    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n)) if basis else trials
     densities, per_trial = [], []
     for group in np.array_split(np.arange(trials), math.ceil(trials / per_group)):
         # One group's basis at a time: it is freed when the call returns.
         group_densities, group_facts = _lanczos_group(
-            A, config, m, l, root, group, ledgers
+            A, config, m, l, basis, root, group, ledgers
         )
         densities += group_densities
         per_trial += group_facts
     return densities, per_trial
 
 
-def _lanczos_group(A, config, m, l, root, group, ledgers):
+def _keeps_basis(l, trials, m, n):
+    """Whether the Lanczos runs of ``trials`` trials of m steps on an n x n
+    operator keep their bases.
+
+    vr_slq (l > 0) reads its residuals off semi-orthogonal bases.  slq reads
+    only Gauss quadrature, which survives the loss of orthogonality, but a
+    kept basis stops at an exhausted Krylov space and makes the result
+    insensitive to round-off in A.  So slq keeps its bases while all of them
+    fit in LOCKSTEP_BASIS_BYTES; beyond that, rather than split into groups
+    that each pay for a block product, every trial runs with no basis and
+    all share one block product per step.
+    """
+    return l > 0 or trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
+
+
+def _lanczos_group(A, config, m, l, basis, root, group, ledgers):
     """Densities and diagnostics of the trials in ``group``, run in lockstep."""
     n = A.dimension
     starts = np.column_stack(
         [unit_sphere_vector(n, root.substream(int(t))) for t in group]
     )
     group_ledgers = [ledgers[t] for t in group]
-    factorizations = lanczos_lockstep(
-        A, starts, m, ledgers=group_ledgers, basis=l > 0
-    )
+    factorizations = lanczos_lockstep(A, starts, m, ledgers=group_ledgers, basis=basis)
     densities, per_trial = [], []
     for fact in factorizations:
         facts = {

@@ -147,11 +147,7 @@ def test_w1_relative_to_the_scale_does_not_depend_on_it(algorithm):
     # Every estimator divides by its own norm bound, so W1 scales with A.
     # cmm and def_cmm may return another of the many exact moment matches
     # when round-off moves their moments, so they are held to this on the
-    # even spectrum only; on inverse:500, cmm moved 1.5e-9 relative.  slq
-    # keeps no Lanczos basis, and its plain recurrence carries the round-off
-    # of c * spectrum into where ghost Ritz values appear: at c = 1e-13 its
-    # W1 moved up to 5e-5 relative.  It is held to 1e-9 at a power-of-two c,
-    # which scales A exactly, and to 1e-4 at c = 1e-13.
+    # even spectrum only; on inverse:500, cmm moved 1.5e-9 relative.
     spectra = [np.linspace(-1.0, 1.0, 500)]
     if algorithm not in ("cmm", "def_cmm"):
         spectra.append(build_matrix("inverse:500").diagonal)
@@ -162,11 +158,7 @@ def test_w1_relative_to_the_scale_does_not_depend_on_it(algorithm):
             estimate = run(A, SdeConfig(algorithm, budget=300, seed=0))
             return wasserstein1(estimate.density, exact_density(A)) / c
 
-        if algorithm == "slq":
-            assert scaled_w1(2.0**-43) == pytest.approx(scaled_w1(1.0), rel=1e-9, abs=0.0)
-            assert scaled_w1(1e-13) == pytest.approx(scaled_w1(1.0), rel=1e-4, abs=0.0)
-        else:
-            assert scaled_w1(1e-13) == pytest.approx(scaled_w1(1.0), rel=1e-9, abs=0.0)
+        assert scaled_w1(1e-13) == pytest.approx(scaled_w1(1.0), rel=1e-9, abs=0.0)
 
 
 def test_exact_density_examples():
