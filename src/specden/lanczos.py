@@ -91,14 +91,13 @@ class TridiagonalFactorization:
 
 @dataclass
 class RitzDecomposition:
-    """Eigendecomposition of T, sorted by descending eigenvalue magnitude.
-
-    ``weights`` are the squared first components (v_j^T e_1)^2 and sum to 1.
-    """
+    """Ritz values theta_j of T by descending magnitude, with the Gauss
+    quadrature weights (e_1^T s_j)^2, which sum to 1, and Ritz residuals
+    beta |e_m^T s_j| (nan for a hand-built T) of T s_j = theta_j s_j."""
 
     values: np.ndarray
-    vectors: np.ndarray
     weights: np.ndarray
+    residuals: np.ndarray
 
 
 def magnitude_order(values):
@@ -261,15 +260,13 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
 
 
 def tridiag_eig(fact):
-    """Exact eigendecomposition of the tridiagonal T with first-row weights."""
+    """T's ``RitzDecomposition``: the only reader of T's eigenvectors, and
+    of no row but their first and last."""
     values, vectors = scipy.linalg.eigh_tridiagonal(fact.alpha, fact.eta)
     order = magnitude_order(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    first_row = vectors[0, :]
     return RitzDecomposition(
-        values=values,
-        vectors=vectors,
-        weights=first_row**2,
+        values=values[order],
+        weights=vectors[0, order] ** 2,
+        residuals=fact.beta * np.abs(vectors[-1, order]),
     )
 

@@ -271,4 +271,4 @@ def rescale_density(q, L):
     """Stretch grid weights q on [-1, 1] to atoms on [-L, L]."""
     if L <= 0:
         raise ValueError("scale L must be positive")
-    return DiscreteDistribution(grid_points(q.size - 1) * L, q.copy())
+    return DiscreteDistribution(grid_points(q.size - 1) * L, q)

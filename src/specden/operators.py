@@ -14,6 +14,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from .randgen import unit_sphere_vector
+
 
 class OperatorError(ValueError):
     """Raised on dimension mismatches or invalid operator construction."""
@@ -215,15 +217,13 @@ def norm_estimate_cost(n):
 def spectral_norm_upper_bound(A, ledger, stream):
     """Factor-2 upper bound on the spectral norm: ||A||_2 <= L <= 2 ||A||_2.
 
-    Power iteration on A^2 from a random Gaussian start (A^2 rather than A so
+    Power iteration on A^2 from a random unit start (A^2 rather than A so
     that sign-symmetric spectra do not defeat the Rayleigh readout), with
     ||A v|| as the readout, then doubled.  Deterministic given the stream.
     Returns 0.0 for the zero operator.
     """
     n = A.dimension
-    rng = stream.generator()
-    v = rng.standard_normal((n, 1))
-    v /= np.linalg.norm(v)
+    v = unit_sphere_vector(n, stream)[:, None]
     steps = norm_estimate_cost(n) // 2
     readout = 0.0
     for _ in range(steps):

@@ -98,7 +98,7 @@ class SdeConfig:
     def resolved_trials(self):
         if self.trials is not None:
             return self.trials
-        return DEFAULT_SLQ_TRIALS if self.algorithm in ("slq", "vr_slq") else 1
+        return TRIAL_RUNNERS[self.algorithm][2]
 
 
 @dataclass
@@ -117,8 +117,8 @@ def _vr_density(fact, l, n):
     The SLQ density of the run is sum_j w_j^2 delta(x - lambda_j(T)), where
     w_j is the first component of the j-th eigenvector s_j of T.  With
     l = 0 (slq) it is returned as is and S is empty.  Otherwise one of the
-    top-l-magnitude Ritz pairs joins S when its residual
-    beta |e_m^T s_j|, read from the recurrence with no product, is within
+    top-l-magnitude Ritz pairs joins S when its residual, which
+    ``tridiag_eig`` reads from the recurrence with no product, is within
     ``deflation_gate`` and its quadrature weight w_j^2 is at most
     VR_C sqrt(log(l / VR_DELTA)) / n.  Atoms in S get mass 1/n; the
     remaining atoms keep their SLQ weights, renormalized to carry the other
@@ -127,12 +127,11 @@ def _vr_density(fact, l, n):
     ritz = tridiag_eig(fact)
     values, weights = ritz.values, ritz.weights
     if l == 0:
-        return DiscreteDistribution(values.copy(), weights), 0
+        return DiscreteDistribution(values, weights), 0
 
     threshold = deflation_gate(values, n)
     weight_cap = VR_C * math.sqrt(math.log(l / VR_DELTA)) / n
-    resid = fact.beta * np.abs(ritz.vectors[-1])
-    in_S = (resid <= threshold) & (weights <= weight_cap)
+    in_S = (ritz.residuals <= threshold) & (weights <= weight_cap)
     in_S[l:] = False
 
     s = int(in_S.sum())
@@ -156,7 +155,7 @@ def _with_deflated_atoms(lambdas, remainder, n):
     other (n - s)/n.  With s = n, ``remainder`` is not read."""
     s = lambdas.size
     if s == n:
-        return DiscreteDistribution(lambdas.copy(), np.full(n, 1.0 / n))
+        return DiscreteDistribution(lambdas, np.full(n, 1.0 / n))
     return DiscreteDistribution(
         np.concatenate([lambdas, remainder.locations]),
         np.concatenate([np.full(s, 1.0 / n), remainder.weights * ((n - s) / n)]),
@@ -275,14 +274,14 @@ def _vr_sizing(budget, n, cap):
             return m, l
 
 
-def _lanczos_trials(A, config, root, ledgers, diagnostics):
-    """slq or vr_slq: the trials' Lanczos runs advance in lockstep groups.
+def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
+    """slq (cap = 0) or vr_slq (cap = VR_L_CAP): the trials' Lanczos runs
+    advance in lockstep groups.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
     charges ``ledgers[t]``.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
-    cap = VR_L_CAP if config.algorithm == "vr_slq" else 0
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
     trials = len(ledgers)
@@ -292,7 +291,7 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics):
     for group in np.array_split(np.arange(trials), math.ceil(trials / per_group)):
         # One group's basis at a time: it is freed when the call returns.
         group_densities, group_facts = _lanczos_group(
-            A, config, m, l, basis, root, group, ledgers
+            A, cap, m, l, basis, root, group, ledgers
         )
         densities += group_densities
         per_trial += group_facts
@@ -314,8 +313,9 @@ def _keeps_basis(l, trials, m, n):
     return l > 0 or trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
 
 
-def _lanczos_group(A, config, m, l, basis, root, group, ledgers):
-    """Densities and diagnostics of the trials in ``group``, run in lockstep."""
+def _lanczos_group(A, cap, m, l, basis, root, group, ledgers):
+    """Densities and diagnostics of the trials in ``group``, run in lockstep;
+    with cap > 0 (vr_slq) each trial also reports the size of its set S."""
     n = A.dimension
     starts = np.column_stack(
         [unit_sphere_vector(n, root.substream(int(t))) for t in group]
@@ -330,22 +330,20 @@ def _lanczos_group(A, config, m, l, basis, root, group, ledgers):
             "reorth_repeats": fact.reorth_repeats,
         }
         density, converged = _vr_density(fact, l, n)
-        if config.algorithm == "vr_slq":
+        if cap:
             facts["converged"] = converged
         densities.append(density)
         per_trial.append(facts)
     return densities, per_trial
 
 
-def _moment_trials(A, config, root, ledgers, diagnostics):
-    """cmm, kpm, def_cmm or def_kpm: trial t runs from ``root.substream(t)``.
+def _moment_trials(A, config, root, ledgers, diagnostics, method, deflated):
+    """cmm or kpm (``method``), deflated or not: trial t runs from
+    ``root.substream(t)``.
 
     Plain cmm/kpm are def_cmm/def_kpm with block size l = 0.
     """
-    method = config.algorithm.removeprefix("def_")
-    l = 0
-    if method != config.algorithm:
-        l = _allocate_block_size(A.dimension, config.budget)
+    l = _allocate_block_size(A.dimension, config.budget) if deflated else 0
     densities, per_trial = [], []
     for t, ledger in enumerate(ledgers):
         density, facts = _moment_estimate(
@@ -356,16 +354,17 @@ def _moment_trials(A, config, root, ledgers, diagnostics):
     return densities, per_trial
 
 
-# Algorithm -> runner of all its trials.  A runner takes (A, config, root
-# stream, one ledger per trial, run-level diagnostics to fill) and returns
-# the trials' densities and per-trial diagnostics.
+# Algorithm -> (runner of all its trials, the runner's parameters, default
+# trial count).  A runner takes (A, config, root stream, one ledger per
+# trial, run-level diagnostics to fill, **parameters) and returns the
+# trials' densities and per-trial diagnostics; it reads no algorithm name.
 TRIAL_RUNNERS = {
-    "cmm": _moment_trials,
-    "kpm": _moment_trials,
-    "def_cmm": _moment_trials,
-    "def_kpm": _moment_trials,
-    "slq": _lanczos_trials,
-    "vr_slq": _lanczos_trials,
+    "cmm": (_moment_trials, {"method": "cmm", "deflated": False}, 1),
+    "kpm": (_moment_trials, {"method": "kpm", "deflated": False}, 1),
+    "def_cmm": (_moment_trials, {"method": "cmm", "deflated": True}, 1),
+    "def_kpm": (_moment_trials, {"method": "kpm", "deflated": True}, 1),
+    "slq": (_lanczos_trials, {"cap": 0}, DEFAULT_SLQ_TRIALS),
+    "vr_slq": (_lanczos_trials, {"cap": VR_L_CAP}, DEFAULT_SLQ_TRIALS),
 }
 ALGORITHMS = tuple(TRIAL_RUNNERS)
 
@@ -373,21 +372,24 @@ ALGORITHMS = tuple(TRIAL_RUNNERS)
 def run(A, config):
     """Dispatch one algorithm with trial averaging; returns an SdeEstimate.
 
-    Each trial receives the full budget (enforced per trial); the returned
-    ledger is the merge across trials.  ``diagnostics["per_trial"]`` holds
-    one dict per trial, and is the only place for per-trial facts: Lanczos
-    ``m_effective``, ``reorthogonalized`` and ``reorth_repeats`` (and
-    vr_slq's converged-set size ``converged``) or the moment stage's ``L``
-    and ``N`` (and, with deflation, ``l`` and ``s``; for cmm, the
-    moment-matching ``solver``, ``residual``, ``support`` and
-    ``nnls_columns``, the column count of its last NNLS solve).
+    The algorithm's ``TRIAL_RUNNERS`` row gives its runner, the runner's
+    parameters and the default trial count.  Each trial receives the full
+    budget (enforced per trial); the returned ledger is the merge across
+    trials.  ``diagnostics["per_trial"]`` holds one dict per trial, and is
+    the only place for per-trial facts: Lanczos ``m_effective``,
+    ``reorthogonalized`` and ``reorth_repeats`` (and vr_slq's converged-set
+    size ``converged``) or the moment stage's ``L`` and ``N`` (and, with
+    deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
+    ``residual``, ``support`` and ``nnls_columns``, the column count of its
+    last NNLS solve).
     """
     budget = config.budget
     trials = config.resolved_trials()
     ledgers = [BudgetLedger() for _ in range(trials)]
     diagnostics = {"trials": trials, "per_trial_budget": budget}
-    densities, per_trial = TRIAL_RUNNERS[config.algorithm](
-        A, config, SeededStream(config.seed), ledgers, diagnostics
+    runner, params, _ = TRIAL_RUNNERS[config.algorithm]
+    densities, per_trial = runner(
+        A, config, SeededStream(config.seed), ledgers, diagnostics, **params
     )
 
     merged = BudgetLedger()

@@ -320,7 +320,8 @@ def _residual_cases():
 
 @pytest.mark.parametrize("case", list(_residual_cases()))
 def test_ritz_residuals_come_from_the_recurrence(case):
-    # ||A Q s_j - theta_j Q s_j|| = beta |e_m^T s_j| for every Ritz pair.
+    # ||A Q s_j - theta_j Q s_j|| = beta |e_m^T s_j| for every Ritz pair,
+    # with the Ritz vectors Q s_j from a dense eigendecomposition of T.
     A = _residual_cases()[case]
     dense = A.to_dense()
     norm = np.abs(np.linalg.eigvalsh(dense)).max()
@@ -329,11 +330,11 @@ def test_ritz_residuals_come_from_the_recurrence(case):
     )
     for fact in lanczos_lockstep(A, G, 20):
         assert fact.m_effective == (4 if case == "breakdown" else 20)
-        ritz = tridiag_eig(fact)
-        Y = fact.Q @ ritz.vectors
-        explicit = np.linalg.norm(dense @ Y - Y * ritz.values, axis=0)
-        recurrence = fact.beta * np.abs(ritz.vectors[-1])
-        assert np.abs(recurrence - explicit).max() <= 1e-12 * norm
+        theta, S = np.linalg.eigh(tridiagonal(fact))
+        order = magnitude_order(theta)
+        Y = fact.Q @ S[:, order]
+        explicit = np.linalg.norm(dense @ Y - Y * theta[order], axis=0)
+        assert np.abs(tridiag_eig(fact).residuals - explicit).max() <= 1e-12 * norm
 
 
 def test_budget_is_exactly_m():
@@ -349,12 +350,17 @@ def test_tridiag_eig_hand_case():
     ritz = tridiag_eig(fact)
     np.testing.assert_allclose(ritz.values, [1.0, -1.0], atol=1e-14)
     np.testing.assert_allclose(ritz.weights, [0.5, 0.5], atol=1e-14)
-    # One step: T is 1 x 1, its one Ritz pair (alpha, e_1) has all the weight.
-    fact = TridiagonalFactorization(alpha=np.array([-0.5]), eta=np.empty(0), Q=np.eye(1))
+    # A hand-built T has no recurrence residual beta.
+    assert np.isnan(ritz.residuals).all()
+    # One step: T is 1 x 1, its one Ritz pair (alpha, e_1) has all the
+    # weight and residual beta |e_1^T e_1| = beta.
+    fact = TridiagonalFactorization(
+        alpha=np.array([-0.5]), eta=np.empty(0), Q=np.eye(1), beta=0.25
+    )
     ritz = tridiag_eig(fact)
     np.testing.assert_array_equal(ritz.values, [-0.5])
-    np.testing.assert_array_equal(ritz.vectors, [[1.0]])
     np.testing.assert_array_equal(ritz.weights, [1.0])
+    np.testing.assert_array_equal(ritz.residuals, [0.25])
 
 
 def test_tridiag_eig_diagonal_case():
@@ -374,14 +380,14 @@ def test_tridiag_eig_residuals_and_weight_sum():
         alpha=rng.uniform(-1, 1, 50),
         eta=rng.uniform(0.01, 1, 49),
         Q=np.eye(50),
+        beta=0.3,
     )
     ritz = tridiag_eig(fact)
-    T = tridiagonal(fact)
-    for j in range(50):
-        assert (
-            np.linalg.norm(T @ ritz.vectors[:, j] - ritz.values[j] * ritz.vectors[:, j])
-            <= 1e-10
-        )
+    theta, S = np.linalg.eigh(tridiagonal(fact))
+    order = magnitude_order(theta)
+    assert np.abs(ritz.values - theta[order]).max() <= 1e-10
+    assert np.abs(ritz.residuals - 0.3 * np.abs(S[-1, order])).max() <= 1e-10
+    assert np.abs(ritz.weights - S[0, order] ** 2).max() <= 1e-10
     assert ritz.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 

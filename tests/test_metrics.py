@@ -91,6 +91,24 @@ def test_distribution_validation_and_merging():
     np.testing.assert_allclose(merged.weights, [0.5, 0.5])
 
 
+def test_distribution_keeps_no_input_array():
+    # Callers hand over their arrays uncopied: writing into them afterwards
+    # leaves the distribution as it was, whether its atoms came sorted,
+    # unsorted or merged.
+    for loc, w in (
+        ([0.0, 0.25, 0.5], [0.25, 0.25, 0.5]),
+        ([0.5, -1.0, 0.25], [0.25, 0.25, 0.5]),
+        ([0.3, 0.3, 1.0], [0.25, 0.25, 0.5]),
+        ([2.0], [1.0]),
+    ):
+        loc, w = np.array(loc), np.array(w)
+        d = DiscreteDistribution(loc, w)
+        locations, weights = d.locations.copy(), d.weights.copy()
+        loc[:], w[:] = 7.0, 0.0
+        np.testing.assert_array_equal(d.locations, locations)
+        np.testing.assert_array_equal(d.weights, weights)
+
+
 def assert_merge_matches_loop(loc, w):
     loc, w = np.asarray(loc, dtype=float), np.asarray(w, dtype=float)
     got = DiscreteDistribution(loc, w)

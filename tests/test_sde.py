@@ -568,22 +568,43 @@ def test_schatten1_clamps_oversized_block_with_warning():
     assert abs(M - 9) <= 0.3 * 9
 
 
-# W1 against exact_density and ledger counts of run() on one fixed diagonal
-# matrix, so that a change to what an estimator computes shows here.  cmm is
-# left out: another HiGHS version may return a different optimal vertex of
-# the same LP.
+# W1 against exact_density, ledger counts and decided diagnostics of run()
+# on one fixed diagonal matrix, so that a change to what an estimator
+# computes shows here.  cmm is left out: another HiGHS version may return a
+# different optimal vertex of the same LP.
 PINNED_RUNS = [
-    ("slq", 60, 0.003024226940134769, {"lanczos": 900}),
-    ("slq", 200, 0.0028331305370572564, {"lanczos": 3000}),
-    ("vr_slq", 60, 0.002867344395080891, {"lanczos": 600}),
-    ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995}),
-    ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30}),
-    ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180}),
+    ("slq", 60, 0.003024226940134769, {"lanczos": 900},
+     {"m": 60, "l": 0, "m_effective": [60] * 15}),
+    ("slq", 200, 0.0028331305370572564, {"lanczos": 3000},
+     {"m": 200, "l": 0, "m_effective": [200] * 15}),
+    ("vr_slq", 60, 0.002867344395080891, {"lanczos": 600},
+     {"m": 40, "l": 20, "m_effective": [40] * 15, "converged": [6] * 15}),
+    ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995},
+     {"m": 133, "l": 66, "m_effective": [133] * 15,
+      "converged": [32, 31, 31, 32, 32, 32, 33, 31, 31, 30, 33, 32, 32, 32, 32]}),
+    ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30},
+     {"N": [2], "L": [1.9706388600327789]}),
+    ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180},
+     {"N": [12], "L": [1.9706388600327789]}),
     # Block size 4 deflates all six large eigenvalues, leaving N = 4 moments
     # of the remainder, taken on probes projected off the six eigenvectors.
     ("def_kpm", 200, 0.08430908716688122,
-     {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60}),
+     {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60},
+     {"N": [4], "l": [4], "s": [6], "L": [0.38971364017844473]}),
 ]
+
+
+def decided_diagnostics(diagnostics):
+    """What run() decided: the Lanczos sizes m and l, and each per-trial fact
+    but the reorthogonalization counts, as a list over the trials.  Those
+    follow the omega estimates, which round-off from another BLAS may move."""
+    facts = {key: diagnostics[key] for key in ("m", "l") if key in diagnostics}
+    for key in ("m_effective", "converged", "N", "l", "s", "L"):
+        values = [t[key] for t in diagnostics["per_trial"] if key in t]
+        if values:
+            assert key not in facts
+            facts[key] = values
+    return facts
 
 
 def test_run_results_are_pinned():
@@ -591,13 +612,68 @@ def test_run_results_are_pinned():
         np.concatenate([np.linspace(0.6, 1.0, 6), np.linspace(-0.2, 0.2, 194)])
     )
     exact = exact_density(A)
-    for algo, budget, w1, counts in PINNED_RUNS:
+    for algo, budget, w1, counts, decided in PINNED_RUNS:
         est = run(A, SdeConfig(algo, budget=budget, seed=0))
         assert wasserstein1(est.density, exact) == pytest.approx(w1, rel=1e-9, abs=0)
         assert est.ledger.counts == counts, (algo, budget)
+        facts = decided_diagnostics(est.diagnostics)
+        assert facts.keys() == decided.keys(), (algo, budget)
+        for key, value in decided.items():
+            assert facts[key] == pytest.approx(value, rel=1e-9, abs=0), (algo, budget, key)
     # Budget 60 cannot fund def_kpm's rank-1 Krylov block.
     with pytest.raises(BudgetExhaustedError, match="rank-1 Krylov block"):
         run(A, SdeConfig("def_kpm", budget=60, seed=0))
+
+    # The 15 bases of slq@60 at n = 20000 take 144 MB, more than
+    # LOCKSTEP_BASIS_BYTES, so its trials run basis-free.  There round-off
+    # moves where the ghost Ritz values appear: a one-ulp change to every
+    # k-th diagonal entry (k = 2..11) moved W1 by 0.07-0.9% relative, and
+    # two BLAS threads instead of one by 0.6%, hence the looser pin.  The
+    # kept-basis run's W1 is 20% lower, and seeds 2-4 read 3-19% higher.
+    A = DiagonalOperator(1.0 / np.arange(1, 20001))
+    assert not sde._keeps_basis(0, 15, 60, A.dimension)
+    est = run(A, SdeConfig("slq", budget=60, seed=0))
+    assert wasserstein1(est.density, exact_density(A)) == pytest.approx(
+        5.598495063373472e-05, rel=3e-2, abs=0
+    )
+    assert est.ledger.counts == {"lanczos": 900}
+    assert decided_diagnostics(est.diagnostics) == {
+        "m": 60, "l": 0, "m_effective": [60] * 15
+    }
+    assert [t["reorthogonalized"] for t in est.diagnostics["per_trial"]] == [0] * 15
+
+
+@pytest.mark.parametrize("algo", sde.ALGORITHMS)
+def test_each_runner_obeys_its_row_not_the_name(algo):
+    # Handed the config of an algorithm whose row gives the same runner and
+    # differs in every parameter, a runner given algo's row parameters
+    # returns algo's run() bit for bit.
+    A = DiagonalOperator(
+        np.concatenate([np.linspace(0.6, 1.0, 6), np.linspace(-0.2, 0.2, 194)])
+    )
+    runner, params, trials = sde.TRIAL_RUNNERS[algo]
+    other = next(
+        name for name, (other_runner, other_params, _) in sde.TRIAL_RUNNERS.items()
+        if other_runner is runner
+        and all(other_params[key] != value for key, value in params.items())
+    )
+    ledgers = [BudgetLedger() for _ in range(trials)]
+    diagnostics = {}
+    densities, per_trial = runner(
+        A, SdeConfig(other, budget=200, seed=0), SeededStream(0), ledgers,
+        diagnostics, **params,
+    )
+    est = run(A, SdeConfig(algo, budget=200, seed=0))
+    density = average_densities(densities)
+    np.testing.assert_array_equal(density.locations, est.density.locations)
+    np.testing.assert_array_equal(density.weights, est.density.weights)
+    merged = BudgetLedger()
+    for ledger in ledgers:
+        merged.merge(ledger)
+    assert merged.counts == est.ledger.counts
+    assert repr(dict(diagnostics, per_trial=per_trial)) == repr(
+        {k: v for k, v in est.diagnostics.items() if k not in ("trials", "per_trial_budget")}
+    )
 
 
 def test_public_names_resolve():
