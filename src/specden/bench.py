@@ -23,7 +23,7 @@ from . import datasets
 from .metrics import exact_density, wasserstein1
 from .moment_matching import SolverError
 from .randgen import SeededStream
-from .sde import ALGORITHMS, BudgetExhaustedError, SdeConfig, run
+from .sde import BudgetExhaustedError, SdeConfig, run
 
 PROFILES = {
     # Full benchmark protocol: 15 Hutchinson vectors / 15 Krylov iterations /
@@ -112,8 +112,8 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     algos = args.algo.split(",")
     for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        # SdeConfig rejects an unknown name before the matrix is built.
+        SdeConfig(algo, args.budgets[0], args.trials, args.grid_d, args.seed)
     A = build_matrix(args.matrix, args.seed, args.normalize_adjacency)
     exact = exact_density(A)
 
@@ -152,6 +152,10 @@ def _svg_points(pairs):
 
 def render_sweep_svg(rows):
     """SVG 1.1 scene for (algorithm, budget, w1-list) sweep results."""
+    # Imported here, as only a plot needs it: it loads urllib and 2.7 MB of
+    # objects with it, which no estimate needs.
+    from xml.sax.saxutils import escape
+
     by_algo = {}
     for algo, budget, w1 in rows:
         by_algo.setdefault(algo, {}).setdefault(budget, []).append(w1)
@@ -229,7 +233,7 @@ def render_sweep_svg(rows):
         )
         parts.append(
             f'<text x="{SVG_W - MARGIN_R - 106}" y="{ly - 3}" '
-            f'font-size="12">{algo}</text>'
+            f'font-size="12">{escape(algo)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -244,6 +248,8 @@ def cmd_plot(args):
             raise ValueError(f"{args.infile} has no {', '.join(sorted(missing))} column")
         for record in reader:
             try:
+                if not record["algorithm"]:
+                    raise ValueError("the algorithm cell is missing or empty")
                 budget, w1 = int(record["budget"]), float(record["w1"])
                 if not 0.0 <= w1 < math.inf:
                     raise ValueError(f"w1 must be finite and nonnegative, got {w1}")
@@ -252,8 +258,9 @@ def cmd_plot(args):
             rows.append((record["algorithm"], budget, w1))
     if not rows:
         raise ValueError(f"{args.infile} has no data rows")
+    svg = render_sweep_svg(rows)
     with open(args.out, "w") as fh:
-        fh.write(render_sweep_svg(rows))
+        fh.write(svg)
     return 0
 
 

@@ -276,65 +276,56 @@ def _vr_sizing(budget, n, cap):
 
 def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     """slq (cap = 0) or vr_slq (cap = VR_L_CAP): the trials' Lanczos runs
-    advance in lockstep groups.
+    advance in the lockstep groups of ``_lockstep_groups``.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
-    charges ``ledgers[t]``.  Returns the densities and per-trial diagnostics.
+    charges ``ledgers[t]``; with cap > 0 its facts also hold the size of its
+    set S.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
-    trials = len(ledgers)
-    basis = _keeps_basis(l, trials, m, n)
-    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n)) if basis else trials
+    basis, groups = _lockstep_groups(l, len(ledgers), m, n)
     densities, per_trial = [], []
-    for group in np.array_split(np.arange(trials), math.ceil(trials / per_group)):
-        # One group's basis at a time: it is freed when the call returns.
-        group_densities, group_facts = _lanczos_group(
-            A, cap, m, l, basis, root, group, ledgers
+    for group in groups:
+        starts = np.column_stack(
+            [unit_sphere_vector(n, root.substream(int(t))) for t in group]
         )
-        densities += group_densities
-        per_trial += group_facts
+        for fact in lanczos_lockstep(
+            A, starts, m, ledgers=[ledgers[t] for t in group], basis=basis
+        ):
+            facts = {
+                "m_effective": fact.m_effective,
+                "reorthogonalized": fact.reorthogonalized,
+                "reorth_repeats": fact.reorth_repeats,
+            }
+            density, converged = _vr_density(fact, l, n)
+            if cap:
+                facts["converged"] = converged
+            densities.append(density)
+            per_trial.append(facts)
+        # The group's runs are views into one basis: free it before the next.
+        del fact
     return densities, per_trial
 
 
-def _keeps_basis(l, trials, m, n):
+def _lockstep_groups(l, trials, m, n):
     """Whether the Lanczos runs of ``trials`` trials of m steps on an n x n
-    operator keep their bases.
+    operator keep their bases, and the trial indices of each lockstep group.
 
-    vr_slq (l > 0) reads its residuals off semi-orthogonal bases.  slq reads
-    only Gauss quadrature, which survives the loss of orthogonality, but a
-    kept basis stops at an exhausted Krylov space and makes the result
-    insensitive to round-off in A.  So slq keeps its bases while all of them
-    fit in LOCKSTEP_BASIS_BYTES; beyond that, rather than split into groups
-    that each pay for a block product, every trial runs with no basis and
-    all share one block product per step.
+    vr_slq (l > 0) reads its residuals off semi-orthogonal bases, so its
+    trials run in groups of as many bases as fit in LOCKSTEP_BASIS_BYTES,
+    but at least one, split as evenly as ``np.array_split`` does; each group
+    shares one block product per step.  slq reads only Gauss quadrature,
+    which survives the loss of orthogonality, but a kept basis stops at an
+    exhausted Krylov space and makes the result insensitive to round-off in
+    A.  So slq keeps its bases while all of them fit; beyond that, rather
+    than split into groups that each pay for a block product, every trial
+    runs in one group with no basis.
     """
-    return l > 0 or trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
-
-
-def _lanczos_group(A, cap, m, l, basis, root, group, ledgers):
-    """Densities and diagnostics of the trials in ``group``, run in lockstep;
-    with cap > 0 (vr_slq) each trial also reports the size of its set S."""
-    n = A.dimension
-    starts = np.column_stack(
-        [unit_sphere_vector(n, root.substream(int(t))) for t in group]
-    )
-    group_ledgers = [ledgers[t] for t in group]
-    factorizations = lanczos_lockstep(A, starts, m, ledgers=group_ledgers, basis=basis)
-    densities, per_trial = [], []
-    for fact in factorizations:
-        facts = {
-            "m_effective": fact.m_effective,
-            "reorthogonalized": fact.reorthogonalized,
-            "reorth_repeats": fact.reorth_repeats,
-        }
-        density, converged = _vr_density(fact, l, n)
-        if cap:
-            facts["converged"] = converged
-        densities.append(density)
-        per_trial.append(facts)
-    return densities, per_trial
+    basis = l > 0 or trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
+    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n)) if basis else trials
+    return basis, np.array_split(np.arange(trials), math.ceil(trials / per_group))
 
 
 def _moment_trials(A, config, root, ledgers, diagnostics, method, deflated):

@@ -217,7 +217,8 @@ def test_plot_svg_structure(tmp_path):
     with open(sweep, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"])
-        for algo in ("slq", "cmm"):
+        # The last name is markup unless the legend escapes it.
+        for algo in ("slq", "cmm", "a<b&c"):
             for budget in (50, 100):
                 for trial in range(1, 4):
                     writer.writerow(["m", algo, budget, trial, trial, 0.1 / budget * trial, budget])
@@ -227,8 +228,10 @@ def test_plot_svg_structure(tmp_path):
     assert root.tag.endswith("svg")
     assert root.attrib["version"] == "1.1"
     ns = {"s": "http://www.w3.org/2000/svg"}
-    assert len(root.findall(".//s:polyline", ns)) == 2  # one mean line per algorithm
-    assert len(root.findall(".//s:polygon", ns)) == 2  # one percentile band each
+    assert len(root.findall(".//s:polyline", ns)) == 3  # one mean line per algorithm
+    assert len(root.findall(".//s:polygon", ns)) == 3  # one percentile band each
+    texts = {t.text for t in root.findall(".//s:text", ns)}
+    assert {"slq", "cmm", "a<b&c"} <= texts
 
 
 def test_plot_single_point_and_empty(tmp_path):
@@ -379,6 +382,18 @@ def test_plot_rejects_a_csv_without_a_needed_column(tmp_path, capsys, column):
     out = tmp_path / "s.svg"
     assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {sweep} has no {column} column\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["400,0.05", "400,0.05,"], ids=["missing", "empty"])
+def test_plot_rejects_a_row_without_an_algorithm(tmp_path, capsys, row):
+    sweep = tmp_path / "s.csv"
+    sweep.write_text(f"budget,w1,algorithm\n{row}\n")
+    out = tmp_path / "s.svg"
+    assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sweep}:2: the algorithm cell is missing or empty\n"
+    )
     assert not out.exists()
 
 

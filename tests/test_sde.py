@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,7 +50,7 @@ def slq_density(A, m, stream, ledger=None):
     """One slq trial's density from the start vector run() draws: vr_slq's
     density at l = 0, from a run that keeps its basis when run() would for
     one trial."""
-    basis = sde._keeps_basis(0, 1, m, A.dimension)
+    basis, _ = sde._lockstep_groups(0, 1, m, A.dimension)
     fact = lanczos_trial(A, m, stream, ledger, basis=basis)
     density, _ = _vr_density(fact, 0, A.dimension)
     return density
@@ -472,11 +474,9 @@ def test_run_lockstep_groups_do_not_change_results(monkeypatch):
         assert whole.diagnostics == grouped.diagnostics
 
 
-@pytest.mark.parametrize("spare_bytes, basis", [(0, True), (-1, False)])
-def test_run_slq_trials_share_one_lockstep_call(monkeypatch, spare_bytes, basis):
-    # slq never splits into groups: its trials keep their bases while all of
-    # them fit in LOCKSTEP_BASIS_BYTES, and otherwise run with none.
-    A = build_matrix("low_rank:500", 0)
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """(trial count, basis) of each lanczos_lockstep call that sde makes."""
     calls = []
 
     def recording(A, G, m, ledgers=None, basis=True):
@@ -484,13 +484,43 @@ def test_run_slq_trials_share_one_lockstep_call(monkeypatch, spare_bytes, basis)
         return lanczos_lockstep(A, G, m, ledgers, basis)
 
     monkeypatch.setattr(sde, "lanczos_lockstep", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spare_bytes, basis", [(0, True), (-1, False)])
+def test_run_slq_trials_share_one_lockstep_call(
+    monkeypatch, lockstep_calls, spare_bytes, basis
+):
+    # slq never splits into groups: its trials keep their bases while all of
+    # them fit in LOCKSTEP_BASIS_BYTES, and otherwise run with none.
+    A = build_matrix("low_rank:500", 0)
     monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 5 * 8 * 200 * 500 + spare_bytes)
     est = run(A, SdeConfig("slq", budget=200, trials=5, seed=3))
-    assert calls == [(5, basis)]
+    assert lockstep_calls == [(5, basis)]
     for facts in est.diagnostics["per_trial"]:
         assert (facts["reorthogonalized"] > 0) == basis
         if not basis:
             assert facts["reorth_repeats"] == 0
+
+
+def test_run_vr_slq_holds_one_group_of_the_bases_that_fit_at_a_time(
+    monkeypatch, lockstep_calls
+):
+    A = build_matrix("low_rank:500", 0)
+    m, _ = _vr_sizing(200, A.dimension, sde.VR_L_CAP)
+    cap = 2 * 8 * m * A.dimension
+    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", cap)
+    tracemalloc.start()
+    try:
+        run(A, SdeConfig("vr_slq", budget=200, trials=5, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lockstep_calls == [(2, True), (2, True), (1, True)]
+    # A group's runs are views into one basis array.  It and the working
+    # arrays peaked at 2.4 bases; a group's array still held while the next
+    # group ran read 4.2.
+    assert peak < 1.5 * cap
 
 
 def test_run_per_trial_diagnostics_for_moment_methods():
@@ -631,7 +661,8 @@ def test_run_results_are_pinned():
     # two BLAS threads instead of one by 0.6%, hence the looser pin.  The
     # kept-basis run's W1 is 20% lower, and seeds 2-4 read 3-19% higher.
     A = DiagonalOperator(1.0 / np.arange(1, 20001))
-    assert not sde._keeps_basis(0, 15, 60, A.dimension)
+    basis, _ = sde._lockstep_groups(0, 15, 60, A.dimension)
+    assert not basis
     est = run(A, SdeConfig("slq", budget=60, seed=0))
     assert wasserstein1(est.density, exact_density(A)) == pytest.approx(
         5.598495063373472e-05, rel=3e-2, abs=0
