@@ -110,7 +110,7 @@ def cmd_estimate(args):
 
 
 def cmd_sweep(args):
-    algos = args.algo.split(",")
+    algos = sorted(set(args.algo.split(",")))
     for algo in algos:
         # SdeConfig rejects an unknown name before the matrix is built.
         SdeConfig(algo, args.budgets[0], args.trials, args.grid_d, args.seed)
@@ -120,7 +120,7 @@ def cmd_sweep(args):
     # Cells run one after another: a thread pool measured slower, its threads
     # competing with BLAS's own.  Rows are written once every cell succeeded.
     rows = [["matrix", "algorithm", "budget", "trial", "seed", "w1", "ledger_total"]]
-    for algo in sorted(algos):
+    for algo in algos:
         for budget in args.budgets:
             for trial in range(1, args.sweep_trials + 1):
                 seed = args.seed * 10_000 + trial
@@ -309,12 +309,15 @@ _OPTIONS = {
     ),
 }
 
-# Subcommand -> (handler, the options it needs in the order they are checked).
+# Subcommand -> (handler, the options it needs in check order, the other options
+# it reads): its only flags, with --profile only if it reads a profile key.
 COMMANDS = {
-    "estimate": (cmd_estimate, ("matrix", "algo", "budget", "out")),
-    "sweep": (cmd_sweep, ("matrix", "algo", "budgets", "out")),
-    "exact": (cmd_exact, ("matrix", "out")),
-    "plot": (cmd_plot, ("infile", "out")),
+    "estimate": (cmd_estimate, ("matrix", "algo", "budget", "out"),
+                 ("trials", "seed", "grid_d", "normalize_adjacency")),
+    "sweep": (cmd_sweep, ("matrix", "algo", "budgets", "out"),
+              ("trials", "seed", "grid_d", "sweep_trials", "normalize_adjacency")),
+    "exact": (cmd_exact, ("matrix", "out"), ("seed", "normalize_adjacency")),
+    "plot": (cmd_plot, ("infile", "out"), ()),
 }
 
 
@@ -324,14 +327,17 @@ def build_parser():
         description="Spectral density estimation benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, needs) in COMMANDS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--profile", choices=sorted(PROFILES), default="ci",
-                       help="defaults bundle (default ci)")
+    for command, (_, needs, reads) in COMMANDS.items():
+        # No abbreviations: sweep would take --budget as --budgets.
+        p = sub.add_parser(command, allow_abbrev=False)
+        if PROFILES["ci"].keys() & set(reads):
+            p.add_argument("--profile", choices=sorted(PROFILES), default="ci",
+                           help="defaults bundle (default ci)")
         p.add_argument("--config", help="key=value config file (flags win)")
-        for name, (_, default, flag, help_text) in _OPTIONS.items():
-            if flag is None or (name == "infile" and name not in needs):
-                continue  # config-only, or --in off plot
+        for name in needs + reads:
+            _, default, flag, help_text = _OPTIONS[name]
+            if flag is None:
+                continue  # set by a config file or a profile only
             # Flags stay text until resolve() parses them.
             kind = {}
             if isinstance(default, bool):
@@ -343,12 +349,15 @@ def build_parser():
 def resolve(args, parser):
     """Parse the flags; fill unset ones from the config file, the profile, defaults.
 
+    Only the subcommand's options are resolved; other config keys are ignored.
     A flag's text that its option's parser rejects, empty text included, is
     an error naming the flag; a required text flag left empty is missing.
     """
+    _, needs, reads = COMMANDS[args.command]
     file_values = read_config_file(args.config) if args.config else {}
-    profile = PROFILES[args.profile]
-    for name, (parse, default, flag, _) in _OPTIONS.items():
+    profile = PROFILES.get(getattr(args, "profile", None), {})
+    for name in needs + reads:
+        parse, default, flag, _ = _OPTIONS[name]
         value = getattr(args, name, None)
         if isinstance(value, str):
             try:
@@ -361,7 +370,7 @@ def resolve(args, parser):
             value = profile.get(name, default)
         setattr(args, name, value)
 
-    for name in COMMANDS[args.command][1]:
+    for name in needs:
         value = getattr(args, name)
         if value in (None, ""):
             parser.error(f"{_OPTIONS[name][2]} is required")

@@ -93,8 +93,8 @@ def load_matrix_market(path, normalize_adjacency=True):
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", 1)
 
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
+    idx = 1  # past comment and blank lines, as mmio.c's mm_read_mtx_crd_size
+    while idx < len(lines) and lines[idx].strip()[:1] in ("", "%"):
         idx += 1
     if idx >= len(lines):
         raise MatrixMarketError("missing size line", len(lines))
@@ -102,7 +102,7 @@ def load_matrix_market(path, normalize_adjacency=True):
     try:
         nrows, ncols, nnz = (int(p) for p in size_parts[:3])
     except (ValueError, IndexError):
-        raise MatrixMarketError(f"malformed size line {lines[idx]!r}", idx + 1)
+        raise MatrixMarketError(f"malformed size line {lines[idx].strip()!r}", idx + 1)
     if nrows != ncols:
         raise MatrixMarketError(f"matrix is {nrows}x{ncols}, expected square", idx + 1)
 

@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sp
 
 from .chebyshev import TBAR0, cheb_normalized_rows
 from .metrics import DiscreteDistribution
@@ -210,16 +209,11 @@ def _l1_lp(T, z):
     iterations.
     """
     N, n_q = T.shape
-    T_sp = sp.csr_matrix(T)
-    eye = sp.identity(N, format="csr")
+    eye = np.eye(N)
     # [ T  -I ] q,t <= z ;  [ -T  -I ] q,t <= -z
-    A_ub = sp.vstack(
-        [sp.hstack([T_sp, -eye]), sp.hstack([-T_sp, -eye])], format="csr"
-    )
+    A_ub = np.block([[T, -eye], [-T, -eye]])
     b_ub = np.concatenate([z, -z])
-    A_eq = sp.hstack(
-        [sp.csr_matrix(np.ones((1, n_q))), sp.csr_matrix((1, N))], format="csr"
-    )
+    A_eq = np.concatenate([np.ones(n_q), np.zeros(N)])[None, :]
     c = np.concatenate([np.zeros(n_q), np.ones(N)])
     return scipy.optimize.linprog(
         c,

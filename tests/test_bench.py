@@ -1,3 +1,4 @@
+import argparse
 import csv
 import xml.etree.ElementTree as ET
 
@@ -421,3 +422,89 @@ def test_plot_names_the_line_of_a_non_numeric_cell(
     assert run_cli("plot", "--in", str(sweep), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {sweep}:3: {message}\n"
     assert not out.exists()
+
+
+def test_sweep_runs_each_listed_algorithm_once(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--matrix", "inverse:60", "--algo", "slq,kpm,slq",
+        "--budgets", "60", "--trials", "1", "--out", str(out),
+    )
+    assert code == 0
+    with open(out) as fh:
+        cells = [(r["algorithm"], r["budget"], r["trial"]) for r in csv.DictReader(fh)]
+    assert len(cells) == len(set(cells)) == 2 * 1 * 3  # algos x budgets x ci trials
+
+
+# Subcommand -> its flags, --[no-]normalize-adjacency counted once.
+FLAGS = {
+    "estimate": {
+        "--profile", "--config", "--matrix", "--algo", "--budget", "--out",
+        "--trials", "--seed", "--normalize-adjacency",
+    },
+    "sweep": {
+        "--profile", "--config", "--matrix", "--algo", "--budgets", "--out",
+        "--trials", "--seed", "--normalize-adjacency",
+    },
+    "exact": {"--config", "--matrix", "--out", "--seed", "--normalize-adjacency"},
+    "plot": {"--config", "--in", "--out"},
+}
+
+
+def test_each_subcommand_has_exactly_the_flags_it_reads():
+    parser = bench.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: {
+            action.option_strings[0]
+            for action in subparser._actions
+            if action.dest != "help"
+        }
+        for command, subparser in sub.choices.items()
+    }
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 26
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["plot", "--in", "s.csv", "--out", "s.svg", "--budget", "0"], "--budget 0"),
+        (["plot", "--in", "s.csv", "--out", "s.svg", "--seed", "3"], "--seed 3"),
+        (["exact", "--matrix", "inverse:30", "--out", "x.csv", "--algo", "slq"],
+         "--algo slq"),
+        (["exact", "--matrix", "inverse:30", "--out", "x.csv", "--profile", "paper"],
+         "--profile paper"),
+        (["estimate", "--matrix", "inverse:30", "--algo", "slq", "--budget", "60",
+          "--out", "x.csv", "--budgets", "60"], "--budgets 60"),
+        # Not taken as an abbreviation of --budgets.
+        (["sweep", "--matrix", "inverse:30", "--algo", "slq", "--budgets", "60",
+          "--out", "x.csv", "--budget", "60"], "--budget 60"),
+    ],
+    ids=["plot_budget", "plot_seed", "exact_algo", "exact_profile",
+         "estimate_budgets", "sweep_budget"],
+)
+def test_a_flag_the_subcommand_does_not_read_is_unrecognized(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_config_key_the_subcommand_does_not_read_is_ignored(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("matrix = inverse:30\nbudget = 30\n")
+    out = tmp_path / "exact.csv"
+    assert run_cli("exact", "--config", str(cfg), "--out", str(out)) == 0
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 30
+    sweep = tmp_path / "s.csv"
+    sweep.write_text("algorithm,budget,w1\nslq,50,0.25\n")
+    cfg.write_text(f"infile = {sweep}\nbudget = 30\n")
+    svg = tmp_path / "s.svg"
+    assert run_cli("plot", "--config", str(cfg), "--out", str(svg)) == 0
+    assert "circle" in svg.read_text()

@@ -130,6 +130,29 @@ def test_loader_errors_carry_line_numbers(tmp_path):
         load_matrix_market(str(short))
 
 
+def test_blank_lines_before_the_size_line_are_skipped(tmp_path):
+    # As mmio.c's mm_read_mtx_crd_size reads past them.
+    blank = tmp_path / "blank.mtx"
+    blank.write_text(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n"
+        "% three-vertex path\n\n   \n% more comment\n\n3 3 2\n2 1\n3 2\n"
+    )
+    np.testing.assert_array_equal(
+        load_matrix_market(str(blank), normalize_adjacency=False).to_dense(),
+        load_matrix_market(path_graph_file(tmp_path), normalize_adjacency=False).to_dense(),
+    )
+    # The size line is quoted stripped, and a comment after it is a bad entry.
+    for body, message in [
+        ("\n3 x 2\n2 1\n3 2\n", "line 3: malformed size line '3 x 2'"),
+        ("3 3 2\n2 1\n% late comment\n3 2\n", "line 4: malformed entry '% late comment'"),
+    ]:
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n" + body)
+        with pytest.raises(MatrixMarketError) as err:
+            load_matrix_market(str(bad))
+        assert str(err.value) == message
+
+
 def test_isolated_vertex_keeps_zero_row(tmp_path):
     f = tmp_path / "iso.mtx"
     f.write_text(
