@@ -57,6 +57,8 @@ def build_matrix(spec, seed=0, normalize_adjacency=True):
         n = int(size)
     except ValueError:
         raise ValueError(f"matrix spec {spec!r} needs an integer size, e.g. {name}:500")
+    if n < 1:
+        raise ValueError(f"matrix spec {spec!r} needs a size of at least 1")
     return GENERATORS[name](n, SeededStream(seed, stream_id=7_777_777))
 
 

@@ -1,10 +1,11 @@
-"""Block Krylov iteration with a converged-Ritz-pair deflation set.
+"""Krylov deflation: a converged-Ritz-pair deflation set.
 
-Block Lanczos with full reorthogonalization builds an orthonormal basis Q of
-span{X, A X, ..., A^(2q) X} from a Gaussian start X, keeping every product
-A Q_j it makes.  Ritz pairs come from T = Q^T (A Q) with no further product,
-and only pairs whose residual is within ``deflation_gate`` enter the
-deflation set.
+Lanczos with full reorthogonalization builds an orthonormal basis Q of the
+Krylov space of one Gaussian start vector, keeping every product A q_j; one
+start vector gives block Krylov's low-rank guarantee up to a log(1/gap) factor
+(Meyer, Musco and Musco, SODA 2024).  Ritz pairs come from T = Q^T (A Q)
+with no further product, and only pairs whose residual is within
+``deflation_gate`` enter the deflation set.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 from .lanczos import magnitude_order, reorthogonalize
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
-from .randgen import gaussian_matrix
+from .randgen import gaussian_vector
 
-# Columns whose norm drops below this fraction of their pre-projection norm
-# during orthonormalization are treated as dependent and dropped.
+# A column whose norm drops below this fraction of its pre-projection norm
+# during orthonormalization is dependent: the Krylov space is exhausted.
 DROP_TOL = 1e-10
 
 DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
@@ -28,7 +29,7 @@ DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
 
 @dataclass
 class DeflationResult:
-    """Converged Ritz pairs from block Krylov.
+    """Converged Ritz pairs from the Krylov run.
 
     Z has orthonormal columns Q v_j for the admitted indices; lambdas are the
     matching Ritz values sorted by descending magnitude.  gate is the
@@ -47,15 +48,15 @@ class DeflationResult:
 
 
 def basis_capacity(l, q, n=math.inf):
-    """Most columns block Lanczos to depth q from l start vectors builds:
-    l per block for 2q + 1 blocks, and no more than the dimension n."""
+    """Most columns, and so products, of the deflation run of block size l
+    and depth q: l(2q + 1), and no more than the dimension n."""
     return min(n, l * (2 * q + 1))
 
 
 def deflation_gate(ritz_values, n):
     """||A||_est / n^beta, ||A||_est being the largest |Ritz value| of the
     Krylov space that produced the pairs (no product; <= ||A|| to round-off):
-    the largest residual that admits a Ritz pair to block Krylov's deflation
+    the largest residual that admits a Ritz pair to the Krylov deflation
     set or vr_slq's set S, and the largest norm of a remainder that
     def_cmm/def_kpm replace by a point mass at 0."""
     return float(np.abs(ritz_values).max()) / n**DEFAULT_BETA
@@ -79,48 +80,42 @@ def orthonormalize_columns(K):
     return Q[:, :r]
 
 
-def build_krylov_block(A, X, q, ledger):
-    """Orthonormal basis of span{X, A X, ..., A^(2q) X} and its image under A.
+# The name stays while perfbench/tracing.py looks it up.
+def build_krylov_block(A, x, m, ledger):
+    """Orthonormal basis of span{x, A x, ..., A^(m-1) x} and its image under A.
 
-    Block Lanczos: each new column is orthonormalized against every earlier
-    basis column (lanczos's DGKS step: one classical Gram-Schmidt pass, and
-    a second when the first cancels most of its norm) before A is applied
-    to it, and a column whose projected norm falls below DROP_TOL times its
-    norm before projection is dropped as dependent.  The recurrence stops
-    after 2q + 1 blocks or once no column is left.  Returns (Q, AQ), both
-    n x r; charges one application per basis column, r <= min(n, l(2q + 1)).
+    Each new column, x or the image of the last one, is orthonormalized
+    against every earlier column (lanczos's DGKS step: one classical
+    Gram-Schmidt pass, and a second when the first cancels most of its norm)
+    before A is applied to it.  A column left with less than DROP_TOL of its
+    norm means the space is exhausted, and the recurrence stops there.
+    Returns (Q, AQ), both n x r; one application per basis column, r <= m.
     """
-    n, l = X.shape
-    capacity = basis_capacity(l, q, n)
     # Basis vectors and their images are kept as contiguous rows, which the
-    # block products read without a copy.
-    Q = np.empty((capacity, n))
-    AQ = np.empty((capacity, n))
+    # products read without a copy.
+    Q = np.empty((m, x.size))
+    AQ = np.empty((m, x.size))
+    w = x.copy()
     r = 0
-    block = X.T
-    for _ in range(2 * q + 1):
-        first = r
-        for w in block:
-            if r == capacity:
-                break
-            w = w.copy()
-            before = np.linalg.norm(w)
-            after, _ = reorthogonalize(Q[:r], w)
-            if after > DROP_TOL * before:
-                Q[r] = w / after
-                r += 1
-        if r == first:
+    while r < m:
+        before = np.linalg.norm(w)
+        after, _ = reorthogonalize(Q[:r], w)
+        if after <= DROP_TOL * before:
             break
-        AQ[first:r] = A.apply_block(Q[first:r].T, ledger, stage="krylov_subspace").T
-        block = AQ[first:r]
+        Q[r] = w / after
+        AQ[r] = A.apply_block(Q[r:r + 1].T, ledger, stage="krylov_subspace")[:, 0]
+        w = AQ[r].copy()
+        r += 1
     return Q[:r].T, AQ[:r].T
 
 
 def block_krylov_deflation(A, l, q, stream, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
-    Charges one application per Krylov basis column, at most
-    min(n, l(2q+1)); the gate reads ||A||_est from the Ritz values.
+    l and q only size the Krylov space of one start vector from ``stream``:
+    one application per basis column, at most min(n, l(2q + 1)) and fewer
+    when the space is exhausted.  The gate reads ||A||_est from the Ritz
+    values.
     """
     n = A.dimension
     if not 1 <= l <= n:
@@ -128,8 +123,8 @@ def block_krylov_deflation(A, l, q, stream, ledger=None):
     if q < 0:
         raise OperatorError("depth must be nonnegative")
 
-    X = gaussian_matrix(n, l, stream)
-    Q, AQ = build_krylov_block(A, X, q, ledger)
+    x = gaussian_vector(n, stream)
+    Q, AQ = build_krylov_block(A, x, basis_capacity(l, q, n), ledger)
     T = Q.T @ AQ
     values, vectors = np.linalg.eigh(0.5 * (T + T.T))
     order = magnitude_order(values)

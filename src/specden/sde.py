@@ -2,9 +2,9 @@
 
 ``run`` is the one entry point for six algorithms in two families.  The
 moment family is Chebyshev moment matching (cmm) and the kernel polynomial
-method (kpm), each plain or after explicit block-Krylov deflation (def_cmm,
-def_kpm); plain cmm/kpm are the deflated methods at block size 0.  The
-Lanczos family is stochastic Lanczos quadrature (slq) and its
+method (kpm), each plain or after explicit deflation by a one-vector Krylov
+run (def_cmm, def_kpm); plain cmm/kpm are the deflated methods at block
+size 0.  The Lanczos family is stochastic Lanczos quadrature (slq) and its
 variance-reduced variant (vr_slq).  Budgets are per invocation; multi-trial
 averaging gives each trial the full budget and reports the merged ledger.
 """
@@ -39,10 +39,11 @@ from .operators import (
 )
 from .randgen import SeededStream, unit_sphere_vector
 
-# Benchmark protocol constants: 15 Hutchinson vectors, 15 block-Krylov
-# iterations, 15 averaging trials for the Lanczos-based estimators, and a
-# 1:3 split of the budget between moment estimation and block Krylov.  The
-# deflation gate is block_krylov.deflation_gate.
+# Benchmark protocol constants: 15 Hutchinson vectors, Krylov depth 15 (the
+# one-vector deflation run of block size l spends at most 31 l products),
+# 15 averaging trials for the Lanczos-based estimators, and a 1:3 budget
+# split between moments and the Krylov run.  The deflation gate is
+# block_krylov.deflation_gate.
 DEFAULT_HUTCHINSON_B = 15
 DEFAULT_KRYLOV_DEPTH = 15
 DEFAULT_SLQ_TRIALS = 15
@@ -70,7 +71,7 @@ class BudgetExhaustedError(RuntimeError):
 class SdeConfig:
     """Settings for one spectral density estimation run.
 
-    The Hutchinson vector count, the block-Krylov depth and the deflation
+    The Hutchinson vector count, the Krylov depth and the deflation
     gate are protocol constants, not settings.
     """
 
@@ -165,7 +166,7 @@ def _with_deflated_atoms(lambdas, remainder, n):
 def _deflated_trial_cost(n, l, N):
     """Most applications a rank-l deflated moment trial with N moments spends.
 
-    Block Lanczos to depth q spends one application per basis column, at
+    The one-vector Krylov run spends one application per basis column, at
     most min(n, l(2q + 1)); the remainder's norm estimate and the N moments
     of b Hutchinson vectors each come on top.
     """
@@ -195,15 +196,16 @@ def _allocate_block_size(n, budget):
 def _moment_estimate(A, l, method, budget, d, stream, ledger):
     """cmm or kpm density after deflating A with a rank-l Krylov block.
 
-    With l > 0, block Lanczos to depth DEFAULT_KRYLOV_DEPTH finds s
-    converged large-magnitude eigenpairs; they become exact atoms of mass
-    1/n each, and the deflated remainder carries the other (n - s)/n of the
-    mass.  l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
-    estimates the remainder's norm bound L, spends the rest of ``budget`` on
-    N = remaining // b Chebyshev moments of (1/L) A on b = DEFAULT_HUTCHINSON_B
-    unit probes, projected off the deflated eigenvectors so that they are the
-    moments of the remainder alone, reconstructs a density on a d-point grid
-    and rescales it to [-L, L].  A remainder whose L is within block Krylov's
+    With l > 0, Lanczos from one start vector, at most l(2q + 1) products
+    long, finds s converged large-magnitude eigenpairs; they become exact
+    atoms of mass 1/n each, and the remainder carries the other (n - s)/n.
+    l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
+    estimates the remainder's norm bound L, spends the rest of ``budget``
+    (more when the Krylov space is exhausted early) on N = remaining // b
+    Chebyshev moments of (1/L) A on b = DEFAULT_HUTCHINSON_B unit probes,
+    projected off the deflated eigenvectors so that they are the moments of
+    the remainder alone, reconstructs a density on a d-point grid and
+    rescales it to [-L, L].  A remainder whose L is within the Krylov run's
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.  Any other
     remainder is checked against the grid (``check_grid``) before its probes

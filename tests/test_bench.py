@@ -24,6 +24,20 @@ def test_build_matrix_parsing():
         build_matrix("inverse:ten")
 
 
+@pytest.mark.parametrize("name", sorted(bench.GENERATORS))
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_matrix_size_below_one_names_the_spec(tmp_path, capsys, name, size):
+    spec = f"{name}:{size}"
+    code = run_cli(
+        "estimate", "--matrix", spec, "--algo", "kpm", "--budget", "100",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: matrix spec '{spec}' needs a size of at least 1\n"
+    )
+
+
 def test_estimate_writes_atoms_and_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

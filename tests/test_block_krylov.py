@@ -10,7 +10,8 @@ from specden import (
 from specden import block_krylov
 from specden.block_krylov import block_krylov_deflation, orthonormalize_columns
 from specden.datasets import low_rank
-from specden.operators import OperatorError
+from specden.operators import OperatorError, norm_estimate_cost
+from specden.sde import _moment_estimate
 
 from conftest import random_symmetric
 
@@ -93,6 +94,39 @@ def test_exhausted_space_charges_n_columns():
     # The whole space is spanned, so every Ritz pair is exact.
     assert res.s == n
     np.testing.assert_allclose(np.sort(res.lambdas), np.sort(spectrum), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_repeated_top_eigenvalues_all_deflated(seed):
+    # One start vector spans one direction of each eigenspace, so in exact
+    # arithmetic its Krylov space holds one copy of 1.0 and one of 0.9.
+    # Round-off that the DGKS step leaves in each new column brings in the
+    # other copies, which the recurrence then converges to.
+    rng = np.random.default_rng(seed)
+    top = np.repeat([1.0, 0.9], 5)
+    A = DiagonalOperator(np.concatenate([top, rng.uniform(-0.1, 0.1, 490)]))
+    ledger = BudgetLedger()
+    res = block_krylov_deflation(A, l=4, q=15, stream=SeededStream(seed), ledger=ledger)
+    assert res.s >= 10
+    np.testing.assert_allclose(np.sort(res.lambdas)[::-1][:10], top, atol=1e-12, rtol=0)
+    deflated = deflate(A, res.Z).to_dense()
+    assert np.abs(np.linalg.eigvalsh(deflated)).max() <= 0.1
+    assert ledger.counts == {"krylov_subspace": 124}
+
+
+def test_exhausted_space_stops_early_and_funds_moments():
+    # Seven distinct eigenvalues: the start vector's Krylov space has
+    # dimension 7, so the recurrence stops after 7 of the l(2q + 1) = 27
+    # products it may spend, and the moment stage spends the other 20.
+    A = DiagonalOperator(np.repeat(np.linspace(-1, 1, 7), 10))
+    ledger = BudgetLedger()
+    res = block_krylov_deflation(A, l=3, q=4, stream=SeededStream(0), ledger=ledger)
+    assert res.candidates_examined == res.s == 7
+    assert ledger.counts == {"krylov_subspace": 7}
+    ledger = BudgetLedger()
+    _, facts = _moment_estimate(A, 3, "kpm", 400, 2000, SeededStream(0), ledger)
+    assert facts["s"] == 7
+    assert facts["N"] == (400 - 7 - norm_estimate_cost(70)) // 15 == 25
 
 
 def test_validation():

@@ -318,13 +318,15 @@ def test_def_cmm_grid_too_coarse_for_N_spends_no_moment():
 
 
 def test_zero_remainder_needs_no_grid():
-    # Block Krylov deflates all of a rank-2 diagonal: the point mass at 0
-    # stands in for the remainder whatever N the budget would fund.
+    # The Krylov run deflates all of a rank-2 diagonal: the point mass at 0
+    # stands in for the remainder whatever N the budget would fund.  The
+    # start vector's Krylov space is exhausted after 3 columns, its parts
+    # along 1.0, 0.5 and the zero eigenspace.
     A = DiagonalOperator([1.0, 0.5] + [0.0] * 48)
     ledger = BudgetLedger()
     _, facts = _moment_estimate(A, 4, "cmm", 2000, 5, SeededStream(0), ledger)
-    assert facts["s"] == 6 and facts["N"] == 0
-    assert ledger.counts == {"krylov_subspace": 6, "norm_estimate": 12}
+    assert facts["s"] == 3 and facts["N"] == 0
+    assert ledger.counts == {"krylov_subspace": 3, "norm_estimate": 12}
 
 
 def test_block_krylov_and_vr_slq_gate_on_the_largest_ritz_value(monkeypatch):
@@ -616,11 +618,13 @@ PINNED_RUNS = [
      {"N": [2], "L": [1.9706388600327789]}),
     ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180},
      {"N": [12], "L": [1.9706388600327789]}),
-    # Block size 4 deflates all six large eigenvalues, leaving N = 4 moments
-    # of the remainder, taken on probes projected off the six eigenvectors.
-    ("def_kpm", 200, 0.08430908716688122,
+    # Block size 4 sizes a 124-column Krylov space from one start vector; it
+    # deflates all six large eigenvalues and the 21 outermost of the small
+    # ones, leaving N = 4 moments of the remainder, taken on probes projected
+    # off the 27 eigenvectors.
+    ("def_kpm", 200, 0.06669304623956215,
      {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60},
-     {"N": [4], "l": [4], "s": [6], "L": [0.38971364017844473]}),
+     {"N": [4], "l": [4], "s": [27], "L": [0.3462190039747821]}),
 ]
 
 
