@@ -33,13 +33,14 @@ PROFILES = {
     "ci": {"grid_d": 2000, "sweep_trials": 3},
 }
 
-# Generator name -> builder of an n x n operator from (n, seeded stream).
+# Generator name -> (least n, builder of an n x n operator from (n, seeded
+# stream)).  low_rank has rank 100, so it needs n >= 100.
 GENERATORS = {
-    "gaussian": datasets.gaussian_spectrum,
-    "uniform": datasets.uniform_matrix,
-    "inverse": lambda n, stream: datasets.inverse_spectrum(n),
-    "power_law": lambda n, stream: datasets.power_law_spectrum(n),
-    "low_rank": lambda n, stream: datasets.low_rank(n, stream=stream),
+    "gaussian": (1, datasets.gaussian_spectrum),
+    "uniform": (1, datasets.uniform_matrix),
+    "inverse": (1, lambda n, stream: datasets.inverse_spectrum(n)),
+    "power_law": (1, lambda n, stream: datasets.power_law_spectrum(n)),
+    "low_rank": (100, lambda n, stream: datasets.low_rank(n, r=100, stream=stream)),
 }
 
 
@@ -57,9 +58,10 @@ def build_matrix(spec, seed=0, normalize_adjacency=True):
         n = int(size)
     except ValueError:
         raise ValueError(f"matrix spec {spec!r} needs an integer size, e.g. {name}:500")
-    if n < 1:
-        raise ValueError(f"matrix spec {spec!r} needs a size of at least 1")
-    return GENERATORS[name](n, SeededStream(seed, stream_id=7_777_777))
+    least, generate = GENERATORS[name]
+    if n < least:
+        raise ValueError(f"matrix spec {spec!r} needs a size of at least {least}")
+    return generate(n, SeededStream(seed, stream_id=7_777_777))
 
 
 def read_config_file(path):

@@ -1,11 +1,10 @@
 """Krylov deflation: a converged-Ritz-pair deflation set.
 
-Lanczos with full reorthogonalization builds an orthonormal basis Q of the
-Krylov space of one Gaussian start vector, keeping every product A q_j; one
-start vector gives block Krylov's low-rank guarantee up to a log(1/gap) factor
-(Meyer, Musco and Musco, SODA 2024).  Ritz pairs come from T = Q^T (A Q)
-with no further product, and only pairs whose residual is within
-``deflation_gate`` enter the deflation set.
+Lanczos with full reorthogonalization runs from one Gaussian start vector,
+which gives block Krylov's low-rank guarantee up to a log(1/gap) factor
+(Meyer, Musco and Musco, SODA 2024).  ``tridiag_eig`` reads the Ritz pairs
+and their residuals from its tridiagonal with no further product, and only
+pairs whose residual is within ``deflation_gate`` enter the deflation set.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import magnitude_order, reorthogonalize
+from .lanczos import BREAKDOWN_RTOL, TridiagonalFactorization, reorthogonalize
+from .lanczos import tridiag_eig
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
 from .randgen import gaussian_vector
-
-# A column whose norm drops below this fraction of its pre-projection norm
-# during orthonormalization is dependent: the Krylov space is exhausted.
-DROP_TOL = 1e-10
 
 DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
 
@@ -31,7 +27,7 @@ DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
 class DeflationResult:
     """Converged Ritz pairs from the Krylov run.
 
-    Z has orthonormal columns Q v_j for the admitted indices; lambdas are the
+    Z has orthonormal columns Q s_j for the admitted indices; lambdas are the
     matching Ritz values sorted by descending magnitude.  gate is the
     deflation_gate that admitted them: every admitted pair has residual
     ||A z - lambda z|| <= gate.
@@ -66,8 +62,8 @@ def deflation_gate(ritz_values, n):
 def orthonormalize_columns(K):
     """Rank-revealing orthonormal basis of the column span.
 
-    Pivoted QR with small trailing diagonal entries of R treated as rank
-    deficiency; dependent columns are dropped.
+    Pivoted QR with trailing diagonal entries of R below BREAKDOWN_RTOL of
+    the first treated as rank deficiency; dependent columns are dropped.
     """
     import scipy.linalg
 
@@ -76,46 +72,50 @@ def orthonormalize_columns(K):
         return np.empty((n, 0))
     Q, R, _ = scipy.linalg.qr(K, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    r = int(np.count_nonzero(diag > DROP_TOL * diag[0]))
+    r = int(np.count_nonzero(diag > BREAKDOWN_RTOL * diag[0]))
     return Q[:, :r]
 
 
 # The name stays while perfbench/tracing.py looks it up.
 def build_krylov_block(A, x, m, ledger):
-    """Orthonormal basis of span{x, A x, ..., A^(m-1) x} and its image under A.
+    """Lanczos factorization of A from x / ||x||, at most m steps long.
 
-    Each new column, x or the image of the last one, is orthonormalized
-    against every earlier column (lanczos's DGKS step: one classical
-    Gram-Schmidt pass, and a second when the first cancels most of its norm)
-    before A is applied to it.  A column left with less than DROP_TOL of its
-    norm means the space is exhausted, and the recurrence stops there.
-    Returns (Q, AQ), both n x r; one application per basis column, r <= m.
+    Each step subtracts alpha_i q_i and eta_(i-1) q_(i-1) from A q_i and runs
+    lanczos's DGKS step ``reorthogonalize`` on that residual against the
+    whole basis, so T = Q^T A Q.  lanczos's breakdown test (a residual norm
+    below BREAKDOWN_RTOL times the running max of |alpha| and eta) stops the
+    run at an exhausted Krylov space.  One application per step.
     """
-    # Basis vectors and their images are kept as contiguous rows, which the
-    # products read without a copy.
-    Q = np.empty((m, x.size))
-    AQ = np.empty((m, x.size))
-    w = x.copy()
-    r = 0
-    while r < m:
-        before = np.linalg.norm(w)
-        after, _ = reorthogonalize(Q[:r], w)
-        if after <= DROP_TOL * before:
+    Q = np.empty((m, x.size))  # rows, contiguous for the products
+    alpha, eta = np.empty(m), np.empty(m)
+    Q[0] = x / np.linalg.norm(x)
+    scale, repeats = 1e-300, 0
+    for i in range(m):
+        w = A.apply_block(Q[i:i + 1].T, ledger, stage="krylov_subspace")[:, 0]
+        alpha[i] = Q[i] @ w
+        w -= alpha[i] * Q[i]
+        if i:
+            w -= eta[i - 1] * Q[i - 1]
+        scale = max(scale, abs(alpha[i]))
+        eta[i], repeated = reorthogonalize(Q[: i + 1], w)
+        repeats += repeated
+        if i + 1 == m or eta[i] < BREAKDOWN_RTOL * scale:
             break
-        Q[r] = w / after
-        AQ[r] = A.apply_block(Q[r:r + 1].T, ledger, stage="krylov_subspace")[:, 0]
-        w = AQ[r].copy()
-        r += 1
-    return Q[:r].T, AQ[:r].T
+        scale = max(scale, eta[i])
+        Q[i + 1] = w / eta[i]
+    return TridiagonalFactorization(
+        alpha[: i + 1], eta[:i], Q[: i + 1].T, beta=float(eta[i]),
+        reorth_repeats=repeats, reorthogonalized=i + 1,
+    )
 
 
 def block_krylov_deflation(A, l, q, stream, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
-    l and q only size the Krylov space of one start vector from ``stream``:
-    one application per basis column, at most min(n, l(2q + 1)) and fewer
-    when the space is exhausted.  The gate reads ||A||_est from the Ritz
-    values.
+    l and q only size the Lanczos run from one start vector from ``stream``:
+    one application per step, at most min(n, l(2q + 1)) and fewer when the
+    Krylov space is exhausted.  Its Ritz pairs (theta_j, Q s_j) have
+    residuals beta |e_m^T s_j|; the gate reads ||A||_est from the theta_j.
     """
     n = A.dimension
     if not 1 <= l <= n:
@@ -124,20 +124,13 @@ def block_krylov_deflation(A, l, q, stream, ledger=None):
         raise OperatorError("depth must be nonnegative")
 
     x = gaussian_vector(n, stream)
-    Q, AQ = build_krylov_block(A, x, basis_capacity(l, q, n), ledger)
-    T = Q.T @ AQ
-    values, vectors = np.linalg.eigh(0.5 * (T + T.T))
-    order = magnitude_order(values)
-    values, vectors = values[order], vectors[:, order]
-
-    ritz_vecs = Q @ vectors
-    residuals = np.linalg.norm(AQ @ vectors - ritz_vecs * values, axis=0)
-
-    gate = deflation_gate(values, n)
-    admitted = np.flatnonzero(residuals <= gate)
+    fact = build_krylov_block(A, x, basis_capacity(l, q, n), ledger)
+    ritz = tridiag_eig(fact)
+    gate = deflation_gate(ritz.values, n)
+    admitted = np.flatnonzero(ritz.residuals <= gate)
     return DeflationResult(
-        Z=ritz_vecs[:, admitted],
-        lambdas=values[admitted],
-        candidates_examined=Q.shape[1],
+        Z=fact.Q @ ritz.vectors[:, admitted],
+        lambdas=ritz.values[admitted],
+        candidates_examined=fact.m_effective,
         gate=gate,
     )

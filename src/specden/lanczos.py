@@ -92,12 +92,14 @@ class TridiagonalFactorization:
 @dataclass
 class RitzDecomposition:
     """Ritz values theta_j of T by descending magnitude, with the Gauss
-    quadrature weights (e_1^T s_j)^2, which sum to 1, and Ritz residuals
-    beta |e_m^T s_j| (nan for a hand-built T) of T s_j = theta_j s_j."""
+    quadrature weights (e_1^T s_j)^2, which sum to 1, Ritz residuals
+    beta |e_m^T s_j| (nan for a hand-built T) and, as columns of
+    ``vectors``, the unit eigenvectors s_j of T s_j = theta_j s_j."""
 
     values: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
+    vectors: np.ndarray
 
 
 def magnitude_order(values):
@@ -260,13 +262,12 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
 
 
 def tridiag_eig(fact):
-    """T's ``RitzDecomposition``: the only reader of T's eigenvectors, and
-    of no row but their first and last."""
+    """T's ``RitzDecomposition``, the one place T is diagonalized: the Gauss
+    weights read row 1 of its eigenvectors, the residuals row m."""
     values, vectors = scipy.linalg.eigh_tridiagonal(fact.alpha, fact.eta)
     order = magnitude_order(values)
+    values, vectors = values[order], vectors[:, order]
     return RitzDecomposition(
-        values=values[order],
-        weights=vectors[0, order] ** 2,
-        residuals=fact.beta * np.abs(vectors[-1, order]),
+        values, vectors[0] ** 2, fact.beta * np.abs(vectors[-1]), vectors
     )
 

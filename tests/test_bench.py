@@ -24,17 +24,23 @@ def test_build_matrix_parsing():
         build_matrix("inverse:ten")
 
 
-@pytest.mark.parametrize("name", sorted(bench.GENERATORS))
-@pytest.mark.parametrize("size", ["0", "-3"])
-def test_matrix_size_below_one_names_the_spec(tmp_path, capsys, name, size):
+# Every generator at sizes 0 and -3, and low_rank, which has rank 100, at 50.
+SIZE_CASES = [
+    (size, name) for size in ("0", "-3") for name in sorted(bench.GENERATORS)
+] + [("50", "low_rank")]
+
+
+@pytest.mark.parametrize("size, name", SIZE_CASES, ids=[f"{s}-{n}" for s, n in SIZE_CASES])
+def test_matrix_size_below_one_names_the_spec(tmp_path, capsys, size, name):
     spec = f"{name}:{size}"
+    least = 100 if name == "low_rank" else 1
     code = run_cli(
         "estimate", "--matrix", spec, "--algo", "kpm", "--budget", "100",
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: matrix spec '{spec}' needs a size of at least 1\n"
+        f"error: matrix spec '{spec}' needs a size of at least {least}\n"
     )
 
 

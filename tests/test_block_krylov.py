@@ -8,10 +8,18 @@ from specden import (
     deflate,
 )
 from specden import block_krylov
-from specden.block_krylov import block_krylov_deflation, orthonormalize_columns
+from specden.bench import build_matrix
+from specden.block_krylov import (
+    block_krylov_deflation,
+    build_krylov_block,
+    orthonormalize_columns,
+)
 from specden.datasets import low_rank
+from specden.lanczos import TridiagonalFactorization
+from specden.metrics import exact_density, wasserstein1
 from specden.operators import OperatorError, norm_estimate_cost
-from specden.sde import _moment_estimate
+from specden.randgen import gaussian_vector
+from specden.sde import SdeConfig, _moment_estimate, run
 
 from conftest import random_symmetric
 
@@ -100,8 +108,9 @@ def test_exhausted_space_charges_n_columns():
 def test_repeated_top_eigenvalues_all_deflated(seed):
     # One start vector spans one direction of each eigenspace, so in exact
     # arithmetic its Krylov space holds one copy of 1.0 and one of 0.9.
-    # Round-off that the DGKS step leaves in each new column brings in the
-    # other copies, which the recurrence then converges to.
+    # Each step's product and three-term subtraction leave round-off along
+    # the other copies, which the DGKS pass keeps, since it only removes
+    # the span of the basis so far; the recurrence then converges to them.
     rng = np.random.default_rng(seed)
     top = np.repeat([1.0, 0.9], 5)
     A = DiagonalOperator(np.concatenate([top, rng.uniform(-0.1, 0.1, 490)]))
@@ -127,6 +136,35 @@ def test_exhausted_space_stops_early_and_funds_moments():
     _, facts = _moment_estimate(A, 3, "kpm", 400, 2000, SeededStream(0), ledger)
     assert facts["s"] == 7
     assert facts["N"] == (400 - 7 - norm_estimate_cost(70)) // 15 == 25
+
+
+@pytest.mark.parametrize("spec", ["uniform:500", "gaussian:500", "inverse:500"])
+@pytest.mark.parametrize("m", [124, 500])
+def test_build_krylov_block_is_a_lanczos_factorization(spec, m):
+    # With full reorthogonalization the recurrence's tridiagonal is the
+    # Rayleigh quotient Q^T A Q of an orthonormal basis.
+    A = build_matrix(spec)
+    x = gaussian_vector(A.dimension, SeededStream(0))
+    fact = build_krylov_block(A, x, m, None)
+    assert isinstance(fact, TridiagonalFactorization)
+    assert fact.m_effective == m
+    Q = fact.Q
+    T = np.diag(fact.alpha) + np.diag(fact.eta, 1) + np.diag(fact.eta, -1)
+    assert np.abs(Q.T @ A.apply_block(Q) - T).max() <= 1e-14
+    assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-14
+
+
+def test_breakdown_stops_the_run_at_the_round_off_floor():
+    # power_law:500's eigenvalues are 1 and 2^-k: after 41 steps what is
+    # left of the spectrum is below 1e-12, so the residual falls below
+    # BREAKDOWN_RTOL times the scale of T.  Every Ritz pair found is
+    # admitted, and the remainder is within the gate of the point mass at
+    # 0, so no moment is spent.
+    A = build_matrix("power_law:500")
+    estimate = run(A, SdeConfig("def_kpm", 200))
+    assert estimate.ledger.counts == {"krylov_subspace": 41, "norm_estimate": 18}
+    assert estimate.diagnostics["per_trial"][0]["s"] == 41
+    assert wasserstein1(estimate.density, exact_density(A)) <= 1e-13
 
 
 def test_validation():
