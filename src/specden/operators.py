@@ -95,8 +95,13 @@ class SymmetricOperator:
         return out
 
     def to_dense(self):
-        """Materialize the full matrix (test/oracle use only)."""
-        return self.apply_block(np.eye(self._n))
+        """Materialize the full matrix (test/oracle use only).
+
+        Returns a fresh column-major n x n array that shares no memory with
+        the operator, so the caller may overwrite it: ``exact_density``
+        factors it in place.
+        """
+        return np.asfortranarray(self.apply_block(np.eye(self._n)))
 
 
 def _require_finite(values):
@@ -104,9 +109,17 @@ def _require_finite(values):
         raise OperatorError("matrix has a non-finite entry")
 
 
+def _max_abs(X):
+    """max|X| of a dense or sparse X, read without allocating |X|."""
+    return max(X.max(), -X.min())
+
+
 def _require_symmetric(matrix):
-    """Reject a dense or sparse M unless max|M - M^T| <= 1e-10 max|M|."""
-    if not abs(matrix - matrix.T).max() <= 1e-10 * abs(matrix).max():
+    """Reject a dense or sparse M unless max|M - M^T| <= 1e-10 max|M|.
+
+    M - M^T is the one temporary the check allocates.
+    """
+    if not _max_abs(matrix - matrix.T) <= 1e-10 * _max_abs(matrix):
         raise OperatorError("matrix is not symmetric")
 
 
@@ -129,7 +142,8 @@ class DenseOperator(SymmetricOperator):
         return (V.T @ self.matrix).T
 
     def to_dense(self):
-        return self.matrix.copy()
+        # M is bitwise symmetric, so its copy's transpose is M column-major.
+        return self.matrix.copy().T
 
 
 class DiagonalOperator(SymmetricOperator):
@@ -145,7 +159,8 @@ class DiagonalOperator(SymmetricOperator):
         return self.diagonal[:, None] * V
 
     def to_dense(self):
-        return np.diag(self.diagonal)
+        # A diagonal matrix is its own transpose.
+        return np.diag(self.diagonal).T
 
 
 class SparseOperator(SymmetricOperator):
@@ -162,7 +177,7 @@ class SparseOperator(SymmetricOperator):
         return self.matrix @ V
 
     def to_dense(self):
-        return self.matrix.toarray()
+        return self.matrix.toarray(order="F")
 
 
 class ScaledOperator(SymmetricOperator):

@@ -10,8 +10,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
-from specden import DenseOperator, DiscreteDistribution, SeededStream
+from specden import DenseOperator, DiscreteDistribution, SeededStream, SparseOperator
 from specden.chebyshev import TBAR0, TBAR_SCALE
 from specden.lanczos import (
     BREAKDOWN_RTOL,
@@ -55,6 +56,14 @@ def random_symmetric(n, seed, spectrum=None):
         spectrum = rng.uniform(-1.0, 1.0, size=n)
     V = random_orthogonal(n, SeededStream(seed, stream_id=123))
     return DenseOperator((V * spectrum) @ V.T), np.asarray(spectrum, dtype=float)
+
+
+def normalized_random_graph(n):
+    """D^(-1/2) M D^(-1/2) of a random graph: each vertex joined to ~8 others."""
+    M = sp.random(n, n, density=4.0 / n, random_state=7, data_rvs=np.ones)
+    M = sp.csr_matrix(((M + M.T) > 0).astype(float))
+    scale = sp.diags(1.0 / np.sqrt(np.maximum(M.sum(axis=1).A.ravel(), 1.0)))
+    return SparseOperator(sp.csr_matrix(scale @ M @ scale))
 
 
 def dense_from_eigendecomposition(eigs, V):

@@ -30,6 +30,7 @@ from specden.sde import VR_L_CAP, _vr_density
 from conftest import (
     cheb_normalized,
     full_reorthogonalization_lanczos,
+    normalized_random_graph,
     polynomial_identity_check,
     random_symmetric,
     tridiagonal,
@@ -128,15 +129,11 @@ def test_lockstep_matches_separate_runs_on_dense():
 
 
 def _bit_for_bit_cases():
-    # A normalized random graph: each vertex joined to ~8 others.
-    M = sp.random(3000, 3000, density=4.0 / 3000, random_state=7, data_rvs=np.ones)
-    M = sp.csr_matrix(((M + M.T) > 0).astype(float))
-    scale = sp.diags(1.0 / np.sqrt(np.maximum(M.sum(axis=1).A.ravel(), 1.0)))
     return {
         # 101 distinct eigenvalues: every run breaks down after 101 steps.
         "low_rank": (build_matrix("low_rank:500", seed=0), 200),
         "inverse": (build_matrix("inverse:500", seed=0), 200),
-        "graph": (SparseOperator(sp.csr_matrix(scale @ M @ scale)), 150),
+        "graph": (normalized_random_graph(3000), 150),
     }
 
 

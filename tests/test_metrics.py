@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specden import DenseOperator, DiagonalOperator, DiscreteDistribution
+import specden
+from specden import DenseOperator, DiagonalOperator, DiscreteDistribution, SparseOperator
 from specden.bench import build_matrix
 from specden.metrics import (
     DistributionError,
@@ -15,6 +22,7 @@ from specden.sde import ALGORITHMS, SdeConfig, run
 
 from conftest import (
     merge_atoms_loop,
+    normalized_random_graph,
     random_distribution,
     sorted_eigenvalue_error,
     transport_lp_w1,
@@ -210,6 +218,77 @@ def test_exact_density_of_a_diagonal_needs_no_cap():
     d = exact_density(DiagonalOperator(diagonal))
     np.testing.assert_array_equal(d.locations, np.sort(diagonal))
     np.testing.assert_array_equal(d.weights, np.full(7000, 1 / 7000))
+
+
+def _nearly_symmetric_sparse():
+    # Symmetric only to 1e-12: the upper triangle is scaled, so the eigenvalues
+    # depend on which triangle is read.
+    B = sp.random(400, 400, density=0.1, random_state=5)
+    B = B + B.T
+    return SparseOperator(B + 1e-12 * sp.triu(B, k=1))
+
+
+EIGVALSH_CASES = {
+    "uniform:500": lambda: build_matrix("uniform:500", 0),
+    "gaussian:500": lambda: build_matrix("gaussian:500", 0),
+    "graph": lambda: normalized_random_graph(3000),
+    "nearly-symmetric-sparse": _nearly_symmetric_sparse,
+}
+
+
+def _stored_bytes(A):
+    m = A.matrix
+    parts = (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr)
+    return [p.tobytes() for p in parts]
+
+
+@pytest.mark.parametrize("case", list(EIGVALSH_CASES))
+def test_exact_density_is_numpys_eigvalsh_bit_for_bit(case):
+    # The in-place factorization runs the routine np.linalg.eigvalsh runs,
+    # dsyevd, on the same lower triangle, so the eigenvalues agree to the bit
+    # (numpy and scipy each link their own LAPACK; the scipy-openblas builds
+    # agree), and the operator's own matrix is left as it was.
+    A = EIGVALSH_CASES[case]()
+    before = _stored_bytes(A)
+    eigs = np.linalg.eigvalsh(A.to_dense())
+    d = exact_density(A)
+    assert np.array_equal(d.locations, np.unique(eigs))
+    assert _stored_bytes(A) == before
+
+
+# Builds a 2000-vertex graph, warms LAPACK up on an 8 x 8 matrix, then prints
+# the rise of the peak resident set over one exact_density call, in bytes.
+# The peak is the process's own VmHWM: ru_maxrss starts at the peak of the
+# process that spawned it, which here is the test run's.
+PEAK_SCRIPT = """
+import scipy.sparse as sp
+from conftest import normalized_random_graph
+from specden import SparseOperator
+from specden.metrics import exact_density
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+A = normalized_random_graph(2000)
+exact_density(SparseOperator(sp.eye(8)))
+before = peak_kb()
+exact_density(A)
+print(1024 * (peak_kb() - before))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_exact_density_holds_one_dense_copy():
+    # A second n x n copy would raise the peak by 8n^2 bytes; one copy
+    # factored in place read a rise of 0.12 x 8n^2, two copies 1.12 x 8n^2.
+    n = 2000
+    path = [str(Path(__file__).parent), str(Path(specden.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) <= 0.5 * 8 * n * n
 
 
 def test_sorted_eigenvalue_error_matches_w1(rng):

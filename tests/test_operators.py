@@ -89,6 +89,58 @@ def test_apply_does_not_mutate_input(A):
     np.testing.assert_array_equal(v, before)
 
 
+def _stored_arrays(A):
+    for value in vars(A).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif sp.issparse(value):
+            yield from (value.data, value.indices, value.indptr)
+        elif isinstance(value, SymmetricOperator):
+            yield from _stored_arrays(value)
+
+
+@pytest.mark.parametrize("A", backends())
+def test_to_dense_is_a_fresh_column_major_copy(A):
+    # exact_density factors this array in place.
+    D = A.to_dense()
+    assert D.flags.f_contiguous
+    assert not any(np.shares_memory(D, stored) for stored in _stored_arrays(A))
+    np.testing.assert_allclose(D, A.apply_block(np.eye(A.dimension)), rtol=0, atol=1e-14)
+
+
+def _symmetry_rule_with_abs_formed(M):
+    return abs(M - M.T).max() <= 1e-10 * abs(M).max()
+
+
+def _off_diagonal_gap(gap):
+    # max|M| is 4, at the -4 entry, so the tolerance is 4e-10; max M alone
+    # would read 2 and put it at 2e-10 (as -min M alone would for -M).
+    return np.array([[-4.0, 1.0], [1.0 + gap, 2.0]])
+
+
+SYMMETRY_VERDICTS = {
+    "largest-entry-negative": (_off_diagonal_gap(3e-10), True),
+    "largest-entry-positive": (-_off_diagonal_gap(3e-10), True),
+    "gap-just-below": (_off_diagonal_gap(0.999 * 4e-10), True),
+    "gap-just-above": (_off_diagonal_gap(1.001 * 4e-10), False),
+    "zero": (np.zeros((3, 3)), True),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_VERDICTS))
+@pytest.mark.parametrize("build", [DenseOperator, lambda M: SparseOperator(sp.csr_matrix(M))])
+def test_symmetry_check_reads_max_abs_without_allocating_it(case, build):
+    # max|M| is read as max(max M, -min M), and every verdict is the one
+    # max|M - M^T| <= 1e-10 max|M| gives with |M| and |M - M^T| formed.
+    M, accepted = SYMMETRY_VERDICTS[case]
+    assert _symmetry_rule_with_abs_formed(M) == accepted
+    if accepted:
+        assert build(M).dimension == M.shape[0]
+    else:
+        with pytest.raises(OperatorError, match="not symmetric"):
+            build(M)
+
+
 def test_dimension_and_symmetry_validation():
     with pytest.raises(OperatorError):
         DenseOperator(np.ones((2, 3)))
