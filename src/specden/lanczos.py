@@ -271,3 +271,14 @@ def tridiag_eig(fact):
         values, vectors[0] ** 2, fact.beta * np.abs(vectors[-1]), vectors
     )
 
+
+def tridiag_hat_eigvals(fact):
+    """Ascending eigenvalues of T-hat, T without its first row and column,
+    with no eigenvectors; empty when T is 1 x 1.  A simple Ritz value that
+    is also one of these has no weight on the start vector: it is a
+    spurious copy of a converged one (Cullum and Willoughby, J. Comput.
+    Phys. 44, 1981)."""
+    if fact.m_effective < 2:
+        return np.empty(0)
+    return scipy.linalg.eigvalsh_tridiagonal(fact.alpha[1:], fact.eta[1:])
+

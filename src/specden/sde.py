@@ -22,7 +22,14 @@ from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
 # sde.adjust_moments_for_deflation and sde.lanczos have no caller; they stay
 # while perfbench/tracing.py wraps them.
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
-from .lanczos import lanczos, lanczos_lockstep, tridiag_eig
+from .lanczos import (
+    EPS,
+    lanczos,
+    lanczos_lockstep,
+    magnitude_order,
+    tridiag_eig,
+    tridiag_hat_eigvals,
+)
 from .metrics import DiscreteDistribution, average_densities
 from .moment_matching import (
     check_grid,
@@ -53,14 +60,17 @@ VR_C = 5.0
 VR_DELTA = 0.01
 VR_L_CAP = 100
 
-# Most memory the Lanczos bases of one lockstep group of trials may take;
-# more vr_slq trials run as further, equal-sized groups, each still sharing
-# one block product per step, and slq trials whose bases would not fit
-# together run with no basis.  This bounds the peak footprint: on a 2-core
-# Xeon, 15 bases at n = 3000, m = 400 (144 MB) in one group raised the
-# sparse-graph benchmark's peak memory by 7% (223 to 239 MB) and sped its
-# ~3.3 s pass up by at most 10%.
+# Most memory the Lanczos bases of one run's trials may take together; the
+# trials of a run whose bases would not fit keep none.  This bounds the peak
+# footprint: the sparse-graph benchmark's peak memory (about 173 MB) is set
+# by the largest bases that fit, slq@200's 15 x 200 x 3000 floats (72 MB).
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
+
+# Ritz values of a basis-free vr_slq run within GHOST_RTOL eps max|theta| m
+# of each other are copies of one eigenvalue (``_ghost_filter``).  With every
+# run of the n = 500 grid made basis-free, W1 moved little for multipliers
+# from 0.5 to 1000.
+GHOST_RTOL = 5.0
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -111,7 +121,7 @@ class SdeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _vr_density(fact, l, n):
+def _vr_density(fact, l, n, facts=None):
     """vr_slq's density from one Lanczos run on an n x n operator, and the
     size of its set S.
 
@@ -124,15 +134,30 @@ def _vr_density(fact, l, n):
     VR_C sqrt(log(l / VR_DELTA)) / n.  Atoms in S get mass 1/n; the
     remaining atoms keep their SLQ weights, renormalized to carry the other
     (n - s)/n, and when every Ritz atom is in S that mass sits at 0.
+
+    A run that kept no basis (``fact.Q`` is None) brings back each converged
+    eigenvalue as several Ritz values, each of which would pass both tests.
+    Its pairs go through ``_ghost_filter`` first: the copies of one
+    eigenvalue become one atom, and spurious values stay out of S with their
+    weights in the remainder; S is then chosen among the top l atoms as
+    above.  The filter's counts ``merged`` and ``spurious`` go into
+    ``facts``.
     """
     ritz = tridiag_eig(fact)
-    values, weights = ritz.values, ritz.weights
+    values, weights, residuals = ritz.values, ritz.weights, ritz.residuals
     if l == 0:
         return DiscreteDistribution(values, weights), 0
 
     threshold = deflation_gate(values, n)
+    spurious = np.zeros(values.size, dtype=bool)
+    if fact.Q is None:
+        values, weights, residuals, spurious = _ghost_filter(ritz, fact)
+        if facts is not None:
+            facts.update(
+                merged=ritz.values.size - values.size, spurious=int(spurious.sum())
+            )
     weight_cap = VR_C * math.sqrt(math.log(l / VR_DELTA)) / n
-    in_S = (ritz.residuals <= threshold) & (weights <= weight_cap)
+    in_S = (residuals <= threshold) & (weights <= weight_cap) & ~spurious
     in_S[l:] = False
 
     s = int(in_S.sum())
@@ -148,6 +173,39 @@ def _vr_density(fact, l, n):
             values[~in_S], rest_weights / rest_weights.sum()
         )
     return _with_deflated_atoms(values[in_S], remainder, n), s
+
+
+def _ghost_filter(ritz, fact):
+    """A basis-free run's Ritz pairs with its ghosts told apart, by Cullum
+    and Willoughby's test (J. Comput. Phys. 44, 1981): (values, weights,
+    residuals, spurious) in descending magnitude.
+
+    Ritz values within tol = GHOST_RTOL eps max|theta| m of their neighbours
+    are copies of one eigenvalue and merge into one atom at the cluster's
+    smallest value, with the copies' weights summed, which is the
+    eigenvalue's Gauss weight (Greenbaum, Linear Algebra Appl. 113, 1989),
+    and their smallest residual.  An atom of one Ritz value within tol of an
+    eigenvalue of T-hat (``tridiag_hat_eigvals``) is spurious.
+    """
+    order = np.argsort(ritz.values, kind="stable")
+    values = ritz.values[order]
+    tol = GHOST_RTOL * EPS * np.abs(values).max() * fact.m_effective
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=values.size)
+    atoms = values[starts]
+    weights = np.add.reduceat(ritz.weights[order], starts)
+    residuals = np.minimum.reduceat(ritz.residuals[order], starts)
+
+    mu = tridiag_hat_eigvals(fact)
+    spurious = np.zeros(atoms.size, dtype=bool)
+    if mu.size:
+        # Distance from each atom to the nearest eigenvalue of T-hat.
+        right = np.searchsorted(mu, atoms).clip(max=mu.size - 1)
+        left = (right - 1).clip(min=0)
+        gap = np.minimum(np.abs(atoms - mu[left]), np.abs(atoms - mu[right]))
+        spurious = (sizes == 1) & (gap <= tol)
+    keep = magnitude_order(atoms)
+    return atoms[keep], weights[keep], residuals[keep], spurious[keep]
 
 
 def _with_deflated_atoms(lambdas, remainder, n):
@@ -278,56 +336,50 @@ def _vr_sizing(budget, n, cap):
 
 def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     """slq (cap = 0) or vr_slq (cap = VR_L_CAP): the trials' Lanczos runs
-    advance in the lockstep groups of ``_lockstep_groups``.
+    advance in one ``lanczos_lockstep`` call, keeping their bases when
+    ``_lockstep_groups`` says they fit.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
     charges ``ledgers[t]``; with cap > 0 its facts also hold the size of its
-    set S.  Returns the densities and per-trial diagnostics.
+    set S and, for a run that kept no basis, ``_vr_density``'s ghost-filter
+    counts.  Returns the densities and per-trial diagnostics.
     """
     n = A.dimension
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
-    basis, groups = _lockstep_groups(l, len(ledgers), m, n)
+    basis, trials = _lockstep_groups(l, len(ledgers), m, n)
+    starts = np.column_stack(
+        [unit_sphere_vector(n, root.substream(t)) for t in trials]
+    )
     densities, per_trial = [], []
-    for group in groups:
-        starts = np.column_stack(
-            [unit_sphere_vector(n, root.substream(int(t))) for t in group]
-        )
-        for fact in lanczos_lockstep(
-            A, starts, m, ledgers=[ledgers[t] for t in group], basis=basis
-        ):
-            facts = {
-                "m_effective": fact.m_effective,
-                "reorthogonalized": fact.reorthogonalized,
-                "reorth_repeats": fact.reorth_repeats,
-            }
-            density, converged = _vr_density(fact, l, n)
-            if cap:
-                facts["converged"] = converged
-            densities.append(density)
-            per_trial.append(facts)
-        # The group's runs are views into one basis: free it before the next.
-        del fact
+    for fact in lanczos_lockstep(A, starts, m, ledgers=ledgers, basis=basis):
+        facts = {
+            "m_effective": fact.m_effective,
+            "reorthogonalized": fact.reorthogonalized,
+            "reorth_repeats": fact.reorth_repeats,
+        }
+        density, converged = _vr_density(fact, l, n, facts)
+        if cap:
+            facts["converged"] = converged
+        densities.append(density)
+        per_trial.append(facts)
     return densities, per_trial
 
 
 def _lockstep_groups(l, trials, m, n):
     """Whether the Lanczos runs of ``trials`` trials of m steps on an n x n
-    operator keep their bases, and the trial indices of each lockstep group.
+    operator keep their bases, and the trial indices of their one
+    ``lanczos_lockstep`` call.
 
-    vr_slq (l > 0) reads its residuals off semi-orthogonal bases, so its
-    trials run in groups of as many bases as fit in LOCKSTEP_BASIS_BYTES,
-    but at least one, split as evenly as ``np.array_split`` does; each group
-    shares one block product per step.  slq reads only Gauss quadrature,
-    which survives the loss of orthogonality, but a kept basis stops at an
+    The rule is slq's (l = 0) and vr_slq's alike.  A kept basis stops at an
     exhausted Krylov space and makes the result insensitive to round-off in
-    A.  So slq keeps its bases while all of them fit; beyond that, rather
-    than split into groups that each pay for a block product, every trial
-    runs in one group with no basis.
+    A, so the runs keep their bases while all of them fit in
+    LOCKSTEP_BASIS_BYTES.  Beyond that every trial runs with no basis, all
+    sharing one block product per step: slq reads only Gauss quadrature,
+    which survives the loss of orthogonality, and vr_slq keeps the ghost
+    copies that the loss brings out of its set S (``_ghost_filter``).
     """
-    basis = l > 0 or trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
-    per_group = max(1, LOCKSTEP_BASIS_BYTES // (8 * m * n)) if basis else trials
-    return basis, np.array_split(np.arange(trials), math.ceil(trials / per_group))
+    return trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES, range(trials)
 
 
 def _moment_trials(A, config, root, ledgers, diagnostics, method, deflated):
@@ -371,7 +423,9 @@ def run(A, config):
     trials.  ``diagnostics["per_trial"]`` holds one dict per trial, and is
     the only place for per-trial facts: Lanczos ``m_effective``,
     ``reorthogonalized`` and ``reorth_repeats`` (and vr_slq's converged-set
-    size ``converged``) or the moment stage's ``L`` and ``N`` (and, with
+    size ``converged``, and where its run kept no basis, the number of Ritz
+    values ``merged`` into another's atom and of atoms rejected as
+    ``spurious``) or the moment stage's ``L`` and ``N`` (and, with
     deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
     ``residual``, ``support`` and ``nnls_columns``, the column count of its
     last NNLS solve).

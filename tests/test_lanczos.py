@@ -23,6 +23,7 @@ from specden.lanczos import (
     magnitude_order,
     reorthogonalize,
     tridiag_eig,
+    tridiag_hat_eigvals,
 )
 from specden.randgen import random_orthogonal, unit_sphere_vector
 from specden.sde import VR_L_CAP, _vr_density
@@ -358,6 +359,17 @@ def test_tridiag_eig_hand_case():
     np.testing.assert_array_equal(ritz.values, [-0.5])
     np.testing.assert_array_equal(ritz.weights, [1.0])
     np.testing.assert_array_equal(ritz.residuals, [0.25])
+
+
+def test_tridiag_hat_eigvals_drop_the_first_row_and_column():
+    rng = np.random.default_rng(63)
+    fact = TridiagonalFactorization(alpha=rng.normal(size=8), eta=rng.uniform(size=7))
+    T = tridiagonal(fact)
+    np.testing.assert_allclose(
+        tridiag_hat_eigvals(fact), np.linalg.eigvalsh(T[1:, 1:]), rtol=0, atol=1e-14
+    )
+    one_step = TridiagonalFactorization(alpha=np.array([0.5]), eta=np.empty(0))
+    assert tridiag_hat_eigvals(one_step).size == 0
 
 
 def test_tridiag_eig_diagonal_case():

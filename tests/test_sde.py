@@ -451,31 +451,6 @@ def test_run_lanczos_trials_keep_per_trial_budget_and_diagnostics(algo):
         assert est.ledger.counts == merged
 
 
-def test_run_lockstep_groups_do_not_change_results(monkeypatch):
-    cases = [
-        (DiagonalOperator(np.linspace(-1.0, 1.0, 40)), 30),
-        # Reorthogonalization fires in every trial, and each breaks down.
-        (build_matrix("low_rank:500", 0), 200),
-    ]
-    for A, budget in cases:
-        config = SdeConfig("vr_slq", budget=budget, trials=5, seed=3)
-        whole = run(A, config)
-        # Room for two bases per group: the trials run in groups of 2, 2 and 1.
-        m, _ = _vr_sizing(budget, A.dimension, sde.VR_L_CAP)
-        monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * 8 * m * A.dimension)
-        grouped = run(A, config)
-        monkeypatch.undo()
-        if budget == 200:
-            per_trial = whole.diagnostics["per_trial"]
-            assert all(t["reorthogonalized"] > 0 for t in per_trial)
-        np.testing.assert_array_equal(
-            whole.density.locations, grouped.density.locations
-        )
-        np.testing.assert_array_equal(whole.density.weights, grouped.density.weights)
-        assert whole.ledger.counts == grouped.ledger.counts
-        assert whole.diagnostics == grouped.diagnostics
-
-
 @pytest.fixture
 def lockstep_calls(monkeypatch):
     """(trial count, basis) of each lanczos_lockstep call that sde makes."""
@@ -505,24 +480,100 @@ def test_run_slq_trials_share_one_lockstep_call(
             assert facts["reorth_repeats"] == 0
 
 
-def test_run_vr_slq_holds_one_group_of_the_bases_that_fit_at_a_time(
+def test_run_vr_slq_runs_basis_free_when_its_bases_do_not_fit(
     monkeypatch, lockstep_calls
 ):
+    # vr_slq follows slq's basis rule: under a cap of two bases its five
+    # trials share one basis-free call, and the run holds less than one
+    # basis, as a cap smaller than one basis promises.
     A = build_matrix("low_rank:500", 0)
     m, _ = _vr_sizing(200, A.dimension, sde.VR_L_CAP)
-    cap = 2 * 8 * m * A.dimension
-    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", cap)
+    basis_bytes = 8 * m * A.dimension
+    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * basis_bytes)
     tracemalloc.start()
     try:
-        run(A, SdeConfig("vr_slq", budget=200, trials=5, seed=3))
+        est = run(A, SdeConfig("vr_slq", budget=200, trials=5, seed=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lockstep_calls == [(2, True), (2, True), (1, True)]
-    # A group's runs are views into one basis array.  It and the working
-    # arrays peaked at 2.4 bases; a group's array still held while the next
-    # group ran read 4.2.
-    assert peak < 1.5 * cap
+    assert lockstep_calls == [(5, False)]
+    assert peak < basis_bytes
+    assert est.ledger.counts == {"lanczos": 5 * m}
+    for facts in est.diagnostics["per_trial"]:
+        assert facts["reorthogonalized"] == 0
+        assert facts.keys() == {
+            "m_effective", "reorthogonalized", "reorth_repeats", "merged",
+            "spurious", "converged",
+        }
+
+
+def test_ghost_filter_merges_a_cluster_into_one_atom():
+    # T's two end blocks are equal and couple only through 1e-9, so 0.5 is
+    # a Ritz value twice over, as a ghost copy is; its atom carries both
+    # copies' weights, and S counts it once.
+    fact = TridiagonalFactorization(
+        alpha=np.array([0.5, 0.0, 0.5]), eta=np.array([1e-9, 1e-9]), beta=0.0
+    )
+    ritz = tridiag_eig(fact)
+    assert np.abs(ritz.values[:2] - 0.5).max() <= sde.GHOST_RTOL * np.finfo(float).eps
+    values, weights, residuals, _ = sde._ghost_filter(ritz, fact)
+    assert values.size == 2 and values[0] == pytest.approx(0.5, abs=1e-15)
+    assert weights[0] == ritz.weights[:2].sum()
+    assert residuals[0] == 0.0
+
+    n, facts = 4, {}
+    f, converged = _vr_density(fact, 1, n, facts)
+    assert converged == 1
+    assert facts == {"merged": 1, "spurious": 1}
+    assert f.weights[f.locations > 0.4].sum() == 1.0 / n
+
+
+def test_ghost_filter_keeps_a_spurious_value_out_of_S():
+    # 0.9 is T-hat's eigenvalue, and T's top Ritz value only through 1e-12:
+    # with no weight on the start vector, it is spurious, and keeps its
+    # quadrature weight where a kept-basis run would give it mass 1/n.
+    alpha, eta, n = np.array([0.1, 0.9]), np.array([1e-12]), 100
+    free = TridiagonalFactorization(alpha, eta, beta=0.0)
+    kept = TridiagonalFactorization(alpha, eta, Q=np.eye(2), beta=0.0)
+    ritz = tridiag_eig(free)
+    assert ritz.values[0] == 0.9 and ritz.weights[0] < 1e-20
+    _, _, _, spurious = sde._ghost_filter(ritz, free)
+    np.testing.assert_array_equal(spurious, [True, False])
+
+    facts = {}
+    f, converged = _vr_density(free, 1, n, facts)
+    assert converged == 0
+    assert facts == {"merged": 0, "spurious": 1}
+    assert f.weights[f.locations == 0.9].sum() < 1e-20
+    f, converged = _vr_density(kept, 1, n)
+    assert converged == 1
+    assert f.weights[f.locations == 0.9].sum() == 1.0 / n
+
+
+def test_basis_free_vr_slq_gives_each_eigenvalue_at_most_its_mass(monkeypatch):
+    # Without a basis, each of the three separated top eigenvalues comes back
+    # as several Ritz values that pass S's tests; counted twice, one would
+    # carry 2/n.  Every trial's S holds each of them exactly once.
+    n = 2000
+    spectrum = np.concatenate([[1.0, 0.8, 0.6], np.linspace(-0.3, 0.3, n - 3)])
+    A = DiagonalOperator(spectrum)
+    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 0)
+    deflated, with_atoms = [], sde._with_deflated_atoms
+
+    def recording(lambdas, remainder, n):
+        deflated.append(np.array(lambdas))
+        return with_atoms(lambdas, remainder, n)
+
+    monkeypatch.setattr(sde, "_with_deflated_atoms", recording)
+    est = run(A, SdeConfig("vr_slq", budget=300, trials=3, seed=0))
+    assert len(deflated) == 3
+    for lambdas, facts in zip(deflated, est.diagnostics["per_trial"]):
+        assert facts["reorthogonalized"] == 0 and facts["merged"] > 0
+        for top in spectrum[:3]:
+            assert np.count_nonzero(np.abs(lambdas - top) <= 1e-8) == 1
+    for top in spectrum[:3]:
+        mass = est.density.weights[np.abs(est.density.locations - top) <= 1e-8]
+        assert mass.sum() <= (1 + 1e-12) / n
 
 
 def test_run_per_trial_diagnostics_for_moment_methods():
