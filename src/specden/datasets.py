@@ -20,17 +20,36 @@ class MatrixMarketError(ValueError):
 
 
 def gaussian_spectrum(n, stream):
-    """Dense matrix with N(0,1) eigenvalues normalized so max |eig| = 1."""
+    """Dense matrix with N(0,1) eigenvalues normalized so max |eig| = 1.
+
+    Holds at most three n x n arrays at once (see ``_haar_conjugate``).
+    """
     eigs = gaussian_vector(n, stream.substream(0))
-    eigs = eigs / np.abs(eigs).max()
-    V = random_orthogonal(n, stream.substream(1))
-    return DenseOperator((V * eigs) @ V.T)
+    return _haar_conjugate(eigs / np.abs(eigs).max(), stream.substream(1))
 
 
 def uniform_matrix(n, stream):
-    """Dense matrix with eigenvalues drawn uniformly from [-1, 1]."""
+    """Dense matrix with eigenvalues drawn uniformly from [-1, 1].
+
+    Holds at most three n x n arrays at once (see ``_haar_conjugate``).
+    """
     eigs = stream.substream(0).generator().uniform(-1.0, 1.0, size=n)
-    V = random_orthogonal(n, stream.substream(1))
+    return _haar_conjugate(eigs, stream.substream(1))
+
+
+def _haar_conjugate(eigs, stream):
+    """DenseOperator of V diag(eigs) V^T for a Haar-distributed V from ``stream``.
+
+    V takes one n x n array (two for a moment while it is drawn), V diag(eigs)
+    a second and the product a third.  V diag(eigs) is freed before
+    ``DenseOperator`` symmetrizes the product into the matrix it keeps, so
+    no more than three are held at once.
+    """
+    V = random_orthogonal(eigs.size, stream)
+    # V stays alive until the operator exists.  Freeing it first raised the
+    # process's peak RSS: glibc serves later 32 MB arrays from the heap once
+    # one of that size is freed, and a freed heap block below a live one
+    # stays resident.
     return DenseOperator((V * eigs) @ V.T)
 
 

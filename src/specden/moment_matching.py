@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from .chebyshev import TBAR0, cheb_normalized_rows
 from .metrics import DiscreteDistribution
@@ -154,6 +154,10 @@ def _nnls_support(T, z):
     the full-grid NNLS.  So an exact match that full-grid NNLS finds is
     never missed, and C stays a few hundred columns where one exists.
     """
+    # Imported here, as only a solve needs it: it costs about 20 MB and
+    # 0.17 s at import, which no estimate without moment matching needs.
+    import scipy.optimize
+
     N, n_q = T.shape
     M = np.vstack([T - z[:, None], np.ones(n_q)])
     scale = np.linalg.norm(M, axis=0)
@@ -208,6 +212,8 @@ def _l1_lp(T, z):
     primal feasibility tolerance LP_FEASIBILITY, or after LP_MAXITER
     iterations.
     """
+    import scipy.optimize
+
     N, n_q = T.shape
     eye = np.eye(N)
     # [ T  -I ] q,t <= z ;  [ -T  -I ] q,t <= -z

@@ -1,10 +1,15 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specden
 from specden import bench, sde
 from specden.bench import build_matrix, main, read_config_file, render_sweep_svg
 from specden.moment_matching import SolverError
@@ -528,3 +533,31 @@ def test_a_config_key_the_subcommand_does_not_read_is_ignored(tmp_path):
     svg = tmp_path / "s.svg"
     assert run_cli("plot", "--config", str(cfg), "--out", str(svg)) == 0
     assert "circle" in svg.read_text()
+
+
+LAZY_OPTIMIZE_SCRIPT = """
+import sys
+from specden import bench, sde
+A = bench.build_matrix("uniform:200", 0)
+for algo in ("kpm", "def_kpm", "slq", "vr_slq"):
+    sde.run(A, sde.SdeConfig(algo, budget=200, trials=2))
+print("scipy.optimize" in sys.modules)
+est = sde.run(A, sde.SdeConfig("cmm", budget=200, trials=1))
+print(est.diagnostics["per_trial"][0]["solver"])
+"""
+
+
+def test_scipy_optimize_loads_only_when_moment_matching_solves():
+    # scipy.optimize costs about 20 MB and 0.17 s at import; estimates that
+    # solve no NNLS or LP should not pay for it.  Its own process, as the
+    # test suite imports scipy.optimize.
+    path = [str(Path(specden.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_OPTIMIZE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "nnls"]

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def test_uniform_matrix_spectrum():
     ).statistic
     assert stat_small <= 0.1
 
+
+
+@pytest.mark.parametrize("generator", [gaussian_spectrum, uniform_matrix])
+def test_dense_generators_hold_three_n_by_n_arrays(generator):
+    # V, V diag(eigs) and the product read 3.06 x 8n^2; drawing V with
+    # np.linalg.qr, which holds about four n x n arrays, reads 4.13 x 8n^2.
+    n = 400
+    tracemalloc.start()
+    try:
+        generator(n, SeededStream(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * n * n
 
 def test_inverse_spectrum():
     A = inverse_spectrum(200)

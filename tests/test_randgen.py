@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specden
 from specden import SeededStream
 from specden.randgen import (
     gaussian_matrix,
@@ -69,3 +76,50 @@ def test_substreams_are_deterministic_and_distinct():
     ids = {s.substream(k).stream_id for k in range(100)}
     assert len(ids) == 100
     assert s.substream(0) != s
+
+
+def _sign_fixed_qr(n, stream):
+    Q, R = np.linalg.qr(gaussian_matrix(n, n, stream))
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64])
+def test_random_orthogonal_is_the_sign_fixed_qr_bit_for_bit(n):
+    stream = SeededStream(11, stream_id=n)
+    np.testing.assert_array_equal(random_orthogonal(n, stream), _sign_fixed_qr(n, stream))
+
+
+QR_SCRIPT = """
+import numpy as np
+from specden import SeededStream
+from specden.randgen import random_orthogonal
+from test_randgen import _sign_fixed_qr
+stream = SeededStream(5)
+print(np.array_equal(random_orthogonal(500, stream), _sign_fixed_qr(500, stream)))
+"""
+
+
+def test_random_orthogonal_is_the_sign_fixed_qr_on_one_blas_thread():
+    # Larger n splits LAPACK's work across threads, and numpy's and scipy's
+    # OpenBLAS builds split it differently; on one thread the bits agree.
+    path = [str(Path(__file__).parent), str(Path(specden.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", QR_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True"
+
+
+def test_random_orthogonal_factors_one_copy_in_place():
+    # The draw and its column-major copy read 2.00 x 8n^2; np.linalg.qr's
+    # copy, buffers, Q and R read 4.13 x 8n^2.
+    n = 400
+    tracemalloc.start()
+    try:
+        random_orthogonal(n, SeededStream(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
