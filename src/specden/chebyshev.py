@@ -6,7 +6,9 @@ so |Tbar_k| <= sqrt(2/pi) on [-1, 1].
 
 Moments are plain float arrays holding tau_1 ... tau_N, where
 tau_i = <Tbar_i, density>; tau_0 is 1/sqrt(pi) for every probability
-density on [-1, 1], so it is implicit and never stored.
+density on [-1, 1], so it is implicit and never stored.  Hutchinson
+estimates take two moments per product on each probe: K block products of
+b probes give tau_1 ... tau_2K (``probe_moments``).
 """
 
 from __future__ import annotations
@@ -30,28 +32,48 @@ def cheb_normalized_rows(N, x):
     return rows
 
 
-def probe_moments(A, N, G, ledger=None):
-    """tau_i = (1/b) sum_j g_j^T Tbar_i(A) g_j, i = 1..N, over the b rows g_j
-    of G.  All rows advance through the recurrence together, one block
-    product per degree: exactly N * b operator applications.  With unit g_j
-    these are the moments of a probability measure."""
-    if N < 0:
-        raise ValueError("number of moments must be nonnegative")
-    tau = np.empty(N)
+def probe_moments(A, K, G, ledger=None):
+    """tau_i = (1/b) sum_j g_j^T Tbar_i(A) g_j, i = 1..2K, over the b rows g_j
+    of G, from exactly K * b operator applications.
+
+    All rows advance through the recurrence U_k = T_k(A) G together, one
+    block product per degree k = 1..K, and each degree gives two moments by
+    T_{2k} = 2 T_k^2 - T_0 and T_{2k-1} = 2 T_k T_{k-1} - T_1:
+    g^T T_{2k}(A) g = 2 ||T_k(A) g||^2 - g^T g and
+    g^T T_{2k-1}(A) g = 2 (T_k(A) g)^T (T_{k-1}(A) g) - g^T A g (Weisse et
+    al., Rev. Mod. Phys. 78, 2006).  Degree k reads only U_k and U_{k-1}, so
+    K // 2 products give the first 2 (K // 2) moments of K, bit for bit.
+    With unit g_j these are the moments of a probability measure.
+    """
+    if K < 0:
+        raise ValueError("number of products per probe must be nonnegative")
+    b = G.shape[0]
+    tau = np.empty(2 * K)
+    gg = _row_dots(G, G)
     U_prev, U = None, G
-    for k in range(N):
+    for k in range(K):
         AU = np.ascontiguousarray(A.apply_block(U.T, ledger, stage="moments").T)
         U_prev, U = U, (AU if k == 0 else 2.0 * AU - U_prev)
-        # One dot product per contiguous row, added in probe order.
-        tau[k] = sum(TBAR_SCALE * (g @ u) for g, u in zip(G, U)) / G.shape[0]
+        cross = _row_dots(U, U_prev)
+        if k == 0:
+            gAg = cross
+        tau[2 * k] = (2.0 * cross - gAg).sum() / b
+        tau[2 * k + 1] = (2.0 * _row_dots(U, U) - gg).sum() / b
+    tau *= TBAR_SCALE
     return tau
 
 
-def estimate_moments(A, N, b, stream, ledger=None, Z=None):
-    """Hutchinson estimate tau_1 ... tau_N of the spectral-density moments of A:
-    ``probe_moments`` of b probes g_j uniform on the unit sphere, drawn from
-    ``stream.substream(j)``, then projected off Z's orthonormal columns and
-    renormalized if Z is given; consumes exactly N * b operator applications."""
+def _row_dots(X, Y):
+    """Dot product of each row of X with the same row of Y."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
+def estimate_moments(A, K, b, stream, ledger=None, Z=None):
+    """Hutchinson estimate tau_1 ... tau_2K of the spectral-density moments of
+    A: ``probe_moments`` of b probes g_j uniform on the unit sphere, drawn
+    from ``stream.substream(j)``, then projected off Z's orthonormal columns
+    and renormalized if Z is given; consumes exactly K * b operator
+    applications."""
     if b < 1:
         raise ValueError("need at least one Hutchinson vector")
     n = A.dimension
@@ -59,7 +81,7 @@ def estimate_moments(A, N, b, stream, ledger=None, Z=None):
     if Z is not None:
         G -= (G @ Z) @ Z.T
         G /= np.linalg.norm(G, axis=1, keepdims=True)
-    return probe_moments(A, N, G, ledger)
+    return probe_moments(A, K, G, ledger)
 
 
 def adjust_moments_for_deflation(tau, n, s):

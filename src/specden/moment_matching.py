@@ -22,8 +22,9 @@ import math
 
 import numpy as np
 import scipy
+from numpy.polynomial.chebyshev import chebval
 
-from .chebyshev import TBAR0, cheb_normalized_rows
+from .chebyshev import TBAR0, TBAR_SCALE, cheb_normalized_rows
 from .metrics import DiscreteDistribution
 
 
@@ -159,7 +160,9 @@ def _nnls_support(T, z):
     import scipy.optimize
 
     N, n_q = T.shape
-    M = np.vstack([T - z[:, None], np.ones(n_q)])
+    M = np.empty((N + 1, n_q))
+    np.subtract(T, z[:, None], out=M[:N])
+    M[N] = 1.0
     scale = np.linalg.norm(M, axis=0)
     M /= scale
     rhs = np.zeros(N + 1)
@@ -252,10 +255,13 @@ def kpm_density(tau, d):
     1/sqrt(1-x^2) weight is evaluated half a grid cell inside the endpoints
     to keep it finite.
     """
-    N = tau.size
     x = grid_points(d)
-    damped = jackson_coefficients(N) * tau
-    series = TBAR0 / math.sqrt(math.pi) + damped @ cheb_normalized_rows(N, x)
+    # Clenshaw's recurrence (chebval) sums the series in O(N d) time and
+    # O(d) memory, with no N x (d + 1) table of polynomial values.
+    coefficients = np.empty(tau.size + 1)
+    coefficients[0] = TBAR0 / math.sqrt(math.pi)
+    coefficients[1:] = TBAR_SCALE * jackson_coefficients(tau.size) * tau
+    series = chebval(x, coefficients)
     half_cell = 1.0 / d
     x_w = np.clip(x, -1.0 + half_cell, 1.0 - half_cell)
     values = series / np.sqrt(1.0 - x_w**2)

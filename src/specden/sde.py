@@ -221,20 +221,21 @@ def _with_deflated_atoms(lambdas, remainder, n):
     )
 
 
-def _deflated_trial_cost(n, l, N):
-    """Most applications a rank-l deflated moment trial with N moments spends.
+def _deflated_trial_cost(n, l, K):
+    """Most applications a rank-l deflated moment trial with K products per
+    probe spends.
 
     The one-vector Krylov run spends one application per basis column, at
-    most min(n, l(2q + 1)); the remainder's norm estimate and the N moments
-    of b Hutchinson vectors each come on top.
+    most min(n, l(2q + 1)); the remainder's norm estimate and K products on
+    each of b Hutchinson vectors, which give 2K moments, come on top.
     """
     q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
-    return norm_estimate_cost(n) + basis_capacity(l, q, n) + N * b
+    return norm_estimate_cost(n) + basis_capacity(l, q, n) + K * b
 
 
 def _allocate_block_size(n, budget):
     """Largest block size l within the 1:3 moments-to-Krylov budget split
-    whose trial, with one moment, fits the budget.
+    whose trial, with one product per probe, fits the budget.
 
     Raises BudgetExhaustedError when not even l = 1 fits.
     """
@@ -247,7 +248,7 @@ def _allocate_block_size(n, budget):
     raise BudgetExhaustedError(
         f"budget {budget} cannot fund even a rank-1 Krylov block at depth "
         f"{q} ({per_column} applications per column) plus norm estimation "
-        f"({norm_estimate_cost(n)}) and one moment ({b})"
+        f"({norm_estimate_cost(n)}) and one product per probe ({b})"
     )
 
 
@@ -258,19 +259,22 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     long, finds s converged large-magnitude eigenpairs; they become exact
     atoms of mass 1/n each, and the remainder carries the other (n - s)/n.
     l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
-    estimates the remainder's norm bound L, spends the rest of ``budget``
-    (more when the Krylov space is exhausted early) on N = remaining // b
-    Chebyshev moments of (1/L) A on b = DEFAULT_HUTCHINSON_B unit probes,
-    projected off the deflated eigenvectors so that they are the moments of
-    the remainder alone, reconstructs a density on a d-point grid and
-    rescales it to [-L, L].  A remainder whose L is within the Krylov run's
+    estimates the remainder's norm bound L and spends the rest of ``budget``
+    (more when the Krylov space is exhausted early) as K = remaining // b
+    products on each of b = DEFAULT_HUTCHINSON_B unit probes, projected off
+    the deflated eigenvectors so that their moments are those of the
+    remainder alone.  The K products give 2K Chebyshev moments of (1/L) A
+    (``estimate_moments``): kpm reconstructs from all N = 2K, and cmm
+    matches the first N = K, since matching 2K made its NNLS several times
+    slower on large grids.  The density on a d-point grid is rescaled to
+    [-L, L].  A remainder whose L is within the Krylov run's
     ``deflation_gate`` (with l = 0: the zero operator) lies within L of the
     point mass at 0 in W1, which stands in for it with no moment.  Any other
-    remainder is checked against the grid (``check_grid``) before its probes
-    are drawn, so a grid too coarse for N spends no moment.
-    Returns (density, facts); facts holds L and N, l and s when l > 0, and
-    cmm's solver, residual, support and nnls_columns when it solves for a
-    density.
+    remainder is checked against the grid (``check_grid(N, d)``) before its
+    probes are drawn, so a grid too coarse for N spends no moment product.
+    Returns (density, facts); facts holds L and N, the number of moments the
+    reconstruction read, l and s when l > 0, and cmm's solver, residual,
+    support and nnls_columns when it solves for a density.
     """
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
@@ -290,21 +294,22 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
         zero_below = defl.gate
 
     remaining = budget - (ledger.total - start) - norm_estimate_cost(n)
-    N = remaining // b
-    if N < 1:
+    K = remaining // b
+    if K < 1:
         raise BudgetExhaustedError(
             f"no budget left for moment estimation: {remaining} applications "
-            f"remain after norm estimation but {b} per moment are needed; "
-            f"consumption so far:\n{ledger.report()}"
+            f"remain after norm estimation but {b}, one product per probe, "
+            f"are needed; consumption so far:\n{ledger.report()}"
         )
     L = spectral_norm_upper_bound(A, ledger, stream.substream(2))
     if L <= zero_below:
         density, N = DiscreteDistribution.point_mass(0.0), 0
     else:
+        N = K if method == "cmm" else 2 * K
         check_grid(N, d)
         tau = estimate_moments(
-            ScaledOperator(A, 1.0 / L), N, b, stream.substream(3), ledger, Z
-        )
+            ScaledOperator(A, 1.0 / L), K, b, stream.substream(3), ledger, Z
+        )[:N]
         if method == "cmm":
             q = solve_moment_matching(tau, d, facts)
         else:
@@ -425,7 +430,8 @@ def run(A, config):
     ``reorthogonalized`` and ``reorth_repeats`` (and vr_slq's converged-set
     size ``converged``, and where its run kept no basis, the number of Ritz
     values ``merged`` into another's atom and of atoms rejected as
-    ``spurious``) or the moment stage's ``L`` and ``N`` (and, with
+    ``spurious``) or the moment stage's ``L`` and ``N``, the number of
+    moments its reconstruction read (and, with
     deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
     ``residual``, ``support`` and ``nnls_columns``, the column count of its
     last NNLS solve).

@@ -126,7 +126,8 @@ def test_repeated_top_eigenvalues_all_deflated(seed):
 def test_exhausted_space_stops_early_and_funds_moments():
     # Seven distinct eigenvalues: the start vector's Krylov space has
     # dimension 7, so the recurrence stops after 7 of the l(2q + 1) = 27
-    # products it may spend, and the moment stage spends the other 20.
+    # products it may spend, and the moment stage spends the other 20: K = 25
+    # products per probe, from which kpm reads 2K moments.
     A = DiagonalOperator(np.repeat(np.linspace(-1, 1, 7), 10))
     ledger = BudgetLedger()
     res = block_krylov_deflation(A, l=3, q=4, stream=SeededStream(0), ledger=ledger)
@@ -135,7 +136,8 @@ def test_exhausted_space_stops_early_and_funds_moments():
     ledger = BudgetLedger()
     _, facts = _moment_estimate(A, 3, "kpm", 400, 2000, SeededStream(0), ledger)
     assert facts["s"] == 7
-    assert facts["N"] == (400 - 7 - norm_estimate_cost(70)) // 15 == 25
+    assert ledger.counts["moments"] == 15 * 25
+    assert facts["N"] == 2 * ((400 - 7 - norm_estimate_cost(70)) // 15) == 50
 
 
 @pytest.mark.parametrize("spec", ["uniform:500", "gaussian:500", "inverse:500"])

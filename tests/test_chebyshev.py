@@ -91,8 +91,24 @@ def test_quadratic_form_matches_matrix_function_oracle():
     scaled = DiagonalOperator(np.linalg.eigvalsh(A.to_dense()))
     g = unit_sphere_vector(20, SeededStream(9))
     ours = probe_moments(scaled, 8, g[None, :])
-    oracle = dense_cheb_quadratic_form(scaled.to_dense(), g, 8)
+    oracle = dense_cheb_quadratic_form(scaled.to_dense(), g, 16)
     np.testing.assert_allclose(ours, oracle[1:], atol=1e-10)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 12])
+def test_K_products_give_2K_moments_of_the_probes(K):
+    # g^T T_2k g = 2 ||T_k g||^2 - g^T g and g^T T_2k-1 g =
+    # 2 (T_k g)^T (T_k-1 g) - g^T A g: degree k of the recurrence fixes two
+    # moments, so K block products of b probes give tau_1 ... tau_2K.
+    A, _ = random_symmetric(30, seed=12)
+    b = 4
+    G = np.stack([unit_sphere_vector(30, SeededStream(12).substream(j)) for j in range(b)])
+    ledger = BudgetLedger()
+    tau = probe_moments(A, K, G, ledger)
+    assert ledger.counts == {"moments": K * b}
+    assert tau.size == 2 * K
+    oracle = np.mean([dense_cheb_quadratic_form(A.to_dense(), g, 2 * K) for g in G], axis=0)
+    np.testing.assert_allclose(tau, oracle[1:], rtol=0, atol=1e-12)
 
 
 def test_quadratic_form_budget_is_exact():
@@ -119,15 +135,15 @@ def test_estimate_moments_identity_and_b1():
 
 def test_estimate_moments_lockstep_matches_probe_loop_and_oracle():
     A, _ = random_symmetric(20, seed=5)
-    N, b = 8, 6
+    K, b = 8, 6
     stream = SeededStream(3)
     ledger = BudgetLedger()
-    ours = estimate_moments(A, N, b, stream, ledger)
-    assert ledger.counts == {"moments": N * b}
+    ours = estimate_moments(A, K, b, stream, ledger)
+    assert ledger.counts == {"moments": K * b}
     probes = [unit_sphere_vector(20, stream.substream(j)) for j in range(b)]
-    loop = np.mean([probe_moments(A, N, g[None, :]) for g in probes], axis=0)
+    loop = np.mean([probe_moments(A, K, g[None, :]) for g in probes], axis=0)
     oracle = np.mean(
-        [dense_cheb_quadratic_form(A.to_dense(), g, N) for g in probes], axis=0
+        [dense_cheb_quadratic_form(A.to_dense(), g, 2 * K) for g in probes], axis=0
     )
     np.testing.assert_allclose(ours, loop, rtol=0, atol=1e-14)
     np.testing.assert_allclose(ours, oracle[1:], rtol=0, atol=1e-10)
@@ -137,27 +153,29 @@ def test_estimate_moments_projects_its_probes_off_Z():
     A, _ = random_symmetric(20, seed=9)
     Z = np.linalg.qr(np.random.default_rng(2).standard_normal((20, 3)))[0]
     A = deflate(A, Z)
-    N, b = 7, 5
+    K, b = 7, 5
     stream = SeededStream(4)
     ledger = BudgetLedger()
-    ours = estimate_moments(A, N, b, stream, ledger, Z)
-    assert ledger.counts == {"moments": N * b}
+    ours = estimate_moments(A, K, b, stream, ledger, Z)
+    assert ledger.counts == {"moments": K * b}
     G = np.stack([unit_sphere_vector(20, stream.substream(j)) for j in range(b)])
     G -= (G @ Z) @ Z.T
     G /= np.linalg.norm(G, axis=1, keepdims=True)
-    np.testing.assert_array_equal(ours, probe_moments(A, N, G))
+    np.testing.assert_array_equal(ours, probe_moments(A, K, G))
 
 
 def test_estimate_moments_with_half_the_degrees_is_a_prefix():
-    # The recurrence for degree k reads only degrees below it, so N/2
-    # moments are the first N/2 of N, bit for bit, on every probe block.
+    # Degree k of the recurrence reads only degrees k and k - 1, so K // 2
+    # products per probe give the first 2 (K // 2) of the 2K moments of K
+    # products, bit for bit, on every probe block.
     spectrum = np.random.default_rng(8).uniform(-1.0, 1.0, 300)
     A, _ = random_symmetric(300, seed=8, spectrum=spectrum)
     for op in (A, DiagonalOperator(spectrum)):
-        for N in (2, 40, 161):
-            tau = estimate_moments(op, N, 15, SeededStream(9))
-            half = estimate_moments(op, N // 2, 15, SeededStream(9))
-            np.testing.assert_array_equal(half, tau[: N // 2])
+        for K in (2, 3, 40, 161):
+            tau = estimate_moments(op, K, 15, SeededStream(9))
+            half = estimate_moments(op, K // 2, 15, SeededStream(9))
+            assert half.size == 2 * (K // 2)
+            np.testing.assert_array_equal(half, tau[: half.size])
 
 
 def test_estimate_moments_budget_and_validation():
@@ -175,7 +193,8 @@ def test_estimate_moments_concentrates_on_exact_trace():
     exact = np.array([float(np.mean(cheb_normalized(i, eigs))) for i in range(1, 6)])
     errors = []
     for seed in range(20):
-        m = estimate_moments(A, 5, 50, SeededStream(seed))
+        # Three products per probe give six moments; the first five count.
+        m = estimate_moments(A, 3, 50, SeededStream(seed))[:5]
         errors.append(np.abs(m - exact).max())
     frob = max(
         np.linalg.norm(cheb_normalized(i, eigs)) for i in range(1, 6)

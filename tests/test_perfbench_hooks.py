@@ -55,7 +55,8 @@ def test_traced_deflation_reports_the_depth_it_ran(tracing):
 
 def test_traced_kpm_reports_its_moment_count(tracing):
     # The moment stage draws its probes in chebyshev.estimate_moments, the
-    # one name the tracer wraps for it; its span's info is N.
+    # one name the tracer wraps for it; its span's info is K, the products
+    # per probe, from which kpm reads N = 2K moments.
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -67,7 +68,7 @@ def test_traced_kpm_reports_its_moment_count(tracing):
         for span in tracer.reset()
         if span[tracing.NAME] == "chebyshev.estimate_moments"
     ]
-    assert infos == [estimate.diagnostics["per_trial"][0]["N"]]
+    assert [2 * K for K in infos] == [estimate.diagnostics["per_trial"][0]["N"]]
     assert infos[0] > 0
 
 

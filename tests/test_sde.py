@@ -257,6 +257,36 @@ def test_deflated_moments_are_those_of_a_probability_measure(monkeypatch):
     np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("l", [0, 2])
+def test_cmm_matches_the_first_K_moments_and_kpm_reads_all_2K(monkeypatch, l):
+    # K products on each probe give 2K moments.  kpm reconstructs from all of
+    # them; cmm matches tau_1 ... tau_K, the same numbers bit for bit.  Both
+    # spend the same ledger: K = remaining // b products on each probe.
+    n, b, budget = 300, sde.DEFAULT_HUTCHINSON_B, 400
+    A = DiagonalOperator(np.linspace(-1.0, 1.0, n))
+    seen = {}
+
+    def recording(method, reconstruct):
+        def wrapped(tau, d, *args):
+            seen[method] = tau.copy()
+            return reconstruct(tau, d, *args)
+        return wrapped
+
+    monkeypatch.setattr(sde, "solve_moment_matching", recording("cmm", sde.solve_moment_matching))
+    monkeypatch.setattr(sde, "kpm_density", recording("kpm", sde.kpm_density))
+    ledgers = {}
+    for method in ("cmm", "kpm"):
+        ledger = ledgers[method] = BudgetLedger()
+        _, facts = _moment_estimate(A, l, method, budget, 2000, SeededStream(3), ledger)
+        assert facts["N"] == seen[method].size
+    assert ledgers["cmm"].counts == ledgers["kpm"].counts
+    counts = ledgers["kpm"].counts
+    K = (budget - counts.get("krylov_subspace", 0) - norm_estimate_cost(n)) // b
+    assert counts["norm_estimate"] == norm_estimate_cost(n) and counts["moments"] == K * b
+    assert seen["cmm"].size == K >= 1 and seen["kpm"].size == 2 * K
+    np.testing.assert_array_equal(seen["cmm"], seen["kpm"][:K])
+
+
 @pytest.mark.parametrize("budget", [400, 600])
 def test_def_cmm_matches_the_remainder_moments_on_nnls_columns(budget):
     # These two cells ran the full-grid LP ("lp") when the probes spanned the
@@ -282,11 +312,12 @@ def test_moment_trial_too_small_for_one_moment_spends_nothing():
     with pytest.raises(BudgetExhaustedError):
         _moment_estimate(A, 0, "cmm", 10, 2000, SeededStream(0), ledger)
     assert ledger.total == 0
-    # The least budget that runs is one norm estimate plus one moment.
+    # The least budget that runs is one norm estimate plus one product per
+    # probe, which gives kpm two moments.
     least = norm_estimate_cost(200) + sde.DEFAULT_HUTCHINSON_B
     with pytest.raises(BudgetExhaustedError):
         run(A, SdeConfig("kpm", budget=least - 1))
-    assert run(A, SdeConfig("kpm", budget=least)).diagnostics["per_trial"][0]["N"] == 1
+    assert run(A, SdeConfig("kpm", budget=least)).diagnostics["per_trial"][0]["N"] == 2
 
 
 def test_cmm_grid_too_coarse_for_N_spends_no_moment():
@@ -300,10 +331,11 @@ def test_cmm_grid_too_coarse_for_N_spends_no_moment():
 
 
 def test_kpm_grid_too_coarse_for_N_spends_no_moment():
-    # kpm obeys cmm's grid rule: N = 21 > d = 20 spends only the norm estimate.
+    # kpm obeys cmm's grid rule for the moments it reads: K = 21 products per
+    # probe give N = 42 > d = 20, so it spends only the norm estimate.
     A = DiagonalOperator(np.linspace(-1.0, 1.0, 50))
     ledger = BudgetLedger()
-    with pytest.raises(ValueError, match="grid resolution d=20 must be >= N=21"):
+    with pytest.raises(ValueError, match="grid resolution d=20 must be >= N=42"):
         _moment_estimate(A, 0, "kpm", 327, 20, SeededStream(0), ledger)
     assert ledger.counts == {"norm_estimate": 12}
 
@@ -362,7 +394,8 @@ def test_block_krylov_and_vr_slq_gate_on_the_largest_ritz_value(monkeypatch):
 
 def test_def_kpm_least_budget_is_one_norm_estimate_one_column_one_moment():
     # A rank-1 block of depth q, the remainder's one norm estimate and one
-    # moment: block Krylov spends nothing on a norm estimate of its own.
+    # product per probe, which gives two moments: block Krylov spends
+    # nothing on a norm estimate of its own.
     n, q, b = 200, sde.DEFAULT_KRYLOV_DEPTH, sde.DEFAULT_HUTCHINSON_B
     A = DiagonalOperator(np.linspace(-1.0, 1.0, n))
     least = norm_estimate_cost(n) + block_krylov.basis_capacity(1, q, n) + b
@@ -373,7 +406,7 @@ def test_def_kpm_least_budget_is_one_norm_estimate_one_column_one_moment():
         "moments": b,
     }
     assert est.diagnostics["per_trial"][0]["l"] == 1
-    assert est.diagnostics["per_trial"][0]["N"] == 1
+    assert est.diagnostics["per_trial"][0]["N"] == 2
     with pytest.raises(BudgetExhaustedError, match="rank-1 Krylov block"):
         run(A, SdeConfig("def_kpm", budget=least - 1, seed=0))
 
@@ -665,17 +698,18 @@ PINNED_RUNS = [
     ("vr_slq", 200, 0.002254683571291753, {"lanczos": 1995},
      {"m": 133, "l": 66, "m_effective": [133] * 15,
       "converged": [32, 31, 31, 32, 32, 32, 33, 31, 31, 30, 33, 32, 32, 32, 32]}),
-    ("kpm", 60, 1.1326378456597685, {"norm_estimate": 16, "moments": 30},
-     {"N": [2], "L": [1.9706388600327789]}),
-    ("kpm", 200, 0.26516341513969566, {"norm_estimate": 16, "moments": 180},
-     {"N": [12], "L": [1.9706388600327789]}),
+    # kpm reads two moments per product on each of its 15 probes: N = 2K.
+    ("kpm", 60, 0.7651294765969757, {"norm_estimate": 16, "moments": 30},
+     {"N": [4], "L": [1.9706388600327789]}),
+    ("kpm", 200, 0.10717984805040147, {"norm_estimate": 16, "moments": 180},
+     {"N": [24], "L": [1.9706388600327789]}),
     # Block size 4 sizes a 124-column Krylov space from one start vector; it
     # deflates all six large eigenvalues and the 21 outermost of the small
-    # ones, leaving N = 4 moments of the remainder, taken on probes projected
-    # off the 27 eigenvectors.
-    ("def_kpm", 200, 0.06669304623956215,
+    # ones, leaving K = 4 products on probes projected off the 27
+    # eigenvectors, which give N = 8 moments of the remainder.
+    ("def_kpm", 200, 0.0271479284858661,
      {"krylov_subspace": 124, "norm_estimate": 16, "moments": 60},
-     {"N": [4], "l": [4], "s": [27], "L": [0.3462190039747821]}),
+     {"N": [8], "l": [4], "s": [27], "L": [0.3462190039747821]}),
 ]
 
 
