@@ -1,10 +1,11 @@
 """Krylov deflation: a converged-Ritz-pair deflation set.
 
-Lanczos with full reorthogonalization runs from one Gaussian start vector,
-which gives block Krylov's low-rank guarantee up to a log(1/gap) factor
-(Meyer, Musco and Musco, SODA 2024).  ``tridiag_eig`` reads the Ritz pairs
-and their residuals from its tridiagonal with no further product, and only
-pairs whose residual is within ``deflation_gate`` enter the deflation set.
+Lanczos with full reorthogonalization (``lanczos_lockstep``'s
+``basis="full"`` policy) runs from one Gaussian start vector, which gives
+block Krylov's low-rank guarantee up to a log(1/gap) factor (Meyer, Musco
+and Musco, SODA 2024).  ``tridiag_eig`` reads the Ritz pairs and their
+residuals from its tridiagonal with no further product, and only pairs
+whose residual is within ``deflation_gate`` enter the deflation set.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import BREAKDOWN_RTOL, TridiagonalFactorization, reorthogonalize
-from .lanczos import tridiag_eig
+from .lanczos import BREAKDOWN_RTOL, lanczos_lockstep, tridiag_eig
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
 from .randgen import gaussian_vector
@@ -78,35 +78,14 @@ def orthonormalize_columns(K):
 
 # The name stays while perfbench/tracing.py looks it up.
 def build_krylov_block(A, x, m, ledger):
-    """Lanczos factorization of A from x / ||x||, at most m steps long.
-
-    Each step subtracts alpha_i q_i and eta_(i-1) q_(i-1) from A q_i and runs
-    lanczos's DGKS step ``reorthogonalize`` on that residual against the
-    whole basis, so T = Q^T A Q.  lanczos's breakdown test (a residual norm
-    below BREAKDOWN_RTOL times the running max of |alpha| and eta) stops the
-    run at an exhausted Krylov space.  One application per step.
-    """
-    Q = np.empty((m, x.size))  # rows, contiguous for the products
-    alpha, eta = np.empty(m), np.empty(m)
-    Q[0] = x / np.linalg.norm(x)
-    scale, repeats = 1e-300, 0
-    for i in range(m):
-        w = A.apply_block(Q[i:i + 1].T, ledger, stage="krylov_subspace")[:, 0]
-        alpha[i] = Q[i] @ w
-        w -= alpha[i] * Q[i]
-        if i:
-            w -= eta[i - 1] * Q[i - 1]
-        scale = max(scale, abs(alpha[i]))
-        eta[i], repeated = reorthogonalize(Q[: i + 1], w)
-        repeats += repeated
-        if i + 1 == m or eta[i] < BREAKDOWN_RTOL * scale:
-            break
-        scale = max(scale, eta[i])
-        Q[i + 1] = w / eta[i]
-    return TridiagonalFactorization(
-        alpha[: i + 1], eta[:i], Q[: i + 1].T, beta=float(eta[i]),
-        reorth_repeats=repeats, reorthogonalized=i + 1,
-    )
+    """Lanczos factorization of A from x / ||x||, at most m steps long:
+    ``lanczos_lockstep``'s ``basis="full"`` run, so T = Q^T A Q.  Its
+    m_effective products are charged to ``ledger`` as ``krylov_subspace``."""
+    x = x / np.linalg.norm(x)
+    (fact,) = lanczos_lockstep(A, x[:, None], m, basis="full")
+    if ledger is not None:
+        ledger.charge("krylov_subspace", fact.m_effective)
+    return fact
 
 
 def block_krylov_deflation(A, l, q, stream, ledger=None):

@@ -34,7 +34,8 @@ is its k = 1 case.  The omega estimates are arrays over the block of trials,
 updated for all running trials at once; only the trials flagged to
 reorthogonalize run the Gram-Schmidt pass, one at a time.  With no basis
 there is no ``Q`` to fit in memory, so any number of recurrences can share
-the block product.
+the block product.  Deflation's run (``basis="full"``) needs orthonormal
+Ritz vectors, so it tracks no omega and reorthogonalizes every step.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     matrix-vector product on one trial's contiguous rows, as in a
     single-vector run, so each trial is bit for bit its single run.
     With ``basis`` false the runs keep only q_i and q_{i-1}, track no omega
-    and never reorthogonalize; the breakdown test, the last step's beta and
-    the ledger charges are as above.  Returns one ``TridiagonalFactorization``
+    and never reorthogonalize; with ``basis="full"`` they track no omega and
+    reorthogonalize every step, the last too.  The breakdown test and the
+    ledger charges are as above.  Returns one ``TridiagonalFactorization``
     per column of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
@@ -172,6 +174,10 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
         ledgers = [None] * k
     if len(ledgers) != k:
         raise LanczosError(f"got {len(ledgers)} ledgers for {k} starting vectors")
+    if basis not in (True, False, "full"):
+        raise LanczosError(f"basis must be True, False or 'full': {basis!r}")
+    full = basis == "full"
+    omega = basis and not full
 
     Q = np.empty((k, m, n)) if basis else None
     alpha = np.empty((k, m))
@@ -180,8 +186,7 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     m_eff = np.zeros(k, dtype=int)
     repeats = np.zeros(k, dtype=int)
     reorths = np.zeros(k, dtype=int)
-    scale = np.full(k, 1e-300)
-    if basis:
+    if omega:
         # Row t of cur holds trial t's omega estimates q_i^T q_j for j <= i,
         # and of prev those for q_{i-1}; forced marks the trials whose step
         # i must reorthogonalize because step i - 1 found the basis slipping.
@@ -189,40 +194,49 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
         cur = np.ones((k, m))
         forced = np.zeros(k, dtype=bool)
         noise_unit = EPS * math.sqrt(n)
-    # Rows of U and U_prev are q_i and q_{i-1} of the running trials act.
+    # Rows of U and U_prev are q_i and q_{i-1} of the running trials act,
+    # entries of scale and b their scale(T) and eta_{i-1}.  rows picks act's
+    # rows of the k-row arrays, as a cheaper slice until a trial breaks down.
     U, U_prev = np.array(G.T, order="C"), None
     if basis:
         Q[:, 0] = U
-    act = np.arange(k)
+    act, rows = np.arange(k), slice(None)
+    scale, b = np.full(k, 1e-300), np.zeros(k)
     for i in range(m):
-        # Row-major products keep every trial's vector contiguous; the copy
-        # is the trials' own, so each residual is formed in place in its row.
-        W = np.array(A.apply_block(U.T).T, order="C")
-        a = np.array([u @ r for u, r in zip(U, W)])
-        alpha[act, i] = a
-        scale[act] = np.maximum(scale[act], np.abs(a))
-        m_eff[act] = i + 1
+        # Row-major products keep every trial's vector contiguous, and each
+        # residual is formed in place in its row of the new product.
+        W = np.ascontiguousarray(A.apply_block(U.T).T)
+        a = np.array(list(map(np.dot, U, W)))
+        alpha[rows, i] = a
+        m_eff[rows] = i + 1
+        scale = np.maximum(scale, np.abs(a))
         W -= a[:, None] * U
         if i > 0:
-            W -= eta[act, i - 1, None] * U_prev
-            scale[act] = np.maximum(scale[act], eta[act, i - 1])
-        eta_i = np.array([np.linalg.norm(r) for r in W])
+            W -= b[:, None] * U_prev
+        if full:
+            eta_i = np.empty(act.size)
+            for j, t in enumerate(act.tolist()):
+                eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
+                repeats[t] += repeated
+                reorths[t] += 1
+        else:
+            eta_i = np.array([np.linalg.norm(r) for r in W])
         if i + 1 == m:
-            eta[act, i] = eta_i
+            eta[rows, i] = eta_i
             break
-        if basis:
-            noise = noise_unit * scale[act]
+        if omega:
+            noise = noise_unit * scale
             # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise
             # left out.
-            e, c = eta[act, :i], cur[act, : i + 1]
+            e, c = eta[rows, :i], cur[rows, : i + 1]
             num = (
-                e * c[:, 1:] + (alpha[act, :i] - a[:, None]) * c[:, :-1]
-                - eta[act, i - 1, None] * prev[act, :i]
+                e * c[:, 1:] + (alpha[rows, :i] - a[:, None]) * c[:, :-1]
+                - b[:, None] * prev[rows, :i]
             )
             num[:, 1:] += e[:, :-1] * c[:, :-2]
             # |num_j + sign(num_j) noise| / eta_i, and noise / eta_i for j = i.
             worst = np.abs(num).max(axis=1, initial=0.0) + noise
-            reorth = forced[act] | (worst > SEMI_ORTHOGONALITY * eta_i)
+            reorth = forced[rows] | (worst > SEMI_ORTHOGONALITY * eta_i)
             row = np.full((act.size, i + 2), EPS)
             keep = ~reorth
             row[keep, :i] = (
@@ -230,24 +244,27 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
             ) / eta_i[keep, None]
             row[keep, i] = noise[keep] / eta_i[keep]
             row[:, i + 1] = 1.0
-            prev[act, : i + 2] = row
+            prev[rows, : i + 2] = row
             prev, cur = cur, prev
             # A step that reorthogonalizes forces the next, unless it was
             # forced.
-            forced[act] = reorth & ~forced[act]
+            forced[rows] = reorth & ~forced[rows]
             for j in np.flatnonzero(reorth):
                 t = act[j]
                 eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
                 repeats[t] += repeated
                 reorths[t] += 1
-        eta[act, i] = eta_i
-        alive = eta_i >= BREAKDOWN_RTOL * scale[act]
-        act = act[alive]
-        if not act.size:
-            break
-        U_prev, U = U[alive], W[alive] / eta_i[alive, None]
+        eta[rows, i] = eta_i
+        alive = eta_i >= BREAKDOWN_RTOL * scale
+        if not alive.all():
+            act = rows = act[alive]
+            scale, eta_i, U, W = scale[alive], eta_i[alive], U[alive], W[alive]
+            if not act.size:
+                break
+        scale = np.maximum(scale, eta_i)
+        U_prev, U, b = U, W / eta_i[:, None], eta_i
         if basis:
-            Q[act, i + 1] = U
+            Q[rows, i + 1] = U
     for ledger, j in zip(ledgers, m_eff):
         if ledger is not None:
             ledger.charge("lanczos", int(j))

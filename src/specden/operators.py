@@ -57,7 +57,8 @@ class BudgetLedger:
 class SymmetricOperator:
     """Abstract n x n symmetric linear map.
 
-    Subclasses implement ``_matmat``, one product with an n x k block.
+    Subclasses implement ``_matmat``, one product with an n x k block into
+    a new array, which the caller may overwrite.
     ``apply_block`` never mutates its input and charges exactly one ledger
     unit per column; ``apply`` is its one-column case.
     """

@@ -342,7 +342,7 @@ def _vr_sizing(budget, n, cap):
 def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     """slq (cap = 0) or vr_slq (cap = VR_L_CAP): the trials' Lanczos runs
     advance in one ``lanczos_lockstep`` call, keeping their bases when
-    ``_lockstep_groups`` says they fit.
+    ``_keep_bases`` says they fit.
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
     charges ``ledgers[t]``; with cap > 0 its facts also hold the size of its
@@ -352,9 +352,9 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     n = A.dimension
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
-    basis, trials = _lockstep_groups(l, len(ledgers), m, n)
+    basis = _keep_bases(len(ledgers), m, n)
     starts = np.column_stack(
-        [unit_sphere_vector(n, root.substream(t)) for t in trials]
+        [unit_sphere_vector(n, root.substream(t)) for t in range(len(ledgers))]
     )
     densities, per_trial = [], []
     for fact in lanczos_lockstep(A, starts, m, ledgers=ledgers, basis=basis):
@@ -371,12 +371,11 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     return densities, per_trial
 
 
-def _lockstep_groups(l, trials, m, n):
+def _keep_bases(trials, m, n):
     """Whether the Lanczos runs of ``trials`` trials of m steps on an n x n
-    operator keep their bases, and the trial indices of their one
-    ``lanczos_lockstep`` call.
+    operator, all in one ``lanczos_lockstep`` call, keep their bases.
 
-    The rule is slq's (l = 0) and vr_slq's alike.  A kept basis stops at an
+    The rule is slq's and vr_slq's alike.  A kept basis stops at an
     exhausted Krylov space and makes the result insensitive to round-off in
     A, so the runs keep their bases while all of them fit in
     LOCKSTEP_BASIS_BYTES.  Beyond that every trial runs with no basis, all
@@ -384,7 +383,7 @@ def _lockstep_groups(l, trials, m, n):
     which survives the loss of orthogonality, and vr_slq keeps the ghost
     copies that the loss brings out of its set S (``_ghost_filter``).
     """
-    return trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES, range(trials)
+    return trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
 
 
 def _moment_trials(A, config, root, ledgers, diagnostics, method, deflated):

@@ -143,13 +143,14 @@ def test_exhausted_space_stops_early_and_funds_moments():
 @pytest.mark.parametrize("spec", ["uniform:500", "gaussian:500", "inverse:500"])
 @pytest.mark.parametrize("m", [124, 500])
 def test_build_krylov_block_is_a_lanczos_factorization(spec, m):
-    # With full reorthogonalization the recurrence's tridiagonal is the
-    # Rayleigh quotient Q^T A Q of an orthonormal basis.
+    # With full reorthogonalization, at every step, the recurrence's
+    # tridiagonal is the Rayleigh quotient Q^T A Q of an orthonormal basis.
     A = build_matrix(spec)
     x = gaussian_vector(A.dimension, SeededStream(0))
     fact = build_krylov_block(A, x, m, None)
     assert isinstance(fact, TridiagonalFactorization)
     assert fact.m_effective == m
+    assert fact.reorthogonalized == fact.m_effective
     Q = fact.Q
     T = np.diag(fact.alpha) + np.diag(fact.eta, 1) + np.diag(fact.eta, -1)
     assert np.abs(Q.T @ A.apply_block(Q) - T).max() <= 1e-14

@@ -127,6 +127,8 @@ def test_lockstep_matches_separate_runs_on_dense():
         lanczos_lockstep(A, G, 20, ledgers=[BudgetLedger()])
     with pytest.raises(LanczosError):
         lanczos_lockstep(A, 2.0 * G, 20)
+    with pytest.raises(LanczosError, match="basis must be"):
+        lanczos_lockstep(A, G, 20, basis="partial")
 
 
 def _bit_for_bit_cases():
