@@ -11,6 +11,11 @@ NNLS runs on a screened set of grid columns, grown from the full-grid
 gradient (delayed column generation), and reaches the full grid only when
 the screened columns cannot match.
 
+Moment matching holds one (N + 1) x (d + 1) array, NNLS's column-scaled
+system, built row by row by the Chebyshev recurrence and scaled in place;
+the polishing LP and the residual read the N x (d + 1) moment matrix T only
+on q's support, and only the full-grid LP builds all of T.
+
 Both take the moments as a float array tau_1 ... tau_N (tau_0 = 1/sqrt(pi)
 is implicit) and return a grid density: d + 1 nonnegative weights summing
 to 1 on ``grid_points(d)``, the evenly spaced grid {-1, -1 + 2/d, ..., 1}.
@@ -24,7 +29,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.chebyshev import chebval
 
-from .chebyshev import TBAR0, TBAR_SCALE, cheb_normalized_rows
+from .chebyshev import TBAR0, TBAR_SCALE
 from .metrics import DiscreteDistribution
 
 
@@ -38,7 +43,28 @@ def grid_points(d):
 
 def moment_matrix(N, d):
     """N x (d+1) matrix with entries Tbar_i(-1 + 2j/d) / i."""
-    return cheb_normalized_rows(N, grid_points(d)) / np.arange(1, N + 1)[:, None]
+    return _moment_rows(N, grid_points(d))
+
+
+def _moment_rows(N, x, out=None):
+    """Rows Tbar_i(x) / i, i = 1..N, at the points x, written into out[:N]
+    (a new N x x.size array when out is None).
+
+    chebvander's own recurrence, T_1 = x and T_i = T_{i-1} 2x - T_{i-2}, runs
+    on two rows of raw values, and each row is scaled by TBAR_SCALE and then
+    divided by i: the rows equal ``cheb_normalized_rows(N, x) / i`` bit for
+    bit, with no table of N + 1 rows beside ``out``.
+    """
+    if out is None:
+        out = np.empty((N, x.size))
+    x2 = 2 * x
+    prev, cur = np.ones_like(x), x
+    for i in range(1, N + 1):
+        if i > 1:
+            prev, cur = cur, cur * x2 - prev
+        np.multiply(cur, TBAR_SCALE, out=out[i - 1])
+        out[i - 1] /= i
+    return out
 
 
 # NNLS's moment match is accepted as exact when ||T q - z||_1 is at most
@@ -65,8 +91,8 @@ def check_grid(N, d):
     """cmm and kpm need at least as many grid intervals as moments.
 
     Moment matching cannot resolve N moments on fewer points, and kpm's
-    density on d points gets no better, and its N x (d + 1) table larger,
-    past N = d.
+    density on d points gets no better past N = d, while its Clenshaw sum
+    costs O(N d) time.
     """
     if d < N:
         raise ValueError(f"grid resolution d={d} must be >= N={N}")
@@ -75,8 +101,10 @@ def check_grid(N, d):
 def solve_moment_matching(tau, d, diagnostics=None):
     """Grid density q minimizing ||T q - z||_1 over the probability simplex.
 
-    T = ``moment_matrix(N, d)`` and z_i = tau_i / i.  When tau comes from
-    unit-vector Hutchinson probes g_j of A / L, (1/b) sum_j g_j^T
+    T is the N x (d + 1) matrix of ``moment_matrix(N, d)`` and z_i = tau_i / i;
+    only the full-grid LP holds all of T, and every other step reads its
+    columns on q's support or through NNLS's scaled system.  When tau comes
+    from unit-vector Hutchinson probes g_j of A / L, (1/b) sum_j g_j^T
     Tbar_i(A / L) g_j is exactly the i-th moment of the probability measure
     sum_k w_k delta(lambda_k / L) with w_k = (1/b) sum_j (g_j . v_k)^2, so
     the optimum is 0 up to the grid: the problem is a degenerate
@@ -111,18 +139,19 @@ def solve_moment_matching(tau, d, diagnostics=None):
     if N < 1:
         raise ValueError("need at least one moment")
     check_grid(N, d)
-    T = moment_matrix(N, d)
     z = tau / np.arange(1, N + 1)
 
-    q, nnls_columns = _nnls_support(T, z)
+    q, nnls_columns = _nnls_support(z, d)
     if q is not None:
         solver, columns = "nnls", np.flatnonzero(q)
+        T = _moment_rows(N, grid_points(d)[columns])
     else:
         solver, columns = "lp", np.arange(d + 1)
-    res = _l1_lp(T[:, columns], z)
+        T = moment_matrix(N, d)
+    res = _l1_lp(T, z)
     if res.success:
         matched = _grid_density(res.x[: columns.size], columns, d)
-        if solver == "lp" or _l1_residual(T, matched, z) <= EXACT_RESIDUAL:
+        if solver == "lp" or _l1_residual(matched, z) <= EXACT_RESIDUAL:
             q = matched
     elif solver == "lp":
         raise SolverError(
@@ -132,15 +161,16 @@ def solve_moment_matching(tau, d, diagnostics=None):
     if diagnostics is not None:
         diagnostics.update(
             solver=solver,
-            residual=_l1_residual(T, q, z),
+            residual=_l1_residual(q, z),
             support=int(np.count_nonzero(q)),
             nnls_columns=nnls_columns,
         )
     return q
 
 
-def _nnls_support(T, z):
-    """NNLS match (q, columns) of T q = z on the probability simplex.
+def _nnls_support(z, d):
+    """NNLS match (q, columns) of T q = z on the probability simplex, for
+    T = ``moment_matrix(z.size, d)``.
 
     q is the normalized column-scaled NNLS solution when it matches to
     EXACT_RESIDUAL, and None otherwise or if NNLS fails; ``columns`` is the
@@ -159,12 +189,8 @@ def _nnls_support(T, z):
     # 0.17 s at import, which no estimate without moment matching needs.
     import scipy.optimize
 
-    N, n_q = T.shape
-    M = np.empty((N + 1, n_q))
-    np.subtract(T, z[:, None], out=M[:N])
-    M[N] = 1.0
-    scale = np.linalg.norm(M, axis=0)
-    M /= scale
+    N, n_q = z.size, d + 1
+    M, scale = _scaled_system(z, d)
     rhs = np.zeros(N + 1)
     rhs[-1] = 1.0
     in_set = np.zeros(n_q, dtype=bool)
@@ -173,7 +199,7 @@ def _nnls_support(T, z):
     in_set[np.argsort(M[-1], kind="stable")[-(N + 1) :]] = True
     while True:
         columns = np.flatnonzero(in_set)
-        M_C = M[:, columns]
+        M_C = M if columns.size == n_q else M[:, columns]
         try:
             y, _ = scipy.optimize.nnls(M_C, rhs, maxiter=3 * n_q)
         except RuntimeError:
@@ -182,7 +208,7 @@ def _nnls_support(T, z):
         q[columns] = y / scale[columns]
         if q.sum() > 0:
             q /= q.sum()
-            if _l1_residual(T, q, z) <= EXACT_RESIDUAL:
+            if _l1_residual(q, z) <= EXACT_RESIDUAL:
                 return q, columns.size
         if columns.size == n_q:
             return None, n_q
@@ -196,8 +222,32 @@ def _nnls_support(T, z):
             in_set[:] = True
 
 
-def _l1_residual(T, q, z):
-    return float(np.abs(T @ q - z).sum())
+def _scaled_system(z, d):
+    """NNLS's system M = [T - z 1^T; 1^T] / scale and its column norms scale.
+
+    M is the one (N + 1) x (d + 1) array the solve holds: T's rows are
+    written into it, z is subtracted in place, the column norms are summed
+    row by row, in the order ``np.linalg.norm(M, axis=0)`` sums them, and M
+    is divided in place.
+    """
+    N = z.size
+    M = np.empty((N + 1, d + 1))
+    _moment_rows(N, grid_points(d), out=M)
+    M[:N] -= z[:, None]
+    M[N] = 1.0
+    scale = np.zeros(d + 1)
+    for row in M:
+        scale += row * row
+    np.sqrt(scale, out=scale)
+    M /= scale
+    return M, scale
+
+
+def _l1_residual(q, z):
+    """||T q - z||_1 for grid weights q, from T's columns on q's support."""
+    support = np.flatnonzero(q)
+    T = _moment_rows(z.size, grid_points(q.size - 1)[support])
+    return float(np.abs(T @ q[support] - z).sum())
 
 
 def _grid_density(x, columns, d):

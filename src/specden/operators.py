@@ -197,7 +197,8 @@ class DeflatedOperator(SymmetricOperator):
     """(I - ZZ^T) A (I - ZZ^T) for orthonormal Z.
 
     The two projections are free; one apply charges a single application of
-    the base operator.
+    the base operator.  The operator keeps a read-only view of Z, not a copy:
+    the caller must not modify Z afterwards.
     """
 
     def __init__(self, base, Z):
@@ -211,7 +212,8 @@ class DeflatedOperator(SymmetricOperator):
             raise OperatorError("columns of Z are not orthonormal")
         super().__init__(base.dimension)
         self.base = base
-        self.Z = Z.copy()
+        self.Z = Z.view()
+        self.Z.flags.writeable = False
 
     def _project(self, V):
         return V - self.Z @ (self.Z.T @ V)
@@ -221,7 +223,8 @@ class DeflatedOperator(SymmetricOperator):
 
 
 def deflate(base, Z):
-    """Project out the column span of Z from the operator."""
+    """Project out the column span of Z from the operator, which takes
+    ownership of Z: the caller must not modify Z afterwards."""
     return DeflatedOperator(base, Z)
 
 

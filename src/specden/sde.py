@@ -62,7 +62,7 @@ VR_L_CAP = 100
 
 # Most memory the Lanczos bases of one run's trials may take together; the
 # trials of a run whose bases would not fit keep none.  This bounds the peak
-# footprint: the sparse-graph benchmark's peak memory (about 173 MB) is set
+# footprint: the sparse-graph benchmark's peak memory (about 169 MB) is set
 # by the largest bases that fit, slq@200's 15 x 200 x 3000 floats (72 MB).
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
 

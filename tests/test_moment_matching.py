@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -124,8 +126,13 @@ def test_exact_moments_are_matched_on_the_paper_grid_by_nnls(monkeypatch):
     moments = exact_moments(np.linspace(-0.95, 0.95, 64), N)
     diagnostics = {}
     q = solve_moment_matching(moments, d, diagnostics)
-    residual = np.abs(moment_matrix(N, d) @ q - moments / np.arange(1, N + 1)).sum()
-    assert residual <= EXACT_RESIDUAL
+    T, z = moment_matrix(N, d), moments / np.arange(1, N + 1)
+    assert np.abs(T @ q - z).sum() <= EXACT_RESIDUAL
+    # The diagnostic sums T q over q's support, from a row-major copy of
+    # those columns; over all d + 1 columns, or column-major, BLAS adds in
+    # another order (here 2.4e-17 apart).
+    support = np.flatnonzero(q)
+    residual = np.abs(np.ascontiguousarray(T[:, support]) @ q[support] - z).sum()
     assert diagnostics == {
         "solver": "nnls",
         "residual": pytest.approx(residual, rel=1e-12, abs=0.0),
@@ -156,6 +163,43 @@ def test_grid_atoms_off_the_strided_columns_are_matched_by_nnls(
     np.testing.assert_allclose(q[atoms], weights, rtol=0, atol=1e-12)
     assert diagnostics["nnls_columns"] == widths[-1]
     assert max(widths) <= (d + 1) / 10
+
+
+@pytest.mark.parametrize(
+    "N, d", [(1, 64), (5, 2000), (52, 20000), (104, 20000), (300, 2000)]
+)
+def test_in_place_system_and_support_columns_equal_the_table_formula(N, d):
+    # The table formula: chebvander's N + 1 rows, T beside it, the scaled
+    # system M beside T and norm's squared copy of M.
+    rng = np.random.default_rng(N + d)
+    z = rng.uniform(-0.6, 0.6, N) / np.arange(1, N + 1)
+    T = cheb_normalized_rows(N, grid_points(d)) / np.arange(1, N + 1)[:, None]
+    M = np.vstack([T - z[:, None], np.ones(d + 1)])
+    scale = np.linalg.norm(M, axis=0)
+    M_in_place, scale_in_place = moment_matching._scaled_system(z, d)
+    assert np.array_equal(scale_in_place, scale)
+    assert np.array_equal(M_in_place, M / scale)
+    assert np.array_equal(moment_matrix(N, d), T)
+    support = np.sort(rng.choice(d + 1, min(N + 1, d + 1), replace=False))
+    columns = moment_matching._moment_rows(N, grid_points(d)[support])
+    assert np.array_equal(columns, T[:, support])
+
+
+def test_moment_matching_holds_one_moment_system():
+    # The moments of a spectrum, matched by NNLS on screened columns: the
+    # solve's peak is the scaled system M, one (N + 1) x (d + 1) array.
+    # Holding T, M and norm's squared copy of M at once peaked at about 3x.
+    N, d = 52, 20000
+    moments = exact_moments(np.linspace(-0.95, 0.95, 64), N)
+    diagnostics = {}
+    tracemalloc.start()
+    try:
+        solve_moment_matching(moments, d, diagnostics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagnostics["solver"] == "nnls"
+    assert peak <= 1.5 * 8 * (N + 1) * (d + 1)
 
 
 def full_grid_nnls_matches(T, z):
@@ -214,7 +258,7 @@ def test_screened_nnls_matches_whenever_full_grid_nnls_does(problems):
         N = tau.size
         T, z = moment_matrix(N, d), tau / np.arange(1, N + 1)
         expected = full_grid_nnls_matches(T, z)
-        q, columns = moment_matching._nnls_support(T, z)
+        q, columns = moment_matching._nnls_support(z, d)
         if expected:
             assert q is not None, (N, d)
         if q is not None:

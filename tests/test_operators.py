@@ -293,6 +293,18 @@ def test_deflate_examples():
         deflate(base, np.ones((3, 2)))
 
 
+def test_deflate_keeps_a_read_only_view_of_z():
+    # def_* at budget 3200 on n = 20000 deflate s = 1183 columns: a copy of
+    # Z would hold a second 189 MB basis.
+    Z = np.eye(4)[:, :2].copy()
+    A = deflate(DiagonalOperator(np.arange(4.0)), Z)
+    assert np.shares_memory(A.Z, Z)
+    assert not A.Z.flags.writeable
+    assert Z.flags.writeable
+    with pytest.raises(ValueError):
+        A.Z[0, 0] = 2.0
+
+
 def test_deflating_top_eigenvectors_exposes_third_eigenvalue():
     A, _ = random_symmetric(10, seed=21)
     eigs, V = np.linalg.eigh(A.to_dense())
