@@ -1,9 +1,9 @@
 """Krylov deflation: a converged-Ritz-pair deflation set.
 
 Lanczos with full reorthogonalization (``lanczos_lockstep``'s
-``basis="full"`` policy) runs from one Gaussian start vector, which gives
-block Krylov's low-rank guarantee up to a log(1/gap) factor (Meyer, Musco
-and Musco, SODA 2024).  ``tridiag_eig`` reads the Ritz pairs and their
+``basis="full"`` policy) runs from one ``unit_sphere_vector`` start, which
+gives block Krylov's low-rank guarantee up to a log(1/gap) factor (Meyer,
+Musco and Musco, SODA 2024).  ``tridiag_eig`` reads the Ritz pairs and their
 residuals from its tridiagonal with no further product, and only pairs
 whose residual is within ``deflation_gate`` enter the deflation set.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .lanczos import BREAKDOWN_RTOL, lanczos_lockstep, tridiag_eig
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
-from .randgen import gaussian_vector
+from .randgen import unit_sphere_vector
 
 DEFAULT_BETA = 3.0  # the exponent beta of deflation_gate
 
@@ -78,10 +78,10 @@ def orthonormalize_columns(K):
 
 # The name stays while perfbench/tracing.py looks it up.
 def build_krylov_block(A, x, m, ledger):
-    """Lanczos factorization of A from x / ||x||, at most m steps long:
-    ``lanczos_lockstep``'s ``basis="full"`` run, so T = Q^T A Q.  Its
-    m_effective products are charged to ``ledger`` as ``krylov_subspace``."""
-    x = x / np.linalg.norm(x)
+    """Lanczos factorization of A from the unit vector x, at most m steps
+    long: ``lanczos_lockstep``'s ``basis="full"`` run, so T = Q^T A Q, which
+    raises ``LanczosError`` for a start that is not unit.  Its m_effective
+    products are charged to ``ledger`` as ``krylov_subspace``."""
     (fact,) = lanczos_lockstep(A, x[:, None], m, basis="full")
     if ledger is not None:
         ledger.charge("krylov_subspace", fact.m_effective)
@@ -102,7 +102,7 @@ def block_krylov_deflation(A, l, q, stream, ledger=None):
     if q < 0:
         raise OperatorError("depth must be nonnegative")
 
-    x = gaussian_vector(n, stream)
+    x = unit_sphere_vector(n, stream)
     fact = build_krylov_block(A, x, basis_capacity(l, q, n), ledger)
     ritz = tridiag_eig(fact)
     gate = deflation_gate(ritz.values, n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .randgen import unit_sphere_vector
 
@@ -24,12 +23,22 @@ TBAR0 = 1.0 / math.sqrt(math.pi)
 TBAR_SCALE = math.sqrt(2.0 / math.pi)
 
 
-def cheb_normalized_rows(N, x):
-    """N x len(x) array whose row k - 1 is Tbar_k(x), k = 1..N; a scalar x
-    counts as one point."""
-    rows = chebvander(x, N)[:, 1:].T
-    rows *= TBAR_SCALE
-    return rows
+def cheb_normalized_rows(N, x, out=None):
+    """N x len(x) array, written into out[:N] when out is given, whose row
+    k - 1 is Tbar_k(x), k = 1..N; a scalar x counts as one point.  The
+    recurrence T_1 = x, T_k = T_{k-1} 2x - T_{k-2} runs on two rows of raw
+    values, in numpy's chebvander's order, and each row is written times
+    TBAR_SCALE, so no table of N + 1 rows is held beside ``out``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if out is None:
+        out = np.empty((N, x.size))
+    x2 = 2 * x
+    prev, cur = np.ones_like(x), x
+    for k in range(1, N + 1):
+        if k > 1:
+            prev, cur = cur, cur * x2 - prev
+        np.multiply(cur, TBAR_SCALE, out=out[k - 1])
+    return out
 
 
 def probe_moments(A, K, G, ledger=None):

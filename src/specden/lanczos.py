@@ -31,11 +31,12 @@ steps where the kept-basis run stops after 101.
 each step costs one block product ``A.apply_block`` instead of k single
 products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
 is its k = 1 case.  The omega estimates are arrays over the block of trials,
-updated for all running trials at once; only the trials flagged to
-reorthogonalize run the Gram-Schmidt pass, one at a time.  With no basis
-there is no ``Q`` to fit in memory, so any number of recurrences can share
-the block product.  Deflation's run (``basis="full"``) needs orthonormal
-Ritz vectors, so it tracks no omega and reorthogonalizes every step.
+updated for all running trials at once.  One loop runs the Gram-Schmidt
+pass on the trials each step picks, one at a time: none with no basis, the
+ones omega flags with a kept basis, and all in deflation's run
+(``basis="full"``), which needs orthonormal Ritz vectors and tracks no
+omega.  With no basis there is no ``Q`` to fit in memory, so any number of
+recurrences can share the block product.
 """
 
 from __future__ import annotations
@@ -151,15 +152,16 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     eta: with eps (eta_k + eta_i) the estimate fell behind the true loss on
     ``gaussian:500`` at m = n, which then grew to 1.  Breakdown is tested
     after any reorthogonalization.  The last step forms its three-term
-    residual only for its norm beta, with no product and no
-    reorthogonalization.  Outside the block product, every sum is a dot or
+    residual only for its norm beta, with no omega update and no flagged
+    trial.  Outside the block product, every sum is a dot or
     matrix-vector product on one trial's contiguous rows, as in a
     single-vector run, so each trial is bit for bit its single run.
     With ``basis`` false the runs keep only q_i and q_{i-1}, track no omega
     and never reorthogonalize; with ``basis="full"`` they track no omega and
-    reorthogonalize every step, the last too.  The breakdown test and the
-    ledger charges are as above.  Returns one ``TridiagonalFactorization``
-    per column of G, each a view into storage the k runs share.
+    every step, the last too, picks every trial for the one DGKS loop.  The
+    breakdown test and the ledger charges are as above.  Returns one
+    ``TridiagonalFactorization`` per column of G, each a view into storage
+    the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -213,18 +215,13 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
         W -= a[:, None] * U
         if i > 0:
             W -= b[:, None] * U_prev
+        # picked holds the positions in act of the trials whose residual
+        # takes the DGKS pass, which also gives its norm.
         if full:
-            eta_i = np.empty(act.size)
-            for j, t in enumerate(act.tolist()):
-                eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
-                repeats[t] += repeated
-                reorths[t] += 1
+            eta_i, picked = np.empty(act.size), range(act.size)
         else:
-            eta_i = np.array([np.linalg.norm(r) for r in W])
-        if i + 1 == m:
-            eta[rows, i] = eta_i
-            break
-        if omega:
+            eta_i, picked = np.array([np.linalg.norm(r) for r in W]), ()
+        if omega and i + 1 < m:
             noise = noise_unit * scale
             # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise
             # left out.
@@ -249,12 +246,15 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
             # A step that reorthogonalizes forces the next, unless it was
             # forced.
             forced[rows] = reorth & ~forced[rows]
-            for j in np.flatnonzero(reorth):
-                t = act[j]
-                eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
-                repeats[t] += repeated
-                reorths[t] += 1
+            picked = np.flatnonzero(reorth).tolist()
+        for j in picked:
+            t = act[j]
+            eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
+            repeats[t] += repeated
+            reorths[t] += 1
         eta[rows, i] = eta_i
+        if i + 1 == m:
+            break
         alive = eta_i >= BREAKDOWN_RTOL * scale
         if not alive.all():
             act = rows = act[alive]

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.chebyshev import chebval
 
-from .chebyshev import TBAR0, TBAR_SCALE
+from .chebyshev import TBAR0, TBAR_SCALE, cheb_normalized_rows
 from .metrics import DiscreteDistribution
 
 
@@ -48,22 +48,10 @@ def moment_matrix(N, d):
 
 def _moment_rows(N, x, out=None):
     """Rows Tbar_i(x) / i, i = 1..N, at the points x, written into out[:N]
-    (a new N x x.size array when out is None).
-
-    chebvander's own recurrence, T_1 = x and T_i = T_{i-1} 2x - T_{i-2}, runs
-    on two rows of raw values, and each row is scaled by TBAR_SCALE and then
-    divided by i: the rows equal ``cheb_normalized_rows(N, x) / i`` bit for
-    bit, with no table of N + 1 rows beside ``out``.
-    """
-    if out is None:
-        out = np.empty((N, x.size))
-    x2 = 2 * x
-    prev, cur = np.ones_like(x), x
-    for i in range(1, N + 1):
-        if i > 1:
-            prev, cur = cur, cur * x2 - prev
-        np.multiply(cur, TBAR_SCALE, out=out[i - 1])
-        out[i - 1] /= i
+    (a new N x x.size array when out is None): ``cheb_normalized_rows``,
+    each row then divided by i in place."""
+    out = cheb_normalized_rows(N, x, out)
+    out[:N] /= np.arange(1, N + 1)[:, None]
     return out
 
 

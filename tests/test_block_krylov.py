@@ -15,10 +15,10 @@ from specden.block_krylov import (
     orthonormalize_columns,
 )
 from specden.datasets import low_rank
-from specden.lanczos import TridiagonalFactorization
+from specden.lanczos import LanczosError, TridiagonalFactorization
 from specden.metrics import exact_density, wasserstein1
 from specden.operators import OperatorError, norm_estimate_cost
-from specden.randgen import gaussian_vector
+from specden.randgen import unit_sphere_vector
 from specden.sde import SdeConfig, _moment_estimate, run
 
 from conftest import random_symmetric
@@ -145,8 +145,12 @@ def test_exhausted_space_stops_early_and_funds_moments():
 def test_build_krylov_block_is_a_lanczos_factorization(spec, m):
     # With full reorthogonalization, at every step, the recurrence's
     # tridiagonal is the Rayleigh quotient Q^T A Q of an orthonormal basis.
+    # The start must be a unit vector: build_krylov_block does not
+    # normalize it.
     A = build_matrix(spec)
-    x = gaussian_vector(A.dimension, SeededStream(0))
+    x = unit_sphere_vector(A.dimension, SeededStream(0))
+    with pytest.raises(LanczosError, match="unit norm"):
+        build_krylov_block(A, 2.0 * x, m, None)
     fact = build_krylov_block(A, x, m, None)
     assert isinstance(fact, TridiagonalFactorization)
     assert fact.m_effective == m

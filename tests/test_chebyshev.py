@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 
 from specden import BudgetLedger, DiagonalOperator, SeededStream, deflate
 from specden.chebyshev import (
@@ -29,6 +30,15 @@ def test_cheb_normalized_rows_equal_per_degree_polynomials():
     for k, row in enumerate(rows, start=1):
         np.testing.assert_array_equal(row, cheb_normalized(k, x))
     assert list(cheb_normalized_rows(0, x)) == []
+
+
+@pytest.mark.parametrize("N, d", [(1, 64), (52, 20000), (300, 2000)])
+def test_cheb_normalized_rows_equal_chebvander_bit_for_bit(N, d):
+    # A one-ulp change in a row can make NNLS return a different exact
+    # match, so the two-row recurrence must equal numpy's table to the bit.
+    x = np.linspace(-1.0, 1.0, d + 1)
+    expected = chebvander(x, N)[:, 1:].T * TBAR_SCALE
+    assert np.array_equal(cheb_normalized_rows(N, x), expected)
 
 
 def test_cheb_eval_base_cases_and_recurrence():

@@ -140,23 +140,34 @@ def _bit_for_bit_cases():
     }
 
 
-@pytest.mark.parametrize("case", list(_bit_for_bit_cases()))
-def test_lockstep_trial_is_its_single_run_bit_for_bit(case):
+@pytest.mark.parametrize(
+    "case, basis",
+    [
+        pytest.param(case, basis, id=case if basis is True else f"{case}-full")
+        for basis in (True, "full")
+        for case in _bit_for_bit_cases()
+    ],
+)
+def test_lockstep_trial_is_its_single_run_bit_for_bit(case, basis):
     # Each trial of a block does exactly its single run's arithmetic, so
     # its tridiagonal, beta and reorthogonalization counts are equal to the
-    # bit; omega fires 17 to 90 times per trial on these cases.
+    # bit; omega fires 17 to 90 times per trial on these cases, and the
+    # full policy reorthogonalizes every step.
     A, m = _bit_for_bit_cases()[case]
     n = A.dimension
     G = np.column_stack(
         [unit_sphere_vector(n, SeededStream(5).substream(t)) for t in range(5)]
     )
-    for t, fact in enumerate(lanczos_lockstep(A, G, m)):
-        single = lanczos(A, G[:, t], m)
+    for t, fact in enumerate(lanczos_lockstep(A, G, m, basis=basis)):
+        (single,) = lanczos_lockstep(A, G[:, [t]], m, basis=basis)
         assert fact.m_effective == single.m_effective == (101 if case == "low_rank" else m)
         np.testing.assert_array_equal(fact.alpha, single.alpha)
         np.testing.assert_array_equal(fact.eta, single.eta)
         assert fact.beta == single.beta
-        assert fact.reorthogonalized == single.reorthogonalized >= 17
+        if basis is True:
+            assert fact.reorthogonalized == single.reorthogonalized >= 17
+        else:
+            assert fact.reorthogonalized == single.reorthogonalized == fact.m_effective
         assert fact.reorth_repeats == single.reorth_repeats
 
 

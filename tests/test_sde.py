@@ -661,6 +661,21 @@ def test_cmm_finishes_where_the_simplex_lp_stalled(spec, matrix_seed, budget, se
     assert 1 <= facts["support"] <= facts["N"] + 1
 
 
+def test_cmm_on_the_paper_grid_is_pinned():
+    # cmm@800 on the paper grid, the shape of perfbench lp-grid's cmm@800:
+    # the NNLS match reads every bit of the d = 20000 moment rows, so a
+    # changed row shows as a changed support, column count or W1.
+    A = build_matrix("low_rank:500", 0)
+    est = run(A, SdeConfig("cmm", budget=800, seed=0, grid_d=20000))
+    assert est.ledger.counts == {"norm_estimate": 18, "moments": 780}
+    (facts,) = est.diagnostics["per_trial"]
+    assert facts["solver"] == "nnls"
+    assert (facts["N"], facts["L"]) == (52, 1.9999994626943254)
+    assert (facts["support"], facts["nnls_columns"]) == (24, 532)
+    w1 = wasserstein1(est.density, exact_density(A))
+    assert w1 == pytest.approx(0.008780880629593694, rel=1e-9)
+
+
 def test_schatten1_identity_zero_and_harmonic():
     n = 100
     assert abs(schatten1_estimate(DiagonalOperator(np.ones(n)), 0.5) - n) <= 0.5 * n
