@@ -30,8 +30,9 @@ steps where the kept-basis run stops after 101.
 ``lanczos_lockstep`` runs k independent recurrences side by side so that
 each step costs one block product ``A.apply_block`` instead of k single
 products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
-is its k = 1 case.  The omega estimates are arrays over the block of trials,
-updated for all running trials at once.  One loop runs the Gram-Schmidt
+is its k = 1 case.  The engine charges no ledger: each caller charges its
+runs' ``m_effective`` to its own stage.  The omega estimates are arrays
+over the block of trials, updated for all running trials at once.  One loop runs the Gram-Schmidt
 pass on the trials each step picks, one at a time: none with no basis, the
 ones omega flags with a kept basis, and all in deflation's run
 (``basis="full"``), which needs orthonormal Ritz vectors and tracks no
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 # An off-diagonal below BREAKDOWN_RTOL * scale(T) signals an invariant
-# subspace; iteration stops and the remaining applications are not charged.
+# subspace; iteration stops and the remaining applications are not made.
 BREAKDOWN_RTOL = 1e-12
 
 # A Gram-Schmidt pass that leaves less than REPEAT_RATIO of the vector's norm
@@ -111,13 +112,16 @@ def magnitude_order(values):
 
 
 def lanczos(A, g, m, ledger=None):
-    """Run m Lanczos iterations from unit vector g.
+    """Run m Lanczos iterations from unit vector g, keeping the basis.
 
-    Consumes exactly m applications of A (fewer on breakdown).  Raises for a
-    non-unit start or m > dimension.
+    Consumes exactly m applications of A (fewer on breakdown), charged to
+    ``ledger`` as ``lanczos``.  Raises for a non-unit start or m > dimension.
     """
     g = np.asarray(g, dtype=float)
-    return lanczos_lockstep(A, g[:, None], m, [ledger])[0]
+    (fact,) = lanczos_lockstep(A, g[:, None], m)
+    if ledger is not None:
+        ledger.charge("lanczos", fact.m_effective)
+    return fact
 
 
 def reorthogonalize(basis, r):
@@ -136,15 +140,14 @@ def reorthogonalize(basis, r):
     return np.linalg.norm(r), True
 
 
-def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
+def lanczos_lockstep(A, G, m, basis=True):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
-    current vectors of every trial that has not broken down, and trial t's
-    applications are charged to ``ledgers[t]`` at the end (m each, fewer on
-    breakdown).  The omega estimates for q_i and q_{i-1} are two k x m
-    arrays, one row per trial, and each step updates the rows of the running
-    trials as one array expression.  A trial whose new row would pass
+    current vectors of every trial that has not broken down (m each, fewer
+    on breakdown), and charges no ledger.  The omega estimates for q_i and
+    q_{i-1} are two k x m arrays, one row per trial, and each step updates
+    the rows of the running trials as one array expression.  A trial whose new row would pass
     SEMI_ORTHOGONALITY runs the DGKS step ``reorthogonalize`` on its
     residual, one flagged trial at a time; so does its next step, and each
     such step resets its row to eps.  The recurrence's rounding term is
@@ -159,9 +162,8 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
     With ``basis`` false the runs keep only q_i and q_{i-1}, track no omega
     and never reorthogonalize; with ``basis="full"`` they track no omega and
     every step, the last too, picks every trial for the one DGKS loop.  The
-    breakdown test and the ledger charges are as above.  Returns one
-    ``TridiagonalFactorization`` per column of G, each a view into storage
-    the k runs share.
+    breakdown test is as above.  Returns one ``TridiagonalFactorization`` per
+    column of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -172,10 +174,6 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
         raise LanczosError("starting vector must have unit norm")
     if not 1 <= m <= n:
         raise LanczosError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if ledgers is None:
-        ledgers = [None] * k
-    if len(ledgers) != k:
-        raise LanczosError(f"got {len(ledgers)} ledgers for {k} starting vectors")
     if basis not in (True, False, "full"):
         raise LanczosError(f"basis must be True, False or 'full': {basis!r}")
     full = basis == "full"
@@ -265,9 +263,6 @@ def lanczos_lockstep(A, G, m, ledgers=None, basis=True):
         U_prev, U, b = U, W / eta_i[:, None], eta_i
         if basis:
             Q[rows, i + 1] = U
-    for ledger, j in zip(ledgers, m_eff):
-        if ledger is not None:
-            ledger.charge("lanczos", int(j))
     return [
         TridiagonalFactorization(
             alpha[t, :j], eta[t, : j - 1], Q[t, :j].T if basis else None,

@@ -12,9 +12,10 @@ gradient (delayed column generation), and reaches the full grid only when
 the screened columns cannot match.
 
 Moment matching holds one (N + 1) x (d + 1) array, NNLS's column-scaled
-system, built row by row by the Chebyshev recurrence and scaled in place;
-the polishing LP and the residual read the N x (d + 1) moment matrix T only
-on q's support, and only the full-grid LP builds all of T.
+system, built row by row by the Chebyshev recurrence and scaled in place.
+Both LPs and the residual build the N x (d + 1) moment matrix T by one call
+on the columns they read: q's support, and all of T only for the full-grid
+LP.  ``moment_matrix`` (all of T) is for the tests; no solve calls it.
 
 Both take the moments as a float array tau_1 ... tau_N (tau_0 = 1/sqrt(pi)
 is implicit) and return a grid density: d + 1 nonnegative weights summing
@@ -41,6 +42,8 @@ def grid_points(d):
     return np.linspace(-1.0, 1.0, d + 1)
 
 
+# No solve calls it: the tests read it as the reference T, and
+# perfbench/tracing.py looks the name up.
 def moment_matrix(N, d):
     """N x (d+1) matrix with entries Tbar_i(-1 + 2j/d) / i."""
     return _moment_rows(N, grid_points(d))
@@ -130,13 +133,9 @@ def solve_moment_matching(tau, d, diagnostics=None):
     z = tau / np.arange(1, N + 1)
 
     q, nnls_columns = _nnls_support(z, d)
-    if q is not None:
-        solver, columns = "nnls", np.flatnonzero(q)
-        T = _moment_rows(N, grid_points(d)[columns])
-    else:
-        solver, columns = "lp", np.arange(d + 1)
-        T = moment_matrix(N, d)
-    res = _l1_lp(T, z)
+    solver = "lp" if q is None else "nnls"
+    columns = np.arange(d + 1) if q is None else np.flatnonzero(q)
+    res = _l1_lp(_moment_rows(N, grid_points(d)[columns]), z)
     if res.success:
         matched = _grid_density(res.x[: columns.size], columns, d)
         if solver == "lp" or _l1_residual(matched, z) <= EXACT_RESIDUAL:

@@ -357,7 +357,8 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
         [unit_sphere_vector(n, root.substream(t)) for t in range(len(ledgers))]
     )
     densities, per_trial = [], []
-    for fact in lanczos_lockstep(A, starts, m, ledgers=ledgers, basis=basis):
+    for ledger, fact in zip(ledgers, lanczos_lockstep(A, starts, m, basis)):
+        ledger.charge("lanczos", fact.m_effective)
         facts = {
             "m_effective": fact.m_effective,
             "reorthogonalized": fact.reorthogonalized,

@@ -95,8 +95,7 @@ def test_lockstep_matches_separate_runs_with_staggered_breakdown():
     two[[0, 4]] = rng.standard_normal(2)
     starts = [rng.standard_normal(n), two, rng.standard_normal(n)]
     G = np.column_stack([g / np.linalg.norm(g) for g in starts])
-    ledgers = [BudgetLedger() for _ in starts]
-    block = lanczos_lockstep(A, G, m, ledgers=ledgers)
+    block = lanczos_lockstep(A, G, m)
     assert [fact.m_effective for fact in block] == [5, 2, 5]
     for t in range(3):
         single_ledger = BudgetLedger()
@@ -105,8 +104,7 @@ def test_lockstep_matches_separate_runs_with_staggered_breakdown():
         assert fact.m_effective == single.m_effective
         np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
         np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
-        assert ledgers[t].counts == {"lanczos": fact.m_effective}
-        assert single_ledger.counts == ledgers[t].counts
+        assert single_ledger.counts == {"lanczos": fact.m_effective}
         assert fact.Q.base is block[0].Q.base is not None
 
 
@@ -123,8 +121,6 @@ def test_lockstep_matches_separate_runs_on_dense():
         np.testing.assert_allclose(fact.alpha, single.alpha, atol=1e-10)
         np.testing.assert_allclose(fact.eta, single.eta, atol=1e-10)
         np.testing.assert_allclose(fact.Q.T @ fact.Q, np.eye(20), atol=1e-8)
-    with pytest.raises(LanczosError):
-        lanczos_lockstep(A, G, 20, ledgers=[BudgetLedger()])
     with pytest.raises(LanczosError):
         lanczos_lockstep(A, 2.0 * G, 20)
     with pytest.raises(LanczosError, match="basis must be"):

@@ -41,9 +41,13 @@ from conftest import equal_weight_ritz_density, random_symmetric
 
 
 def lanczos_trial(A, m, stream, ledger=None, basis=True):
-    """One trial's Lanczos run from the start vector run() draws from ``stream``."""
+    """One trial's Lanczos run from the start vector run() draws from
+    ``stream``, charged to ``ledger`` as run() charges it."""
     g = unit_sphere_vector(A.dimension, stream)
-    return lanczos_lockstep(A, g[:, None], m, [ledger], basis)[0]
+    (fact,) = lanczos_lockstep(A, g[:, None], m, basis)
+    if ledger is not None:
+        ledger.charge("lanczos", fact.m_effective)
+    return fact
 
 
 def slq_density(A, m, stream, ledger=None):
@@ -489,9 +493,9 @@ def lockstep_calls(monkeypatch):
     """(trial count, basis) of each lanczos_lockstep call that sde makes."""
     calls = []
 
-    def recording(A, G, m, ledgers=None, basis=True):
+    def recording(A, G, m, basis=True):
         calls.append((G.shape[1], basis))
-        return lanczos_lockstep(A, G, m, ledgers, basis)
+        return lanczos_lockstep(A, G, m, basis)
 
     monkeypatch.setattr(sde, "lanczos_lockstep", recording)
     return calls
@@ -674,6 +678,21 @@ def test_cmm_on_the_paper_grid_is_pinned():
     assert (facts["support"], facts["nnls_columns"]) == (24, 532)
     w1 = wasserstein1(est.density, exact_density(A))
     assert w1 == pytest.approx(0.008780880629593694, rel=1e-9)
+
+
+def test_cmm_full_grid_lp_is_pinned():
+    # cmm@1200 on gaussian:500: no grid measure matches the N = 78 moments
+    # to EXACT_RESIDUAL (the grid's best L1 match is about 1.7e-8), so NNLS
+    # ends on the full grid and the LP runs on all d + 1 columns.
+    A = build_matrix("gaussian:500", 0)
+    est = run(A, SdeConfig("cmm", budget=1200, seed=0, grid_d=2000))
+    assert est.ledger.counts == {"norm_estimate": 18, "moments": 1170}
+    (facts,) = est.diagnostics["per_trial"]
+    assert facts["solver"] == "lp"
+    assert (facts["N"], facts["support"], facts["nnls_columns"]) == (78, 35, 2001)
+    assert facts["residual"] > EXACT_RESIDUAL
+    w1 = wasserstein1(est.density, exact_density(A))
+    assert w1 == pytest.approx(0.02680320397386869, rel=1e-9)
 
 
 def test_schatten1_identity_zero_and_harmonic():
