@@ -10,12 +10,11 @@ whose residual is within ``deflation_gate`` enter the deflation set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import BREAKDOWN_RTOL, lanczos_lockstep, tridiag_eig
+from .lanczos import BREAKDOWN_RTOL, kept_columns, lanczos_lockstep, tridiag_eig
 # spectral_norm_upper_bound has no caller here; perfbench/tracing.py wraps it.
 from .operators import OperatorError, spectral_norm_upper_bound
 from .randgen import unit_sphere_vector
@@ -43,10 +42,11 @@ class DeflationResult:
         return self.lambdas.size
 
 
-def basis_capacity(l, q, n=math.inf):
+def basis_capacity(l, q, n):
     """Most columns, and so products, of the deflation run of block size l
-    and depth q: l(2q + 1), and no more than the dimension n."""
-    return min(n, l * (2 * q + 1))
+    and depth q on an n x n operator: l(2q + 1), at most n and at most
+    ``kept_columns(n)`` (the cap on every kept basis), but at least 1."""
+    return min(n, l * (2 * q + 1), max(1, kept_columns(n)))
 
 
 def deflation_gate(ritz_values, n):
@@ -92,8 +92,8 @@ def block_krylov_deflation(A, l, q, stream, ledger=None):
     """Find converged large-magnitude eigenpairs for deflation.
 
     l and q only size the Lanczos run from one start vector from ``stream``:
-    one application per step, at most min(n, l(2q + 1)) and fewer when the
-    Krylov space is exhausted.  Its Ritz pairs (theta_j, Q s_j) have
+    one application per step, at most ``basis_capacity(l, q, n)`` and fewer
+    when the Krylov space is exhausted.  Its Ritz pairs (theta_j, Q s_j) have
     residuals beta |e_m^T s_j|; the gate reads ||A||_est from the theta_j.
     """
     n = A.dimension

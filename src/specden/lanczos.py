@@ -37,7 +37,9 @@ pass on the trials each step picks, one at a time: none with no basis, the
 ones omega flags with a kept basis, and all in deflation's run
 (``basis="full"``), which needs orthonormal Ritz vectors and tracks no
 omega.  With no basis there is no ``Q`` to fit in memory, so any number of
-recurrences can share the block product.
+recurrences can share the block product.  Every kept ``Q`` obeys one
+memory rule, ``kept_columns``.  A non-finite alpha or eta means A's
+products overflow float64, and the run raises ``OperatorError``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .operators import require_finite_products
 
 # An off-diagonal below BREAKDOWN_RTOL * scale(T) signals an invariant
 # subspace; iteration stops and the remaining applications are not made.
@@ -59,6 +63,17 @@ REPEAT_RATIO = 1.0 / math.sqrt(2.0)
 EPS = np.finfo(float).eps
 # Largest estimated |q_i^T q_j| a run lets pass before it reorthogonalizes.
 SEMI_ORTHOGONALITY = math.sqrt(EPS)
+
+# Most memory the kept Lanczos bases of one ``lanczos_lockstep`` call may
+# take together, read only by ``kept_columns``.  This bounds the peak
+# footprint: the sparse-graph benchmark's peak memory (about 169 MB) is set
+# by the largest bases that fit, slq@200's 15 x 200 x 3000 floats (72 MB).
+LOCKSTEP_BASIS_BYTES = 96 * 2**20
+
+
+def kept_columns(n, k=1):
+    """Most columns each of k kept bases of n floats may have together."""
+    return LOCKSTEP_BASIS_BYTES // (8 * n * k)
 
 
 class LanczosError(ValueError):
@@ -250,7 +265,8 @@ def lanczos_lockstep(A, G, m, basis=True):
             eta_i[j], repeated = reorthogonalize(Q[t, : i + 1], W[j])
             repeats[t] += repeated
             reorths[t] += 1
-        eta[rows, i] = eta_i
+        # An alpha that is not finite makes eta_i so: one test covers both.
+        eta[rows, i] = require_finite_products(eta_i)
         if i + 1 == m:
             break
         alive = eta_i >= BREAKDOWN_RTOL * scale

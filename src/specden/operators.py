@@ -110,6 +110,14 @@ def _require_finite(values):
         raise OperatorError("matrix has a non-finite entry")
 
 
+def require_finite_products(values):
+    """values, read from the operator's products; one that is not finite
+    means they overflow float64 (a norm does past about 1e154)."""
+    if not np.isfinite(values).all():
+        raise OperatorError("the operator's products overflow float64; scale it down")
+    return values
+
+
 def _max_abs(X):
     """max|X| of a dense or sparse X, read without allocating |X|."""
     return max(X.max(), -X.min())
@@ -239,7 +247,8 @@ def spectral_norm_upper_bound(A, ledger, stream):
     Power iteration on A^2 from a random unit start (A^2 rather than A so
     that sign-symmetric spectra do not defeat the Rayleigh readout), with
     ||A v|| as the readout, then doubled.  Deterministic given the stream.
-    Returns 0.0 for the zero operator.
+    Returns 0.0 for the zero operator.  A v is scaled to unit norm past
+    2**250, so that ||A|| up to about 1e154 overflows no norm.
     """
     n = A.dimension
     v = unit_sphere_vector(n, stream)[:, None]
@@ -247,11 +256,13 @@ def spectral_norm_upper_bound(A, ledger, stream):
     readout = 0.0
     for _ in range(steps):
         w = A.apply_block(v, ledger, "norm_estimate")
-        readout = np.linalg.norm(w)
+        readout = require_finite_products(np.linalg.norm(w))
         if readout == 0.0:
             return 0.0
+        if readout > 2.0**250:
+            w = w / readout
         u = A.apply_block(w, ledger, "norm_estimate")
-        nu = np.linalg.norm(u)
+        nu = require_finite_products(np.linalg.norm(u))
         if nu == 0.0:
             return 2.0 * readout
         v = u / nu

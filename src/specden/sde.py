@@ -24,6 +24,7 @@ from .block_krylov import basis_capacity, block_krylov_deflation, deflation_gate
 from .chebyshev import adjust_moments_for_deflation, estimate_moments
 from .lanczos import (
     EPS,
+    kept_columns,
     lanczos,
     lanczos_lockstep,
     magnitude_order,
@@ -59,12 +60,6 @@ MOMENT_SHARE = 0.25
 VR_C = 5.0
 VR_DELTA = 0.01
 VR_L_CAP = 100
-
-# Most memory the Lanczos bases of one run's trials may take together; the
-# trials of a run whose bases would not fit keep none.  This bounds the peak
-# footprint: the sparse-graph benchmark's peak memory (about 169 MB) is set
-# by the largest bases that fit, slq@200's 15 x 200 x 3000 floats (72 MB).
-LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
 # Ritz values of a basis-free vr_slq run within GHOST_RTOL eps max|theta| m
 # of each other are copies of one eigenvalue (``_ghost_filter``).  With every
@@ -226,7 +221,7 @@ def _deflated_trial_cost(n, l, K):
     probe spends.
 
     The one-vector Krylov run spends one application per basis column, at
-    most min(n, l(2q + 1)); the remainder's norm estimate and K products on
+    most ``basis_capacity``; the remainder's norm estimate and K products on
     each of b Hutchinson vectors, which give 2K moments, come on top.
     """
     q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
@@ -234,13 +229,14 @@ def _deflated_trial_cost(n, l, K):
 
 
 def _allocate_block_size(n, budget):
-    """Largest block size l within the 1:3 moments-to-Krylov budget split
-    whose trial, with one product per probe, fits the budget.
+    """Largest block size l within the 1:3 moments-to-Krylov budget split,
+    at 2q + 1 products per column, whose trial, with one product per probe,
+    fits the budget; products the basis cap leaves unspent become moments.
 
     Raises BudgetExhaustedError when not even l = 1 fits.
     """
     q, b = DEFAULT_KRYLOV_DEPTH, DEFAULT_HUTCHINSON_B
-    per_column = basis_capacity(1, q)
+    per_column = 2 * q + 1
     target = max(1, int((1.0 - MOMENT_SHARE) * budget) // per_column)
     for l in range(min(n, target), 0, -1):
         if _deflated_trial_cost(n, l, 1) <= budget:
@@ -255,15 +251,16 @@ def _allocate_block_size(n, budget):
 def _moment_estimate(A, l, method, budget, d, stream, ledger):
     """cmm or kpm density after deflating A with a rank-l Krylov block.
 
-    With l > 0, Lanczos from one start vector, at most l(2q + 1) products
-    long, finds s converged large-magnitude eigenpairs; they become exact
-    atoms of mass 1/n each, and the remainder carries the other (n - s)/n.
-    l = 0 is plain cmm/kpm on the whole spectrum.  The moment stage
-    estimates the remainder's norm bound L and spends the rest of ``budget``
-    (more when the Krylov space is exhausted early) as K = remaining // b
-    products on each of b = DEFAULT_HUTCHINSON_B unit probes, projected off
-    the deflated eigenvectors so that their moments are those of the
-    remainder alone.  The K products give 2K Chebyshev moments of (1/L) A
+    With l > 0, Lanczos from one start vector, m <= ``basis_capacity``
+    products long, finds s converged large-magnitude eigenpairs; they become
+    exact atoms of mass 1/n each, and the remainder carries the other
+    (n - s)/n.  l = 0 is plain cmm/kpm on the whole spectrum.  The moment
+    stage estimates the remainder's norm bound L and spends the rest of
+    ``budget`` (more when the Krylov space is exhausted or the basis cap
+    ends the run before l(2q + 1) columns) as K = remaining // b products
+    on each of b = DEFAULT_HUTCHINSON_B unit probes, projected off the
+    deflated eigenvectors so that their moments are those of the remainder
+    alone.  The K products give 2K Chebyshev moments of (1/L) A
     (``estimate_moments``): kpm reconstructs from all N = 2K, and cmm
     matches the first N = K, since matching 2K made its NNLS several times
     slower on large grids.  The density on a d-point grid is rescaled to
@@ -273,8 +270,8 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
     remainder is checked against the grid (``check_grid(N, d)``) before its
     probes are drawn, so a grid too coarse for N spends no moment product.
     Returns (density, facts); facts holds L and N, the number of moments the
-    reconstruction read, l and s when l > 0, and cmm's solver, residual,
-    support and nnls_columns when it solves for a density.
+    reconstruction read, l, s and the run's length m when l > 0, and cmm's
+    solver, residual, support and nnls_columns when it solves for a density.
     """
     n = A.dimension
     b = DEFAULT_HUTCHINSON_B
@@ -285,7 +282,7 @@ def _moment_estimate(A, l, method, budget, d, stream, ledger):
             A, l, q=DEFAULT_KRYLOV_DEPTH, stream=stream.substream(1), ledger=ledger
         )
         lambdas = defl.lambdas
-        facts = {"l": l, "s": defl.s}
+        facts = {"l": l, "s": defl.s, "m": defl.candidates_examined}
         if defl.s == n:
             return _with_deflated_atoms(lambdas, None, n), dict(facts, N=0, L=0.0)
         if defl.s > 0:
@@ -341,8 +338,12 @@ def _vr_sizing(budget, n, cap):
 
 def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     """slq (cap = 0) or vr_slq (cap = VR_L_CAP): the trials' Lanczos runs
-    advance in one ``lanczos_lockstep`` call, keeping their bases when
-    ``_keep_bases`` says they fit.
+    advance in one ``lanczos_lockstep`` call.  A kept basis stops at an
+    exhausted Krylov space and makes the result insensitive to round-off
+    in A, so the runs keep their bases while m <= ``kept_columns(n,
+    trials)``.  Beyond that they keep none: slq reads only Gauss quadrature,
+    which survives the loss of orthogonality, and vr_slq keeps the ghost
+    copies that the loss brings out of its set S (``_ghost_filter``).
 
     Trial t starts from a unit vector drawn from ``root.substream(t)`` and
     charges ``ledgers[t]``; with cap > 0 its facts also hold the size of its
@@ -352,7 +353,7 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
     n = A.dimension
     m, l = _vr_sizing(config.budget, n, cap)
     diagnostics.update(m=m, l=l)
-    basis = _keep_bases(len(ledgers), m, n)
+    basis = m <= kept_columns(n, len(ledgers))
     starts = np.column_stack(
         [unit_sphere_vector(n, root.substream(t)) for t in range(len(ledgers))]
     )
@@ -370,21 +371,6 @@ def _lanczos_trials(A, config, root, ledgers, diagnostics, cap):
         densities.append(density)
         per_trial.append(facts)
     return densities, per_trial
-
-
-def _keep_bases(trials, m, n):
-    """Whether the Lanczos runs of ``trials`` trials of m steps on an n x n
-    operator, all in one ``lanczos_lockstep`` call, keep their bases.
-
-    The rule is slq's and vr_slq's alike.  A kept basis stops at an
-    exhausted Krylov space and makes the result insensitive to round-off in
-    A, so the runs keep their bases while all of them fit in
-    LOCKSTEP_BASIS_BYTES.  Beyond that every trial runs with no basis, all
-    sharing one block product per step: slq reads only Gauss quadrature,
-    which survives the loss of orthogonality, and vr_slq keeps the ghost
-    copies that the loss brings out of its set S (``_ghost_filter``).
-    """
-    return trials * 8 * m * n <= LOCKSTEP_BASIS_BYTES
 
 
 def _moment_trials(A, config, root, ledgers, diagnostics, method, deflated):
@@ -431,10 +417,10 @@ def run(A, config):
     size ``converged``, and where its run kept no basis, the number of Ritz
     values ``merged`` into another's atom and of atoms rejected as
     ``spurious``) or the moment stage's ``L`` and ``N``, the number of
-    moments its reconstruction read (and, with
-    deflation, ``l`` and ``s``; for cmm, the moment-matching ``solver``,
-    ``residual``, ``support`` and ``nnls_columns``, the column count of its
-    last NNLS solve).
+    moments its reconstruction read (and, with deflation, ``l``, ``s`` and
+    the deflation run's length ``m``; for cmm, the moment-matching
+    ``solver``, ``residual``, ``support`` and ``nnls_columns``, the column
+    count of its last NNLS solve).
     """
     budget = config.budget
     trials = config.resolved_trials()

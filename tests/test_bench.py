@@ -136,6 +136,24 @@ def test_too_small_budget_is_an_error_not_a_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_products_that_overflow_are_an_error_not_a_zero_estimate(tmp_path, capsys):
+    # kpm once read L = 0.0 from an overflowed norm and wrote the point mass
+    # at 0 with exit status 0.
+    matrix = tmp_path / "huge.mtx"
+    matrix.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 3\n1 1 1e300\n2 1 -1e300\n3 3 2e300\n"
+    )
+    out = tmp_path / "x.csv"
+    argv = ["--matrix", str(matrix), "--no-normalize-adjacency", "--out", str(out)]
+    assert run_cli("estimate", *argv, "--algo", "kpm", "--budget", "100") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the operator's products overflow float64"
+    )
+    assert not out.exists()
+
+
 def test_sweep_names_budgets_when_an_entry_does_not_parse(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(

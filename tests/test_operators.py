@@ -14,7 +14,9 @@ from specden import (
     SeededStream,
     SparseOperator,
     deflate,
+    exact_density,
     run,
+    wasserstein1,
 )
 from specden.operators import (
     DeflatedOperator,
@@ -341,6 +343,31 @@ def test_spectral_norm_upper_bound_deterministic_and_costed():
     spectral_norm_upper_bound(A, ledger, s)
     assert ledger.total == norm_estimate_cost(30)
     assert norm_estimate_cost(30) == 2 * math.ceil(math.log2(32))
+
+
+def test_norm_estimate_and_kpm_do_not_depend_on_a_large_scale():
+    # ||A(Av)|| once overflowed past ||A|| of about 1e77: the power iteration's
+    # next vector was 0, L read 0.0, and kpm returned the point mass at 0.
+    spectrum = np.linspace(-1.0, 1.0, 50)
+    w1 = {}
+    for c in (1.0, 1e100):
+        A = DiagonalOperator(c * spectrum)
+        L = spectral_norm_upper_bound(A, None, SeededStream(4))
+        assert 1.0 <= L / c <= 2.0
+        est = run(A, SdeConfig("kpm", budget=300, seed=0))
+        w1[c] = wasserstein1(est.density, exact_density(A)) / c
+    assert w1[1e100] == pytest.approx(w1[1.0], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [1e160, 1e300, -1e300])
+def test_products_that_overflow_raise_for_every_algorithm(c):
+    # These once ended in scipy's "array must not contain infs or NaNs" or a
+    # DistributionError, neither of which names the input's scale.
+    A = DiagonalOperator(c * np.linspace(-1.0, 1.0, 50))
+    for algo in ALGORITHMS:
+        with pytest.raises(OperatorError, match="products overflow float64"):
+            run(A, SdeConfig(algo, budget=300, seed=0))
 
 
 def test_sign_symmetric_spectrum_is_not_missed():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from specden import (
     schatten1_estimate,
     wasserstein1,
 )
-from specden import block_krylov, sde
+from specden import block_krylov, lanczos as lanczos_module, sde
 from specden.block_krylov import block_krylov_deflation
 from specden.bench import build_matrix
 from specden.chebyshev import cheb_normalized_rows
@@ -54,7 +55,7 @@ def slq_density(A, m, stream, ledger=None):
     """One slq trial's density from the start vector run() draws: vr_slq's
     density at l = 0, from a run that keeps its basis when run() would for
     one trial."""
-    basis = sde._keep_bases(1, m, A.dimension)
+    basis = m <= lanczos_module.kept_columns(A.dimension)
     fact = lanczos_trial(A, m, stream, ledger, basis=basis)
     density, _ = _vr_density(fact, 0, A.dimension)
     return density
@@ -415,6 +416,41 @@ def test_def_kpm_least_budget_is_one_norm_estimate_one_column_one_moment():
         run(A, SdeConfig("def_kpm", budget=least - 1, seed=0))
 
 
+def test_deflation_run_obeys_the_kept_basis_cap(monkeypatch):
+    # The deflation run keeps its basis, so it is held to kept_columns(n)
+    # like every kept basis; the products the cap leaves unspent become
+    # moments, and the trial still spends no more than its budget.
+    A = build_matrix("inverse:500", 0)
+    config = SdeConfig("def_kpm", budget=400, seed=0)
+    free = run(A, config)
+    assert free.ledger.counts["krylov_subspace"] == 9 * 31
+    monkeypatch.setattr(lanczos_module, "LOCKSTEP_BASIS_BYTES", 60 * 8 * 500)
+    assert lanczos_module.kept_columns(500) == 60
+    capped = run(A, config)
+    assert capped.ledger.counts["krylov_subspace"] == 60
+    assert capped.ledger.total <= 400
+    (facts,) = capped.diagnostics["per_trial"]
+    assert (facts["l"], facts["m"]) == (9, 60)
+    assert facts["N"] > free.diagnostics["per_trial"][0]["N"]
+    # Where not one column fits (n above 12.5 million at 96 MiB), the run
+    # still takes the one it needs.
+    monkeypatch.setattr(lanczos_module, "LOCKSTEP_BASIS_BYTES", 0)
+    assert run(A, config).ledger.counts["krylov_subspace"] == 1
+
+
+def test_schatten1_spends_the_budget_of_a_capped_deflation_run(monkeypatch):
+    # l = 40 asks for min(n, 40 * 31) = 400 columns; under the cap the run
+    # and the budget schatten1_estimate sets both see 60.
+    n, eps = 400, 0.5
+    A = DiagonalOperator(1.0 / np.arange(1, n + 1))
+    monkeypatch.setattr(lanczos_module, "LOCKSTEP_BASIS_BYTES", 60 * 8 * n)
+    ledger = BudgetLedger()
+    schatten1_estimate(A, eps, ledger)
+    l, K = 40, math.ceil(math.sqrt(n))
+    assert ledger.counts["krylov_subspace"] == 60
+    assert ledger.total == sde._deflated_trial_cost(n, l, K)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SdeConfig("nope", budget=10)
@@ -508,7 +544,9 @@ def test_run_slq_trials_share_one_lockstep_call(
     # slq never splits into groups: its trials keep their bases while all of
     # them fit in LOCKSTEP_BASIS_BYTES, and otherwise run with none.
     A = build_matrix("low_rank:500", 0)
-    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 5 * 8 * 200 * 500 + spare_bytes)
+    monkeypatch.setattr(
+        lanczos_module, "LOCKSTEP_BASIS_BYTES", 5 * 8 * 200 * 500 + spare_bytes
+    )
     est = run(A, SdeConfig("slq", budget=200, trials=5, seed=3))
     assert lockstep_calls == [(5, basis)]
     for facts in est.diagnostics["per_trial"]:
@@ -526,7 +564,7 @@ def test_run_vr_slq_runs_basis_free_when_its_bases_do_not_fit(
     A = build_matrix("low_rank:500", 0)
     m, _ = _vr_sizing(200, A.dimension, sde.VR_L_CAP)
     basis_bytes = 8 * m * A.dimension
-    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 2 * basis_bytes)
+    monkeypatch.setattr(lanczos_module, "LOCKSTEP_BASIS_BYTES", 2 * basis_bytes)
     tracemalloc.start()
     try:
         est = run(A, SdeConfig("vr_slq", budget=200, trials=5, seed=3))
@@ -594,7 +632,7 @@ def test_basis_free_vr_slq_gives_each_eigenvalue_at_most_its_mass(monkeypatch):
     n = 2000
     spectrum = np.concatenate([[1.0, 0.8, 0.6], np.linspace(-0.3, 0.3, n - 3)])
     A = DiagonalOperator(spectrum)
-    monkeypatch.setattr(sde, "LOCKSTEP_BASIS_BYTES", 0)
+    monkeypatch.setattr(lanczos_module, "LOCKSTEP_BASIS_BYTES", 0)
     deflated, with_atoms = [], sde._with_deflated_atoms
 
     def recording(lambdas, remainder, n):
@@ -619,7 +657,7 @@ def test_run_per_trial_diagnostics_for_moment_methods():
         est = run(A, SdeConfig(algo, budget=250, trials=3, seed=5))
         per_trial = est.diagnostics["per_trial"]
         assert len(per_trial) == 3
-        keys = {"L", "N"} if algo == "kpm" else {"l", "s", "L", "N"}
+        keys = {"L", "N"} if algo == "kpm" else {"l", "s", "m", "L", "N"}
         assert all(set(facts) == keys for facts in per_trial)
         for facts in per_trial:
             if algo == "def_kpm" and facts["s"] == 60:
@@ -635,7 +673,7 @@ def test_run_keeps_deflation_facts_per_trial_only():
     assert not {"l", "q", "s", "N", "L", "norm_estimate"} & set(est.diagnostics)
     per_trial = est.diagnostics["per_trial"]
     assert len(per_trial) == 2
-    assert all(set(facts) == {"l", "s", "N", "L"} for facts in per_trial)
+    assert all(set(facts) == {"l", "s", "m", "N", "L"} for facts in per_trial)
 
 
 def test_run_reports_each_moment_matching_solve():
@@ -793,7 +831,7 @@ def test_run_results_are_pinned():
     # two BLAS threads instead of one by 0.6%, hence the looser pin.  The
     # kept-basis run's W1 is 20% lower, and seeds 2-4 read 3-19% higher.
     A = DiagonalOperator(1.0 / np.arange(1, 20001))
-    assert not sde._keep_bases(15, 60, A.dimension)
+    assert 60 > lanczos_module.kept_columns(A.dimension, 15)
     est = run(A, SdeConfig("slq", budget=60, seed=0))
     assert wasserstein1(est.density, exact_density(A)) == pytest.approx(
         5.598495063373472e-05, rel=3e-2, abs=0
