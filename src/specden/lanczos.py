@@ -31,11 +31,16 @@ steps where the kept-basis run stops after 101.
 each step costs one block product ``A.apply_block`` instead of k single
 products, and returns one ``TridiagonalFactorization`` per start; ``lanczos``
 is its k = 1 case.  The engine charges no ledger: each caller charges its
-runs' ``m_effective`` to its own stage.  The omega estimates are arrays
-over the block of trials, updated for all running trials at once.  One loop runs the Gram-Schmidt
-pass on the trials each step picks, one at a time: none with no basis, the
-ones omega flags with a kept basis, and all in deflation's run
-(``basis="full"``), which needs orthonormal Ritz vectors and tracks no
+runs' ``m_effective`` to its own stage.  Besides the block product, a step
+works row by row: each running trial's alpha, residual and norm come from
+its own contiguous row, with its scalars in Python floats, so every trial
+does exactly the dots and vector operations of its single run, bit for
+bit, and a one-start run, deflation's, pays for its arithmetic and no
+array bookkeeping.  The omega estimates are arrays over the block of
+trials, updated for all running trials at once.  One loop runs the
+Gram-Schmidt pass on the trials each step picks, one at a time: none with
+no basis, the ones omega flags with a kept basis, and all in deflation's
+run (``basis="full"``), which needs orthonormal Ritz vectors and tracks no
 omega.  With no basis there is no ``Q`` to fit in memory, so any number of
 recurrences can share the block product.  Every kept ``Q`` obeys one
 memory rule, ``kept_columns``.  A non-finite alpha or eta means A's
@@ -144,41 +149,52 @@ def reorthogonalize(basis, r):
 
     One classical Gram-Schmidt pass, and a second one when the first leaves
     less than REPEAT_RATIO of r's norm.  Returns r's final norm and whether
-    the pass was repeated.
+    the pass was repeated.  Each norm is sqrt(r . r), ``np.linalg.norm``'s
+    own formula on a 1-D array, without its dispatch.
     """
-    before = np.linalg.norm(r)
+    before = math.sqrt(r.dot(r))
     r -= basis.T @ (basis @ r)
-    after = np.linalg.norm(r)
+    after = math.sqrt(r.dot(r))
     if after >= REPEAT_RATIO * before:
         return after, False
     r -= basis.T @ (basis @ r)
-    return np.linalg.norm(r), True
+    return math.sqrt(r.dot(r)), True
 
 
+@np.errstate(over="ignore")
 def lanczos_lockstep(A, G, m, basis=True):
     """Run m Lanczos iterations from each unit column of the n x k block G.
 
     The k recurrences are independent: each step applies A once to the
     current vectors of every trial that has not broken down (m each, fewer
-    on breakdown), and charges no ledger.  The omega estimates for q_i and
-    q_{i-1} are two k x m arrays, one row per trial, and each step updates
-    the rows of the running trials as one array expression.  A trial whose new row would pass
-    SEMI_ORTHOGONALITY runs the DGKS step ``reorthogonalize`` on its
-    residual, one flagged trial at a time; so does its next step, and each
-    such step resets its row to eps.  The recurrence's rounding term is
-    eps sqrt(n) scale(T), scale(T) being the running max of |alpha| and
-    eta: with eps (eta_k + eta_i) the estimate fell behind the true loss on
+    on breakdown), and charges no ledger.  Everything else a step does is
+    done row by row, on each running trial's contiguous row of the block
+    product: its alpha is one dot, its residual is formed in place in its
+    row, its norm is sqrt(r . r) (``np.linalg.norm``'s own formula on a
+    1-D array), and its scale(T), previous eta, counters and breakdown test
+    are Python floats and ints.  No row's arithmetic reads another row, so
+    each trial does the dots, vector operations and scalar arithmetic of a
+    single-vector run in the same order, and is bit for bit its single run.
+    Per row, a step costs a few vector operations and no small-array
+    allocation, which is all a one-start run such as deflation's pays for.
+    The omega estimates for q_i and q_{i-1} are two k x m arrays, one row
+    per trial, and each step updates the rows of the running trials as one
+    array expression.  A trial whose new row would pass SEMI_ORTHOGONALITY
+    runs the DGKS step ``reorthogonalize`` on its residual, one flagged
+    trial at a time; so does its next step, and each such step resets its
+    row to eps.  The recurrence's rounding term is eps sqrt(n) scale(T),
+    scale(T) being the running max of |alpha| and eta: with
+    eps (eta_k + eta_i) the estimate fell behind the true loss on
     ``gaussian:500`` at m = n, which then grew to 1.  Breakdown is tested
     after any reorthogonalization.  The last step forms its three-term
     residual only for its norm beta, with no omega update and no flagged
-    trial.  Outside the block product, every sum is a dot or
-    matrix-vector product on one trial's contiguous rows, as in a
-    single-vector run, so each trial is bit for bit its single run.
-    With ``basis`` false the runs keep only q_i and q_{i-1}, track no omega
-    and never reorthogonalize; with ``basis="full"`` they track no omega and
-    every step, the last too, picks every trial for the one DGKS loop.  The
-    breakdown test is as above.  Returns one ``TridiagonalFactorization`` per
-    column of G, each a view into storage the k runs share.
+    trial.  With ``basis`` false the runs keep only q_i and q_{i-1}, track
+    no omega and never reorthogonalize; with ``basis="full"`` they track no
+    omega and every step, the last too, picks every trial for the one DGKS
+    loop.  The breakdown test is as above.  Dots and norms of products that
+    overflow float64 give inf or nan silently, and the finiteness test on
+    eta raises ``OperatorError``.  Returns one ``TridiagonalFactorization``
+    per column of G, each a view into storage the k runs share.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -198,9 +214,7 @@ def lanczos_lockstep(A, G, m, basis=True):
     alpha = np.empty((k, m))
     # Row t holds trial t's m_effective - 1 off-diagonals, then its beta.
     eta = np.empty((k, m))
-    m_eff = np.zeros(k, dtype=int)
-    repeats = np.zeros(k, dtype=int)
-    reorths = np.zeros(k, dtype=int)
+    m_eff, repeats, reorths = [0] * k, [0] * k, [0] * k
     if omega:
         # Row t of cur holds trial t's omega estimates q_i^T q_j for j <= i,
         # and of prev those for q_{i-1}; forced marks the trials whose step
@@ -215,44 +229,48 @@ def lanczos_lockstep(A, G, m, basis=True):
     U, U_prev = np.array(G.T, order="C"), None
     if basis:
         Q[:, 0] = U
-    act, rows = np.arange(k), slice(None)
-    scale, b = np.full(k, 1e-300), np.zeros(k)
+    act, rows = list(range(k)), slice(None)
+    scale, b = [1e-300] * k, [0.0] * k
     for i in range(m):
         # Row-major products keep every trial's vector contiguous, and each
         # residual is formed in place in its row of the new product.
         W = np.ascontiguousarray(A.apply_block(U.T).T)
-        a = np.array(list(map(np.dot, U, W)))
-        alpha[rows, i] = a
-        m_eff[rows] = i + 1
-        scale = np.maximum(scale, np.abs(a))
-        W -= a[:, None] * U
-        if i > 0:
-            W -= b[:, None] * U_prev
+        a, eta_i = [], []
+        for j, t in enumerate(act):
+            u, r = U[j], W[j]
+            a_j = float(u.dot(r))
+            r -= a_j * u
+            if i > 0:
+                r -= b[j] * U_prev[j]
+            alpha[t, i] = a_j
+            m_eff[t] = i + 1
+            scale[j] = max(scale[j], abs(a_j))
+            a.append(a_j)
+            # The DGKS pass of the full policy gives the norm itself.
+            eta_i.append(math.nan if full else math.sqrt(r.dot(r)))
         # picked holds the positions in act of the trials whose residual
         # takes the DGKS pass, which also gives its norm.
-        if full:
-            eta_i, picked = np.empty(act.size), range(act.size)
-        else:
-            eta_i, picked = np.array([np.linalg.norm(r) for r in W]), ()
+        picked = range(len(act)) if full else ()
         if omega and i + 1 < m:
-            noise = noise_unit * scale
+            a, e_i = np.array(a), np.array(eta_i)
+            noise = noise_unit * np.array(scale)
             # eta_i (q_{i+1}^T q_j) for j < i by Simon's recurrence, noise
             # left out.
             e, c = eta[rows, :i], cur[rows, : i + 1]
             num = (
                 e * c[:, 1:] + (alpha[rows, :i] - a[:, None]) * c[:, :-1]
-                - b[:, None] * prev[rows, :i]
+                - np.array(b)[:, None] * prev[rows, :i]
             )
             num[:, 1:] += e[:, :-1] * c[:, :-2]
             # |num_j + sign(num_j) noise| / eta_i, and noise / eta_i for j = i.
             worst = np.abs(num).max(axis=1, initial=0.0) + noise
-            reorth = forced[rows] | (worst > SEMI_ORTHOGONALITY * eta_i)
-            row = np.full((act.size, i + 2), EPS)
+            reorth = forced[rows] | (worst > SEMI_ORTHOGONALITY * e_i)
+            row = np.full((len(act), i + 2), EPS)
             keep = ~reorth
             row[keep, :i] = (
                 num[keep] + np.copysign(noise[keep, None], num[keep])
-            ) / eta_i[keep, None]
-            row[keep, i] = noise[keep] / eta_i[keep]
+            ) / e_i[keep, None]
+            row[keep, i] = noise[keep] / e_i[keep]
             row[:, i + 1] = 1.0
             prev[rows, : i + 2] = row
             prev, cur = cur, prev
@@ -266,24 +284,28 @@ def lanczos_lockstep(A, G, m, basis=True):
             repeats[t] += repeated
             reorths[t] += 1
         # An alpha that is not finite makes eta_i so: one test covers both.
-        eta[rows, i] = require_finite_products(eta_i)
+        eta[rows, i] = list(map(require_finite_products, eta_i))
         if i + 1 == m:
             break
-        alive = eta_i >= BREAKDOWN_RTOL * scale
-        if not alive.all():
-            act = rows = act[alive]
-            scale, eta_i, U, W = scale[alive], eta_i[alive], U[alive], W[alive]
-            if not act.size:
+        alive = [e >= BREAKDOWN_RTOL * s for e, s in zip(eta_i, scale)]
+        if not all(alive):
+            kept = [j for j, running in enumerate(alive) if running]
+            act = rows = [act[j] for j in kept]
+            scale, eta_i = [scale[j] for j in kept], [eta_i[j] for j in kept]
+            U, W = U[kept], W[kept]
+            if not act:
                 break
-        scale = np.maximum(scale, eta_i)
-        U_prev, U, b = U, W / eta_i[:, None], eta_i
+        scale = [max(s, e) for s, e in zip(scale, eta_i)]
+        for r, e in zip(W, eta_i):
+            r /= e
+        U_prev, U, b = U, W, eta_i
         if basis:
             Q[rows, i + 1] = U
     return [
         TridiagonalFactorization(
             alpha[t, :j], eta[t, : j - 1], Q[t, :j].T if basis else None,
-            beta=float(eta[t, j - 1]), reorth_repeats=int(repeats[t]),
-            reorthogonalized=int(reorths[t]),
+            beta=float(eta[t, j - 1]), reorth_repeats=repeats[t],
+            reorthogonalized=reorths[t],
         )
         for t, j in enumerate(m_eff)
     ]

@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 import scipy
-from numpy.polynomial.chebyshev import chebval
 
 from .chebyshev import TBAR0, TBAR_SCALE, cheb_normalized_rows
 from .metrics import DiscreteDistribution
@@ -285,6 +284,29 @@ def jackson_coefficients(N):
     )
 
 
+def chebyshev_series(x, c):
+    """sum_i c_i T_i(x) at the points x, by Clenshaw's recurrence.
+
+    This is ``numpy.polynomial.chebyshev.chebval``'s arithmetic, operation
+    for operation, so its result is chebval's to the bit; but where chebval
+    allocates three new arrays per coefficient, this runs the recurrence in
+    three arrays allocated once, besides 2x.
+    """
+    x2 = 2 * x
+    c0 = np.full(x.shape, c[-2] if c.size > 1 else c[0])
+    c1 = np.full(x.shape, c[-1] if c.size > 1 else 0.0)
+    tmp = np.empty(x.shape)
+    for coefficient in c[-3::-1]:
+        # (c0, c1) <- (coefficient - c1, c0 + c1 * 2x)
+        np.multiply(c1, x2, out=tmp)
+        tmp += c0
+        np.subtract(coefficient, c1, out=c0)
+        c1, tmp = tmp, c1
+    np.multiply(c1, x, out=tmp)
+    tmp += c0
+    return tmp
+
+
 def kpm_density(tau, d):
     """Grid density of the Jackson-damped Chebyshev series of tau.
 
@@ -293,12 +315,13 @@ def kpm_density(tau, d):
     to keep it finite.
     """
     x = grid_points(d)
-    # Clenshaw's recurrence (chebval) sums the series in O(N d) time and
-    # O(d) memory, with no N x (d + 1) table of polynomial values.
     coefficients = np.empty(tau.size + 1)
     coefficients[0] = TBAR0 / math.sqrt(math.pi)
     coefficients[1:] = TBAR_SCALE * jackson_coefficients(tau.size) * tau
-    series = chebval(x, coefficients)
+    # Clenshaw's recurrence sums the series in O(N d) time and O(d) memory,
+    # with no N x (d + 1) table of polynomial values and no allocation per
+    # coefficient.
+    series = chebyshev_series(x, coefficients)
     half_cell = 1.0 / d
     x_w = np.clip(x, -1.0 + half_cell, 1.0 - half_cell)
     values = series / np.sqrt(1.0 - x_w**2)

@@ -110,12 +110,12 @@ def _require_finite(values):
         raise OperatorError("matrix has a non-finite entry")
 
 
-def require_finite_products(values):
-    """values, read from the operator's products; one that is not finite
-    means they overflow float64 (a norm does past about 1e154)."""
-    if not np.isfinite(values).all():
+def require_finite_products(value):
+    """value, a norm read from the operator's products; one that is not
+    finite means they overflow float64 (a norm does past about 1e154)."""
+    if not math.isfinite(value):
         raise OperatorError("the operator's products overflow float64; scale it down")
-    return values
+    return value
 
 
 def _max_abs(X):
@@ -142,8 +142,17 @@ class DenseOperator(SymmetricOperator):
         super().__init__(matrix.shape[0])
         _require_finite(matrix)
         _require_symmetric(matrix)
-        # Bitwise symmetric, since a + b == b + a in floating point.
-        self.matrix = 0.5 * (matrix + matrix.T)
+        # 0.5 M + 0.5 M^T, bitwise symmetric since a + b == b + a in floating
+        # point.  Halving first keeps M + M^T from overflowing, and halving
+        # is exact, so elsewhere this is 0.5 (M + M^T) to the bit.  M^T is
+        # halved a sixteenth at a time, so that, as with 0.5 (M + M^T), whose
+        # product numpy forms in the sum's buffer, the result is the one
+        # n x n array allocated here.
+        half = np.multiply(matrix, 0.5)
+        rows = -(-self._n // 16)
+        for start in range(0, self._n, rows):
+            half[start : start + rows] += 0.5 * matrix[:, start : start + rows].T
+        self.matrix = half
 
     def _matmat(self, V):
         # Callers hold their vectors as contiguous rows, so V^T M is one GEMM
@@ -241,6 +250,7 @@ def norm_estimate_cost(n):
     return 2 * max(1, math.ceil(math.log2(n + 2)))
 
 
+@np.errstate(over="ignore")
 def spectral_norm_upper_bound(A, ledger, stream):
     """Factor-2 upper bound on the spectral norm: ||A||_2 <= L <= 2 ||A||_2.
 
@@ -248,7 +258,9 @@ def spectral_norm_upper_bound(A, ledger, stream):
     that sign-symmetric spectra do not defeat the Rayleigh readout), with
     ||A v|| as the readout, then doubled.  Deterministic given the stream.
     Returns 0.0 for the zero operator.  A v is scaled to unit norm past
-    2**250, so that ||A|| up to about 1e154 overflows no norm.
+    2**250, so that ||A|| up to about 1e154 overflows no norm; past that a
+    norm overflows silently to inf, and the finiteness test raises
+    ``OperatorError``.
     """
     n = A.dimension
     v = unit_sphere_vector(n, stream)[:, None]

@@ -206,8 +206,11 @@ def _ghost_filter(ritz, fact):
 def _with_deflated_atoms(lambdas, remainder, n):
     """The deflating estimators' mass rule: the s deflated eigenvalues as
     atoms of mass 1/n each, plus the distribution ``remainder`` carrying the
-    other (n - s)/n.  With s = n, ``remainder`` is not read."""
+    other (n - s)/n.  With s = n, ``remainder`` is not read; with s = 0,
+    it is the result."""
     s = lambdas.size
+    if s == 0:
+        return remainder
     if s == n:
         return DiscreteDistribution(lambdas, np.full(n, 1.0 / n))
     return DiscreteDistribution(

@@ -136,7 +136,6 @@ def test_too_small_budget_is_an_error_not_a_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_products_that_overflow_are_an_error_not_a_zero_estimate(tmp_path, capsys):
     # kpm once read L = 0.0 from an overflowed norm and wrote the point mass
     # at 0 with exit status 0.
@@ -152,6 +151,32 @@ def test_products_that_overflow_are_an_error_not_a_zero_estimate(tmp_path, capsy
         "error: the operator's products overflow float64"
     )
     assert not out.exists()
+
+
+def test_products_that_overflow_print_only_the_error(tmp_path):
+    # numpy's "RuntimeWarning: overflow encountered in dot" once came first:
+    # the norms that overflow now do so silently, and the finiteness test
+    # names the cause.  Its own process, so that no warning filter of the
+    # test run hides the warning.
+    matrix = tmp_path / "huge.mtx"
+    matrix.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 6\n1 1 1e300\n2 1 1e300\n3 1 1e300\n2 2 1e300\n3 2 1e300\n"
+        "3 3 1e300\n"
+    )
+    path = [str(Path(specden.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for algo in ("slq", "kpm"):
+        out = subprocess.run(
+            [sys.executable, "-m", "specden.bench", "estimate", "--matrix",
+             str(matrix), "--algo", algo, "--budget", "100",
+             "--no-normalize-adjacency", "--out", str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr == (
+            "error: the operator's products overflow float64; scale it down\n"
+        )
 
 
 def test_sweep_names_budgets_when_an_entry_does_not_parse(tmp_path, capsys):

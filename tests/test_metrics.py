@@ -44,6 +44,43 @@ def test_w1_trivial_cases():
     assert wasserstein1(p, q) == pytest.approx(0.5)
 
 
+def np_unique_w1(p, q):
+    """W1 on the support np.unique forms from both atom lists, each CDF read
+    by searchsorted (reference)."""
+    support = np.unique(np.concatenate([p.locations, q.locations]))
+    cdf = [
+        np.concatenate([[0.0], np.cumsum(d.weights)])[
+            np.searchsorted(d.locations, support, side="right")
+        ]
+        for d in (p, q)
+    ]
+    return float(np.abs(cdf[0][:-1] - cdf[1][:-1]) @ np.diff(support))
+
+
+def test_w1_merge_equals_the_np_unique_support_formula_to_the_bit(rng):
+    # Shared atoms, a grid against a few atoms on it and off it, and a zero
+    # of either sign: the stable-sort merge reads the same CDFs and gaps.
+    grid = np.linspace(-1.0, 1.0, 20001)
+    cases = [
+        (grid, np.concatenate([grid[::97], rng.uniform(-1.5, 1.5, 40)])),
+        (np.array([-0.0, 0.5]), np.array([0.0, 0.25, 0.5])),
+        (np.array([3.0]), np.array([3.0])),
+    ]
+    for _ in range(20):
+        shared = rng.normal(size=5)
+        cases.append(
+            (np.concatenate([shared, rng.normal(size=7)]),
+             np.concatenate([shared, rng.normal(size=4)]))
+        )
+    for a, b in cases:
+        p, q = (
+            DiscreteDistribution(x, w / w.sum())
+            for x, w in ((a, rng.uniform(size=a.size)), (b, rng.uniform(size=b.size)))
+        )
+        for u, v in ((p, q), (q, p)):
+            assert wasserstein1(u, v).hex() == np_unique_w1(u, v).hex()
+
+
 def test_w1_matches_transport_lp(rng):
     for _ in range(30):
         p = random_distribution(rng)
@@ -145,6 +182,14 @@ def test_merge_joins_only_equal_locations():
         loc = np.repeat(np.arange(float(groups)), rng.integers(1, 60, size=groups))
         w = rng.uniform(size=loc.size)
         assert_merge_matches_loop(rng.permutation(loc), w / w.sum())
+    # A paper-grid density, sorted with no repeat, and the same grid with
+    # deflated atoms in front, some on grid points.
+    grid = np.linspace(-1.0, 1.0, 20001)
+    w = rng.uniform(size=grid.size)
+    assert_merge_matches_loop(grid, w / w.sum())
+    loc = np.concatenate([grid[[0, 5000, 12345]], rng.uniform(-1.0, 1.0, 30), grid])
+    w = rng.uniform(size=loc.size)
+    assert_merge_matches_loop(loc, w / w.sum())
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+from numpy.polynomial.chebyshev import chebval
 
 from specden import DiscreteDistribution, moment_matching, wasserstein1
 from specden.chebyshev import TBAR0, cheb_normalized_rows
@@ -10,6 +11,7 @@ from specden.metrics import exact_density
 from specden.moment_matching import (
     EXACT_RESIDUAL,
     SolverError,
+    chebyshev_series,
     grid_points,
     jackson_coefficients,
     kpm_density,
@@ -369,6 +371,15 @@ def test_kpm_clenshaw_sum_matches_the_table(N, d):
     for tau in (rng.uniform(-0.7, 0.7, N), cheb_normalized_rows(N, eigs).mean(axis=1)):
         reference = kpm_density_table(tau, d)
         assert np.abs(kpm_density(tau, d) - reference).max() <= 1e-13 * reference.max()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 105])
+def test_clenshaw_in_three_arrays_is_chebval_to_the_bit(size):
+    # The in-place recurrence does chebval's operations in chebval's order;
+    # 105 coefficients are kpm's N = 104 moments after tau_0.
+    x = grid_points(20000)
+    c = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+    assert chebyshev_series(x, c).tobytes() == chebval(x, c).tobytes()
 
 
 def test_kpm_concentrates_on_exact_atom():

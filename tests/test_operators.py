@@ -177,6 +177,19 @@ def test_symmetry_check_is_relative_to_the_matrix_scale(build):
     assert build(np.zeros((3, 3))).dimension == 3
 
 
+def test_dense_symmetrization_neither_overflows_nor_moves_a_bit():
+    # 0.5 (M + M^T) once stored inf for entries near the float64 limit.
+    A = DenseOperator(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    assert A.matrix.tobytes() == np.array([[1e308, 0.0], [0.0, 1.0]]).tobytes()
+    # Elsewhere halving first changes no bit, and M stays bitwise symmetric.
+    M = np.random.default_rng(6).standard_normal((40, 40))
+    M = M @ M.T
+    M *= 1.0 + 1e-14 * np.random.default_rng(7).standard_normal((40, 40))
+    A = DenseOperator(M)
+    assert A.matrix.tobytes() == (0.5 * (M + M.T)).tobytes()
+    assert A.matrix.tobytes() == np.ascontiguousarray(A.matrix.T).tobytes()
+
+
 def test_deflation_basis_must_be_orthonormal_to_1e_10_on_the_diagonal_too():
     base = DiagonalOperator(np.linspace(-1.0, 1.0, 8))
     Z = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 3)))[0]
@@ -359,7 +372,6 @@ def test_norm_estimate_and_kpm_do_not_depend_on_a_large_scale():
     assert w1[1e100] == pytest.approx(w1[1.0], rel=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("c", [1e160, 1e300, -1e300])
 def test_products_that_overflow_raise_for_every_algorithm(c):
     # These once ended in scipy's "array must not contain infs or NaNs" or a
