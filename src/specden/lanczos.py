@@ -43,13 +43,18 @@ no basis, the ones omega flags with a kept basis, and all in deflation's
 run (``basis="full"``), which needs orthonormal Ritz vectors and tracks no
 omega.  With no basis there is no ``Q`` to fit in memory, so any number of
 recurrences can share the block product.  Every kept ``Q`` obeys one
-memory rule, ``kept_columns``.  A non-finite alpha or eta means A's
-products overflow float64, and the run raises ``OperatorError``.
+memory rule, ``kept_columns``, and is its own memory map (``_own_map``):
+when its last view is dropped, its pages go back to the operating system,
+so a run's peak is what it holds then plus its own basis, not plus the
+bases of earlier runs that the C heap kept.  A non-finite alpha or eta
+means A's products overflow float64, and the run raises ``OperatorError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +76,7 @@ SEMI_ORTHOGONALITY = math.sqrt(EPS)
 
 # Most memory the kept Lanczos bases of one ``lanczos_lockstep`` call may
 # take together, read only by ``kept_columns``.  This bounds the peak
-# footprint: the sparse-graph benchmark's peak memory (about 169 MB) is set
+# footprint: the sparse-graph benchmark's peak memory (about 163 MB) is set
 # by the largest bases that fit, slq@200's 15 x 200 x 3000 floats (72 MB).
 LOCKSTEP_BASIS_BYTES = 96 * 2**20
 
@@ -79,6 +84,31 @@ LOCKSTEP_BASIS_BYTES = 96 * 2**20
 def kept_columns(n, k=1):
     """Most columns each of k kept bases of n floats may have together."""
     return LOCKSTEP_BASIS_BYTES // (8 * n * k)
+
+
+def _own_map(shape):
+    """An uninitialized float array in a private anonymous map of its own.
+
+    glibc serves an array below its mmap threshold from the heap, and that
+    threshold rises to the size of the largest mapped array freed so far
+    (up to 32 MiB), so a basis freed into the heap stays resident.  A map
+    of its own is unmapped when its last view is dropped.  ``MAP_PRIVATE``
+    keeps it out of shared memory, and ``MADV_HUGEPAGE``, where the
+    platform has it, is numpy's own advice for its large arrays: filling
+    slq@200's 15 x 200 x 3000 basis took 29 ms without it and 11 ms with
+    it, as from ``np.empty`` (2-core Xeon).  ``mmap`` cannot map 0 bytes,
+    so an empty shape gets an ordinary empty array.
+    """
+    nbytes = 8 * math.prod(shape)
+    if not nbytes:
+        return np.empty(shape)
+    # fileno -1 makes the map anonymous.
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # A kernel without transparent huge pages refuses the advice.
+        with contextlib.suppress(OSError):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(shape)
 
 
 class LanczosError(ValueError):
@@ -194,7 +224,8 @@ def lanczos_lockstep(A, G, m, basis=True):
     loop.  The breakdown test is as above.  Dots and norms of products that
     overflow float64 give inf or nan silently, and the finiteness test on
     eta raises ``OperatorError``.  Returns one ``TridiagonalFactorization``
-    per column of G, each a view into storage the k runs share.
+    per column of G, each a view into storage the k runs share; a kept
+    basis is that storage's own memory map, unmapped with its last view.
     """
     G = np.asarray(G, dtype=float)
     n = A.dimension
@@ -210,7 +241,7 @@ def lanczos_lockstep(A, G, m, basis=True):
     full = basis == "full"
     omega = basis and not full
 
-    Q = np.empty((k, m, n)) if basis else None
+    Q = _own_map((k, m, n)) if basis else None
     alpha = np.empty((k, m))
     # Row t holds trial t's m_effective - 1 off-diagonals, then its beta.
     eta = np.empty((k, m))
